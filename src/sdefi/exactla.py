@@ -139,6 +139,95 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
+def sparse_nullspace(rows, ncols: int) -> list[Vector]:
+    """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
+
+    `rows` are dicts {column: CRational}; no dense matrix is built.  The
+    columns split into the connected components of the sparsity graph (two
+    columns touch when a row holds both), and each block is brought to
+    reduced row echelon form by sparse Gauss-Jordan: columns in ascending
+    order, the candidate row with the fewest nonzeros as pivot (Markowitz).
+    RREF is unique, so the free columns and the kernel vectors (1 at the free
+    column, 0 at every other free column) are those of the dense path.
+    Columns are never reordered: that would change which columns are free.
+    """
+    # Copies, since elimination works in place; stored zeros and empty rows dropped.
+    rows = [r for r in ({c: v for c, v in row.items() if not v.is_zero()} for row in rows) if r]
+
+    parent = list(range(ncols))  # union-find over columns
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        root = find(next(cols))
+        for c in cols:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+
+    block_rows: dict[int, list[dict]] = {}
+    for row in rows:
+        block_rows.setdefault(find(next(iter(row))), []).append(row)
+    block_cols: dict[int, list[int]] = {}
+    for c in range(ncols):
+        block_cols.setdefault(find(c), []).append(c)
+
+    one = CRational(1)
+    kernel: dict[int, dict[int, CRational]] = {}  # free column -> {pivot column: entry}
+    for root, cols in block_cols.items():
+        brows = block_rows.get(root, [])
+        rows_with: dict[int, set[int]] = {c: set() for c in cols}
+        for i, row in enumerate(brows):
+            for c in row:
+                rows_with[c].add(i)
+        pivot_of: dict[int, int] = {}  # pivot column -> row index
+        used: set[int] = set()
+        for c in cols:  # ascending
+            candidates = rows_with[c] - used
+            if not candidates:
+                kernel[c] = {}
+                continue
+            p = min(candidates, key=lambda i: (len(brows[i]), i))
+            prow = brows[p]
+            inv = one / prow[c]
+            if inv != one:
+                for k in prow:
+                    prow[k] = prow[k] * inv
+            for i in rows_with[c] - {p}:
+                row = brows[i]
+                factor = row[c]
+                for k, v in prow.items():
+                    x = row.get(k)
+                    x = -(factor * v) if x is None else x - factor * v
+                    if x.is_zero():
+                        del row[k]
+                        rows_with[k].discard(i)
+                    else:
+                        row[k] = x
+                        rows_with[k].add(i)
+            used.add(p)
+            pivot_of[c] = p
+        for pc, p in pivot_of.items():
+            for fc, v in brows[p].items():
+                if fc != pc:
+                    kernel[fc][pc] = -v
+
+    zero = CRational(0)
+    basis: list[Vector] = []
+    for fc in sorted(kernel):
+        v = [zero] * ncols
+        v[fc] = one
+        for pc, x in kernel[fc].items():
+            v[pc] = x
+        basis.append(v)
+    return basis
+
+
 def det(a: Matrix) -> CRational:
     """Exact determinant via elimination with pivot bookkeeping."""
     n = len(a)

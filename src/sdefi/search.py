@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .algebra import CRational, LaurentPoly, dot, gradient, grlex_key
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
@@ -94,6 +92,13 @@ class OperatorMatrix:
         for (r, c), v in self.entries.items():
             m[r][c] = v
         return m
+
+    def sparse_rows(self) -> list[dict]:
+        """One {column: coefficient} dict per output monomial (empty if no entries)."""
+        rows: list[dict] = [{} for _ in self.output_monomials]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
 
     def entry(self, out_e, in_e) -> CRational:
         r = self.output_monomials.index(tuple(out_e))
@@ -181,15 +186,8 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int,
         for i in range(sys.noise_dim):
             mats.append(operator_matrix(sys, basis, "strong_diff", noise_index=i,
                                         widen_cap=widen_cap))
-    stacked: list = []
-    for m in mats:
-        stacked.extend(m.to_dense())
-
-    if not stacked:  # no noise and somehow no rows: everything is conserved
-        kernel = [[CRational(1 if i == j else 0) for j in range(len(monos))]
-                  for i in range(len(monos))]
-    else:
-        kernel = exactla.nullspace(stacked)
+    kernel = exactla.sparse_nullspace([row for m in mats for row in m.sparse_rows()],
+                                      len(monos))
 
     polys = []
     for vec in kernel:
@@ -214,11 +212,12 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int,
 
 
 def independence_rank(polys, trials: int = 5, seed: int = 0) -> int:
-    """Functional independence: max numeric Jacobian rank at random rational points.
+    """Functional independence: max exact Jacobian rank at seeded rational points.
 
-    Points have nonzero rational coordinates (hence pole-free for Laurent
-    candidates); the rank uses an SVD cutoff of 1e-8 relative to the largest
-    singular value, maximized over `trials` sample points.
+    Each of `trials` points has nonzero rational coordinates (hence is
+    pole-free for Laurent candidates); the gradients are evaluated there
+    exactly and the rank is `exactla.rank`, so no tolerance decides it.
+    A rank at one point is a lower bound of the generic rank.
     """
     polys = list(polys)
     if not polys:
@@ -227,24 +226,13 @@ def independence_rank(polys, trials: int = 5, seed: int = 0) -> int:
     grads = [[p.differentiate(j) for j in range(dim)] for p in polys]
     rng = random.Random(seed)
     best = 0
-    found_sample = False
     for _ in range(trials):
-        point = None
-        for _attempt in range(100):
-            cand = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-                    for _ in range(dim)]
-            if all(c != 0 for c in cand):
-                point = cand
-                break
-        if point is None:
-            continue
-        found_sample = True
-        jac = np.array([[complex(g.evaluate_exact(point)) for g in row] for row in grads])
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv.size and sv[0] > 0:
-            best = max(best, int(np.sum(sv > 1e-8 * sv[0])))
-    if not found_sample:
-        raise RuntimeError("no pole-free sample point found after 100 tries")
+        point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(dim)]
+        jac = [[g.evaluate_exact(point) for g in row] for row in grads]
+        best = max(best, exactla.rank(jac))
+        if best == min(len(polys), dim):
+            break
     return best
 
 

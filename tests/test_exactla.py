@@ -1,0 +1,98 @@
+"""Sparse block kernel: equal to the dense Gauss-Jordan kernel, vector for vector."""
+
+import random
+from fractions import Fraction
+
+from sdefi import systems
+from sdefi.algebra import CRational
+from sdefi.exactla import nullspace, sparse_nullspace
+from sdefi.search import monomial_basis, operator_matrix
+
+
+def _entry(rng, complex_share):
+    re = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < complex_share else 0
+    return CRational(re, im)
+
+
+def _random_sparse(rng, nrows, ncols, density, complex_share=0.3, cols=None):
+    """Random {col: value} rows over `cols` (default all), plus a zero row and a duplicate."""
+    cols = list(range(ncols)) if cols is None else cols
+    rows = [{c: _entry(rng, complex_share) for c in cols if rng.random() < density}
+            for _ in range(nrows)]
+    rows.insert(rng.randint(0, len(rows)), {})
+    if rows:
+        rows.append(dict(rng.choice(rows)))
+    return rows
+
+
+def _dense(rows, ncols):
+    zero = CRational(0)
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
+
+
+def _is_kernel(rows, v):
+    return all(sum((x * v[c] for c, x in row.items()), CRational(0)).is_zero() for row in rows)
+
+
+def test_sparse_nullspace_matches_dense_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(60):
+        ncols = rng.randint(1, 14)
+        rows = _random_sparse(rng, rng.randint(1, 16), ncols, rng.choice([0.1, 0.25, 0.5]))
+        got = sparse_nullspace(rows, ncols)
+        assert got == nullspace(_dense(rows, ncols))
+        assert all(_is_kernel(rows, v) for v in got)
+
+
+def test_sparse_nullspace_empty_columns_are_free():
+    rng = random.Random(11)
+    ncols = 12
+    used = [c for c in range(ncols) if c % 3]  # columns 0, 3, 6, 9 hold no entry
+    for _ in range(20):
+        rows = _random_sparse(rng, rng.randint(1, 10), ncols, 0.4, cols=used)
+        got = sparse_nullspace(rows, ncols)
+        assert got == nullspace(_dense(rows, ncols))
+        free = [next(c for c, x in enumerate(v) if x == CRational(1)) for v in got]
+        assert {0, 3, 6, 9} <= set(free)
+
+
+def test_sparse_nullspace_block_diagonal():
+    # Three blocks on interleaved columns: each kernel vector lives in one block.
+    rng = random.Random(7)
+    ncols = 15
+    blocks = [list(range(k, ncols, 3)) for k in range(3)]
+    for _ in range(15):
+        rows = []
+        for cols in blocks:
+            rows.extend(_random_sparse(rng, rng.randint(1, 5), ncols, 0.6, cols=cols))
+        rng.shuffle(rows)
+        got = sparse_nullspace(rows, ncols)
+        assert got == nullspace(_dense(rows, ncols))
+        for v in got:
+            support = {c for c, x in enumerate(v) if not x.is_zero()}
+            assert sum(1 for cols in blocks if support & set(cols)) == 1
+
+
+def test_sparse_nullspace_no_rows_is_identity():
+    for ncols in (0, 1, 4):
+        ident = [[CRational(1 if i == j else 0) for j in range(ncols)] for i in range(ncols)]
+        assert sparse_nullspace([], ncols) == ident
+        assert sparse_nullspace([{}, {}], ncols) == ident
+
+
+def test_sparse_nullspace_ignores_stored_zeros_and_keeps_input():
+    rows = [{0: CRational(1), 1: CRational(0), 2: CRational(2)}, {1: CRational(0)}]
+    before = [dict(r) for r in rows]
+    got = sparse_nullspace(rows, 3)
+    assert got == nullspace(_dense(rows, 3))
+    assert rows == before
+
+
+def test_sparse_nullspace_matches_dense_on_operator_matrices():
+    for sysm, kind, lo, hi in [(systems.two_body(), "weak", -1, 2),
+                               (systems.cyclic_exchange(), "weak", 1, 3),
+                               (systems.harmonic_oscillator(), "strong_drift", 1, 6)]:
+        mat = operator_matrix(sysm, monomial_basis(sysm.dim, lo, hi), kind)
+        ncols = mat.shape[1]
+        assert sparse_nullspace(mat.sparse_rows(), ncols) == nullspace(mat.to_dense())

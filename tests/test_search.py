@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from sdefi import systems
 from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
-from sdefi.ito import SdeSystem
+from sdefi.ito import SdeSystem, check_strong, check_weak
 from sdefi.resonance import nonintegrability_report
 from sdefi.search import (
     WindowOverflowError,
@@ -118,6 +119,9 @@ def test_operator_matrix_dense_roundtrip():
     assert (len(dense), len(dense[0])) == mat.shape
     for (r, c), v in mat.entries.items():
         assert dense[r][c] == v
+    rows = mat.sparse_rows()
+    assert len(rows) == mat.shape[0]
+    assert {(r, c): v for r, row in enumerate(rows) for c, v in row.items()} == mat.entries
 
 
 def test_operator_matrix_strong_diff_labels_channel():
@@ -185,6 +189,21 @@ def test_search_reverifies_and_normalizes():
             assert lead == CRational(1)
 
 
+def test_two_body_weak_large_window():
+    sys = systems.two_body()
+    res = find_first_integrals(sys, "weak", -3, 3)
+    assert len(res) == 1 and res.independence_rank == 1
+    assert res.basis[0] == _poly("r^2 w", sys.var_names)
+    assert all(check_weak(sys, p).holds for p in res.basis)
+
+
+def test_cyclic_strong_large_window():
+    sys = systems.cyclic_exchange()
+    res = find_first_integrals(sys, "strong", 1, 6)
+    assert len(res) == 6 and res.independence_rank == 1
+    assert all(check_strong(sys, p).holds for p in res.basis)
+
+
 def test_constants_are_quotiented_out():
     # the window includes the constant monomial, but no basis element is constant
     res = find_first_integrals(systems.harmonic_oscillator(), "strong", 0, 2)
@@ -206,6 +225,15 @@ def test_independence_rank():
     assert independence_rank([s, s * s]) == 1
     assert independence_rank([_poly("x1", names), _poly("x2", names)]) == 2
     assert independence_rank([]) == 0
+
+
+def test_independence_rank_is_exact():
+    # Gradients (1, 0) and (1, 1e-12): independent, though an SVD cutoff
+    # of 1e-8 relative to the largest singular value calls them rank 1.
+    names = ("x1", "x2")
+    tiny = LaurentPoly(2, {(0, 1): CRational(Fraction(1, 10 ** 12))})
+    x1 = _poly("x1", names)
+    assert independence_rank([x1, x1 + tiny]) == 2
 
 
 def test_independence_rank_handles_laurent():
