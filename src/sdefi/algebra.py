@@ -13,11 +13,13 @@ everywhere is graded lexicographic: sort key ``(total_degree, exponents)``,
 ascending for storage and bases, descending for display.
 
 Floats are deliberately rejected as coefficients — everything in this
-module is exact.  Floating point appears only in :meth:`LaurentPoly.evaluate`.
+module is exact.  Floating point appears only in :meth:`LaurentPoly.evaluate`
+and in float forms a caller passes to :func:`lattice_points`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +182,41 @@ ExpVec = tuple  # tuple[int, ...]; negative entries allowed
 def grlex_key(e: Sequence[int]) -> tuple:
     """Graded-lex sort key: total degree first, then the exponent tuple."""
     return (sum(e), tuple(e))
+
+
+def lattice_points(n: int, pos: int, neg: int, l1: int,
+                   forms: Sequence[Sequence] = ()) -> Iterator[tuple[tuple, tuple]]:
+    """Every k in Z^n with sum max(k_i, 0) <= pos, sum max(-k_i, 0) <= neg and
+    |k|_1 <= l1 (bounds nonnegative), in ascending lexicographic order, as
+    pairs (k, values).
+
+    ``values`` holds <v, k> for each form v in ``forms`` (length-n sequences of
+    numbers).  Each is accumulated down the recursion as ``partial + v[i] * k_i``,
+    left to right from the int 0, so a float form gives the same bits as
+    ``sum(v_i * k_i for ...)`` and an exact form its exact value.
+    """
+    zero = (0,) * len(forms)
+    if n == 0:
+        yield (), zero
+        return
+    lo, hi = -min(neg, l1), min(pos, l1)
+    # v[i] * t for every coordinate i, step t and form v, computed once
+    steps = [{t: tuple([v[i] * t for v in forms]) for t in range(lo, hi + 1)}
+             for i in range(n)]
+
+    def rec(i: int, prefix: tuple, partial: tuple, pos: int, neg: int, l1: int):
+        step = steps[i]
+        last = i + 1 == n
+        for t in range(-min(neg, l1), min(pos, l1) + 1):
+            k = prefix + (t,)
+            values = tuple(map(operator.add, partial, step[t]))
+            if last:
+                yield k, values
+            else:
+                yield from rec(i + 1, k, values, pos - t if t > 0 else pos,
+                               neg + t if t < 0 else neg, l1 - abs(t))
+
+    yield from rec(0, (), zero, pos, neg, l1)
 
 
 class LaurentPoly:

@@ -390,7 +390,7 @@ def _cmd_analyze(args) -> int:
             raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
         x0 = _parse_x0(args.x0, sys.dim)
         cfg = SimConfig(x0=x0, h=args.step, T=args.horizon, N=args.paths,
-                        seed=args.seed, R=args.radius, max_workers=_workers())
+                        seed=args.seed, R=args.radius)
         ens = simulate_paths(sys, cfg)
         sim: dict = _ensemble_dict(ens)
         sim_lines = _ensemble_text(ens)
@@ -450,16 +450,6 @@ def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
     return vals
 
 
-def _workers() -> int:
-    raw = os.environ.get("SDEFI_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputFormatError(f"SDEFI_THREADS={raw!r} is not an integer") from None
-
-
 def _ensemble_dict(ens) -> dict:
     import numpy as np
 
@@ -502,7 +492,7 @@ def _cmd_simulate(args) -> int:
     sys = load_system(args.system)
     x0 = _parse_x0(args.x0, sys.dim)
     cfg = SimConfig(x0=x0, h=args.step, T=args.horizon, N=args.paths,
-                    seed=args.seed, R=args.radius, max_workers=_workers())
+                    seed=args.seed, R=args.radius)
     ens = simulate_paths(sys, cfg)
     report = _ensemble_dict(ens)
     lines = _ensemble_text(ens)

@@ -135,7 +135,7 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     center = np.zeros(n) if cfg.center == "origin" else x0.copy()
     n_steps = cfg.n_steps
     sqh = math.sqrt(cfg.h)
-    snap_idx = list(range(0, n_steps + 1, cfg.thin)) if cfg.thin > 0 else []
+    n_snaps = n_steps // cfg.thin + 1 if cfg.thin > 0 else 0
 
     def run_chunk(path_indices: np.ndarray):
         k = len(path_indices)
@@ -146,9 +146,10 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
         pole = np.zeros(k, dtype=bool)
         exit_time = np.full(k, cfg.t_end)
         z = _path_noise(cfg.seed, path_indices, n_steps, m) if m else None
-        traj = np.empty((k, len(snap_idx), n)) if snap_idx else None
-        if traj is not None and snap_idx and snap_idx[0] == 0:
+        traj = np.empty((k, n_snaps, n)) if n_snaps else None
+        if traj is not None:
             traj[:, 0, :] = x
+        done = 0
         for step in range(n_steps):
             idx = np.flatnonzero(alive)
             if idx.size == 0:
@@ -186,8 +187,12 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                     exited[rows] = True
                     exit_time[rows] = (step + 1) * cfg.h
                     alive[rows] = False
-            if traj is not None and (step + 1) in snap_idx:
-                traj[:, snap_idx.index(step + 1), :] = x
+            done = step + 1
+            if traj is not None and done % cfg.thin == 0:
+                traj[:, done // cfg.thin, :] = x
+        if traj is not None:
+            # if every path stopped before T, the snapshots not reached hold the frozen states
+            traj[:, done // cfg.thin + 1:, :] = x[:, None, :]
         n_over = int(excluded.sum() - pole.sum())
         return x, exit_time, exited, excluded, int(pole.sum()), n_over, traj
 
@@ -204,8 +209,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     excluded = np.concatenate([r[3] for r in results])
     n_pole = sum(r[4] for r in results)
     n_overflow = sum(r[5] for r in results)
-    traj = np.concatenate([r[6] for r in results]) if snap_idx else None
-    times = np.array([i * cfg.h for i in snap_idx]) if snap_idx else None
+    traj = np.concatenate([r[6] for r in results]) if n_snaps else None
+    times = np.array([j * cfg.thin * cfg.h for j in range(n_snaps)]) if n_snaps else None
     return SimEnsemble(config=cfg, final=final, exit_time=exit_time, exited=exited,
                        excluded=excluded, n_pole=n_pole, n_overflow=n_overflow,
                        trajectories=traj, snapshot_times=times)

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, VField, default_var_names
+from .algebra import CRational, LaurentPoly, VField, default_var_names, lattice_points
 from .exactla import Matrix
 from .ito import SdeSystem
 from .spectral import Eigenvalues, eigenvalues, jacobian_at_origin, value_at_origin
@@ -107,35 +107,24 @@ def _as_u_fraction(u) -> Fraction:
 
 
 def _obstruction_values(lam, mu: list[Fraction], L: int):
-    """Yield (l, E(l), scale) over 0 < |l|_1 <= L; exact when lam is exact."""
-    from .resonance import _bounded_nonneg  # same bounded enumeration
+    """Yield (l, |E(l)|, is_zero, scale) over 0 < |l|_1 <= L; exact when lam is exact.
 
-    n = len(mu)
+    E(l) = 2 <lam, l> + <mu, l>^2 - <mu^2, l>, the module docstring's double sum
+    collected; the mu part is exact on both routes.
+    """
     exact = all(e is not None for e in lam.exact)
     max_lam = max(abs(v) for v in lam.values)
     max_mu = max(float(m) for m in mu)
-    for l in _bounded_nonneg(n, L):
+    forms = (lam.exact if exact else lam.values, mu, [m * m for m in mu])
+    for l, (s_lam, s_mu, s_mu2) in lattice_points(len(mu), L, 0, L, forms):
         if not any(l):
             continue
         if exact:
-            e_val = CRational(0)
-            for lam_i, li in zip(lam.exact, l):
-                e_val = e_val + lam_i * (2 * li)
-            for i in range(n):
-                e_val = e_val + CRational(mu[i] * mu[i] * (l[i] * (l[i] - 1)))
-                for j in range(n):
-                    if j != i:
-                        e_val = e_val + CRational(mu[i] * mu[j] * (l[i] * l[j]))
+            e_val = 2 * s_lam + (s_mu * s_mu - s_mu2)
             val = abs(complex(e_val))
             is_zero = e_val.is_zero()
         else:
-            e_num = sum(2 * v * li for v, li in zip(lam.values, l))
-            for i in range(n):
-                e_num += float(mu[i] * mu[i]) * l[i] * (l[i] - 1)
-                for j in range(n):
-                    if j != i:
-                        e_num += float(mu[i] * mu[j]) * l[i] * l[j]
-            val = abs(e_num)
+            val = abs(2 * s_lam + float(s_mu * s_mu - s_mu2))
             is_zero = False
         l1 = sum(l)
         scale = 1.0 + 2 * l1 * max_lam + (l1 * max_mu) ** 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla
-from .algebra import CRational
+from .algebra import CRational, lattice_points
 from .ito import SdeSystem
 from .spectral import Eigenvalues, SpectralData, aligned_spectra, h1_check, linearization
 
@@ -68,26 +68,6 @@ def _normalize_values(values) -> tuple[tuple[complex, ...], tuple[CRational | No
 
 # -- lattice enumeration -----------------------------------------------------------
 
-def _bounded_nonneg(n: int, budget: int):
-    if n == 1:
-        for t in range(budget + 1):
-            yield (t,)
-        return
-    for t in range(budget + 1):
-        for rest in _bounded_nonneg(n - 1, budget - t):
-            yield (t,) + rest
-
-
-def _bounded_signed(n: int, budget: int):
-    if n == 1:
-        for t in range(-budget, budget + 1):
-            yield (t,)
-        return
-    for t in range(-budget, budget + 1):
-        for rest in _bounded_signed(n - 1, budget - abs(t)):
-            yield (t,) + rest
-
-
 def _l1(k) -> int:
     return sum(abs(t) for t in k)
 
@@ -102,30 +82,18 @@ def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
     """
     if K < 0:
         raise ValueError(f"window bound K must be nonnegative, got {K}")
-    floats, exacts = _normalize_values(values)
-    n = len(floats)
-    if n == 0:
-        return []
     if lattice not in ("zplus", "z"):
         raise ValueError(f"unknown lattice {lattice!r}")
-    gen = _bounded_nonneg if lattice == "zplus" else _bounded_signed
+    floats, exacts = _normalize_values(values)
     exact_mode = all(e is not None for e in exacts)
-    maxmod = max(abs(v) for v in floats)
+    maxmod = max((abs(v) for v in floats), default=0.0)
+    neg = 0 if lattice == "zplus" else K
     out: list[tuple] = []
-    for k in gen(n, K):
+    for k, (s,) in lattice_points(len(floats), K, neg, K, (exacts if exact_mode else floats,)):
         if not any(k):
             continue
-        if exact_mode:
-            s = CRational(0)
-            for e, ki in zip(exacts, k):
-                if ki:
-                    s = s + e * ki
-            if s.is_zero():
-                out.append(k)
-        else:
-            s = sum(v * ki for v, ki in zip(floats, k))
-            if abs(s) <= tol * (1.0 + _l1(k) * maxmod):
-                out.append(k)
+        if (s.is_zero() if exact_mode else abs(s) <= tol * (1.0 + _l1(k) * maxmod)):
+            out.append(k)
     out.sort(key=lambda k: (_l1(k), k))
     return out
 
@@ -209,27 +177,17 @@ def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonan
     exact_mode = lam_exact_all and all(all(e is not None for e in me) for _, me in mus_norm)
     max_lam = max([abs(v) for v in lam_f], default=0.0)
     max_mu = max([abs(v) for mf, _ in mus_norm for v in mf], default=0.0)
+    forms = [lam_e if exact_mode else lam_f] + [me if exact_mode else mf for mf, me in mus_norm]
     violations: list[tuple] = []
-    for k in _bounded_nonneg(n, K):
+    for k, (q, *mu_dots) in lattice_points(n, K, 0, K, forms):
         if not any(k):
             continue
         if exact_mode:
-            q = CRational(0)
-            for e, ki in zip(lam_e, k):
-                if ki:
-                    q = q + e * ki
-            for _, me in mus_norm:
-                s = CRational(0)
-                for e, ki in zip(me, k):
-                    if ki:
-                        s = s + e * ki
-                q = q + CRational(s.abs2() * HALF)
+            q = q + HALF * sum(s.abs2() for s in mu_dots)
             if q.is_zero():
                 violations.append(k)
         else:
-            q = sum(v * ki for v, ki in zip(lam_f, k))
-            for mf, _ in mus_norm:
-                s = sum(v * ki for v, ki in zip(mf, k))
+            for s in mu_dots:
                 q += 0.5 * (s.real * s.real + s.imag * s.imag)
             scale = 1.0 + _l1(k) * max_lam + 0.5 * len(mus_norm) * (_l1(k) * max_mu) ** 2
             if abs(q) <= tol * scale:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, dot, gradient, grlex_key
+from .algebra import CRational, LaurentPoly, dot, gradient, grlex_key, lattice_points
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
 from .resonance import ResonanceReport
 
@@ -49,20 +49,8 @@ def monomial_basis(dim: int, dmin: int, dmax: int) -> MonomialBasis:
     """
     if dmin > dmax:
         raise ValueError(f"empty window [{dmin}, {dmax}]")
-    pos_budget = max(dmax, 0)
-    neg_budget = -min(dmin, 0)
-
-    def rec(idx: int, pos_left: int, neg_left: int):
-        if idx == dim:
-            yield ()
-            return
-        for t in range(-neg_left, pos_left + 1):
-            p = pos_left - t if t > 0 else pos_left
-            q = neg_left + t if t < 0 else neg_left
-            for rest in rec(idx + 1, p, q):
-                yield (t,) + rest
-
-    monos = [e for e in rec(0, pos_budget, neg_budget) if dmin <= sum(e) <= dmax]
+    pos, neg = max(dmax, 0), -min(dmin, 0)
+    monos = [e for e, _ in lattice_points(dim, pos, neg, pos + neg) if dmin <= sum(e) <= dmax]
     monos.sort(key=grlex_key)
     return MonomialBasis(dim, dmin, dmax, tuple(monos))
 

@@ -1,5 +1,6 @@
-"""Exact polynomial substrate: ring laws, calculus, evaluation, text format."""
+"""Exact polynomial substrate: ring laws, calculus, evaluation, text format, lattices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from sdefi.algebra import (
     gradient,
     hessian,
     jacobian,
+    lattice_points,
     parse_poly_text,
     to_text,
 )
@@ -249,3 +251,26 @@ def test_negative_exponent_not_split():
     # the '-' inside x1^-1 must not start a new term
     p = parse_poly_text("x1^-1 + x1", ["x1"])
     assert p.coeff([-1]) == CRational(1) and p.coeff([1]) == CRational(1)
+
+
+# -- lattice enumeration -----------------------------------------------------------
+
+
+def test_lattice_points_matches_brute_force():
+    rng = random.Random(2024)
+    for _ in range(80):
+        n = rng.randint(0, 4)
+        pos, neg, l1 = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 6)
+        exact = [rand_coeff(rng) for _ in range(n)]
+        floats = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+        # product over an ascending range is already in lexicographic order
+        want = [k for k in itertools.product(range(-neg, pos + 1), repeat=n)
+                if sum(t for t in k if t > 0) <= pos
+                and sum(-t for t in k if t < 0) <= neg
+                and sum(abs(t) for t in k) <= l1]
+        got = list(lattice_points(n, pos, neg, l1, (exact, floats)))
+        assert [k for k, _ in got] == want, (n, pos, neg, l1)
+        for k, (s_exact, s_float) in got:
+            assert s_exact == sum((c * t for c, t in zip(exact, k)), CRational(0))
+            assert s_float == sum(v * t for v, t in zip(floats, k))  # same float operations
+        assert all(values == () for _, values in lattice_points(n, pos, neg, l1))

@@ -9,7 +9,6 @@ from sdefi import systems
 from sdefi.cli import (
     InputFormatError,
     _parse_x0,
-    _workers,
     load_system,
     main,
     parse_candidate,
@@ -149,18 +148,6 @@ def test_parse_x0():
         _parse_x0("a,b", 2)
 
 
-def test_workers_env(monkeypatch):
-    monkeypatch.delenv("SDEFI_THREADS", raising=False)
-    assert _workers() == 1
-    monkeypatch.setenv("SDEFI_THREADS", "4")
-    assert _workers() == 4
-    monkeypatch.setenv("SDEFI_THREADS", "0")
-    assert _workers() == 1
-    monkeypatch.setenv("SDEFI_THREADS", "many")
-    with pytest.raises(InputFormatError):
-        _workers()
-
-
 # -- dispatch and exit codes -----------------------------------------------------------
 
 
@@ -212,15 +199,6 @@ def test_simulate_json_report(capsys):
     assert rep["paths"] == 64 and rep["seed"] == 3
     cand = rep["candidates"][0]
     assert cand["candidate"] == "inv" and cand["passed"]
-
-
-def test_simulate_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("SDEFI_THREADS", "nope")
-    assert main(["simulate", "gbm", "--seed", "1", "--paths", "4"]) == 2
-    monkeypatch.setenv("SDEFI_THREADS", "2")
-    assert main(["simulate", "gbm", "--seed", "1", "--paths", "4",
-                 "--step", "0.1", "--horizon", "0.2"]) == 0
-    capsys.readouterr()
 
 
 def test_search_json(capsys):

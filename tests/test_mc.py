@@ -183,6 +183,31 @@ def test_thinning_snapshots():
     assert np.allclose(ens.trajectories[:, -1, :], ens.final)
 
 
+def test_thinning_after_every_path_exits():
+    # all four paths leave the ball before T, so the step loop stops early;
+    # the snapshots it no longer reaches hold the frozen exit states
+    cfg = SimConfig(x0=(1.0,), h=0.01, T=1, N=4, seed=3, R=0.3, center="x0", thin=10)
+    ens = simulate_paths(systems.gbm(), cfg)
+    assert ens.exited.all() and ens.exit_time.max() < 0.4
+    assert ens.trajectories.shape == (4, 11, 1)
+    after = int(ens.exit_time.max() / (cfg.thin * cfg.h)) + 1  # first snapshot after all exits
+    assert after < 11
+    assert np.array_equal(ens.trajectories[:, after:, :],
+                          np.repeat(ens.final[:, None, :], 11 - after, axis=1))
+
+
+@pytest.mark.parametrize("R", [1e6, 0.3])
+def test_snapshots_equal_finals_of_shorter_runs(R):
+    base = dict(x0=(1.0,), h=0.01, N=4, seed=3, R=R, center="x0")
+    thin = 10
+    ens = simulate_paths(systems.gbm(), SimConfig(T=1, thin=thin, **base))
+    assert np.array_equal(ens.trajectories[:, 0, :], np.ones((4, 1)))
+    for j in range(1, ens.trajectories.shape[1]):
+        short = simulate_paths(systems.gbm(), SimConfig(T=j * thin * base["h"], **base))
+        assert short.config.n_steps == j * thin
+        assert np.array_equal(ens.trajectories[:, j, :], short.final), j
+
+
 def test_report_dict_shape():
     ens = simulate_paths(systems.gbm(), SimConfig(x0=(1.0,), h=0.1, T=0.5, N=8, seed=0))
     d = conservation_test(ens, X_INV, "weak").to_dict()

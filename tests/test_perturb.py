@@ -1,5 +1,7 @@
 """Integrability-destroying linear noise: exponents, obstruction scan, verification."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,12 @@ from sdefi import exactla, systems
 from sdefi.algebra import CRational, VField, parse_poly_text
 from sdefi.perturb import (
     PerturbationError,
+    _obstruction_values,
     build_perturbation,
     recurrence_exponents,
     verify_perturbation,
 )
+from sdefi.spectral import Eigenvalues
 
 
 def _drift(*texts, names=None):
@@ -107,6 +111,33 @@ def test_numeric_route_for_irrational_spectrum():
     got = sorted(np.linalg.eigvals(plan.P), key=lambda z: z.real)
     assert np.allclose(got, [0.37 ** 2, 0.37], atol=1e-8)
     assert verify_perturbation(d, plan, D=3).passed
+
+
+def test_obstruction_values_match_double_sum():
+    # E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
+    rng = random.Random(17)
+    cases = [([CRational(-1)], [Fraction(1, 2)], 9)]  # E((9,)) = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        lam = [CRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(n)]
+        u = Fraction(rng.randint(1, 9), 10)
+        cases.append((lam, [u ** a for a in recurrence_exponents(n)], rng.randint(1, 5)))
+    zeros = 0
+    for lam, mu, L in cases:
+        n = len(lam)
+        eig = Eigenvalues(tuple(complex(e) for e in lam), tuple(lam))
+        got = list(_obstruction_values(eig, mu, L))
+        assert [l for l, *_ in got] == [l for l in itertools.product(range(L + 1), repeat=n)
+                                        if 0 < sum(l) <= L]
+        for l, val, is_zero, _ in got:
+            e = sum((lam[i] * (2 * l[i]) for i in range(n)), CRational(0))
+            e += sum(l[i] * (l[i] - 1) * mu[i] ** 2 for i in range(n))
+            e += sum(l[i] * l[j] * mu[i] * mu[j] for i in range(n) for j in range(n) if i != j)
+            assert is_zero == e.is_zero()
+            assert val == abs(complex(e))
+            zeros += is_zero
+    assert zeros >= 1
 
 
 def test_obstruction_retry_replaces_bad_u():

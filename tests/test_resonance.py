@@ -235,3 +235,5 @@ def test_k_zero_edge():
     assert enumerate_resonances(eig, K=0) == []
     with pytest.raises(ValueError):
         enumerate_resonances(eig, K=-1)
+    with pytest.raises(ValueError):
+        enumerate_resonances([], lattice="bogus")
