@@ -426,20 +426,31 @@ class LaurentPoly:
             total += v
         return total
 
-    def evaluate_exact(self, point: Sequence[CoeffLike]) -> CRational:
-        """Exact evaluation at a complex-rational point."""
+    def evaluate_exact(self, point: Sequence[CoeffLike],
+                       powers: dict | None = None) -> CRational:
+        """Exact evaluation at a complex-rational point.
+
+        Evaluations at the same point may share one `powers` table, so that
+        each coordinate power x_j ** k is computed once for all of them.
+        """
         if len(point) != self.dim:
             raise DimensionMismatch(f"point has {len(point)} coords, poly dim {self.dim}")
         z = [_as_crational(p) for p in point]
+        if powers is None:
+            powers = {}
         total = CRational(0)
         for e, c in self._terms.items():
             v = c
-            for x, k in zip(z, e):
+            for j, k in enumerate(e):
                 if k == 0:
                     continue
-                if x.is_zero() and k < 0:
-                    raise PoleError(f"0**{k} while evaluating Laurent term {e}")
-                v = v * x ** k
+                xk = powers.get((j, k))
+                if xk is None:
+                    x = z[j]
+                    if x.is_zero() and k < 0:
+                        raise PoleError(f"0**{k} while evaluating Laurent term {e}")
+                    xk = powers[j, k] = x ** k
+                v = v * xk
             total += v
         return total
 

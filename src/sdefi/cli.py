@@ -354,7 +354,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"linearization at origin: not applicable ({e})")
 
     if report["linearization"]["applicable"]:
-        rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol)
+        rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol, linearized=(data, h1))
         report["resonance"] = rep.to_dict()
         lines.append("")
         lines.extend(_resonance_text(rep))

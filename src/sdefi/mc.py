@@ -8,6 +8,13 @@ a ball of radius R (origin- or x0-centered) and are frozen at the exit state;
 nonfinite states (overflow, or a pole hit exactly) drop the path from the
 statistics and are counted.
 
+Paths run in chunks of at most _CHUNK.  Each chunk keeps its paths'
+generators and draws the noise in step blocks of at most _BLOCK_BYTES, only
+for paths still moving, so memory is O(chunk x block) whatever h and T are;
+consecutive draws from one stream equal a single draw of the same length, so
+the blocking does not change a bit.  The step loop advances a dense array of
+the moving paths and writes a path back when it stops.
+
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
 
@@ -27,6 +34,7 @@ from .algebra import LaurentPoly, PoleError, VField
 from .ito import SdeSystem
 
 _CHUNK = 4096
+_BLOCK_BYTES = 4 << 20  # noise held per chunk and step block, whatever n_steps is
 
 
 @dataclass(frozen=True)
@@ -78,26 +86,34 @@ class SimEnsemble:
 
 
 def _compile_vfield(v: VField):
-    """Vectorized evaluator (N, n) -> (N, len(v)); real coefficients only."""
-    n = v.dim
+    """Vectorized evaluator (N, n) -> (N, len(v)); real coefficients only.
+
+    Evaluators called on the same x may share one `powers` table, so that
+    each coordinate power x_j ** e is computed once for all of them.
+    """
     comp_terms = []
     for p in v:
         terms = []
         for e, c in p.terms():
             if not c.is_real():
                 raise ValueError("simulation requires real coefficients")
-            terms.append((float(c.re), e))
+            terms.append((float(c.re), [(j, ej) for j, ej in enumerate(e) if ej]))
         comp_terms.append(terms)
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray, powers: dict | None = None) -> np.ndarray:
+        if powers is None:
+            powers = {}
         out = np.zeros((x.shape[0], len(comp_terms)))
         for i, terms in enumerate(comp_terms):
             acc = out[:, i]
-            for coeff, exps in terms:
-                t = np.full(x.shape[0], coeff)
-                for j, ej in enumerate(exps):
-                    if ej:
-                        t = t * x[:, j] ** ej
+            for coeff, factors in terms:
+                t = coeff
+                for j, ej in factors:
+                    pw = powers.get((j, ej))
+                    if pw is None:
+                        # x ** 1 is x, bit for bit
+                        pw = powers[j, ej] = x[:, j] if ej == 1 else x[:, j] ** ej
+                    t = t * pw
                 acc += t
         return out
 
@@ -113,13 +129,36 @@ def _negative_axes(sys: SdeSystem) -> list[int]:
     return sorted(axes)
 
 
-def _path_noise(seed: int, path_indices: np.ndarray, n_steps: int, m: int) -> np.ndarray:
-    out = np.empty((len(path_indices), n_steps, m))
-    for row, pidx in enumerate(path_indices):
-        key = np.array([seed, int(pidx)], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[row] = gen.standard_normal((n_steps, m))
-    return out
+def _path_generators(seed: int, path_indices: np.ndarray) -> list[np.random.Generator]:
+    """One Philox stream per path, keyed by (seed, path index)."""
+    return [np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+            for p in path_indices.tolist()]
+
+
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of a (k, n) array whose entries are all finite, tested column by column."""
+    ok = np.isfinite(x[:, 0])
+    for j in range(1, x.shape[1]):
+        ok &= np.isfinite(x[:, j])
+    return ok
+
+
+def _distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Row norms of x - center, equal bit for bit to np.linalg.norm(x - center, axis=1).
+
+    numpy adds fewer than 8 numbers left to right (its pairwise summation
+    starts at 8), so narrow states sum their squares column by column in that
+    order instead of paying for an axis reduction; wider ones call norm.
+    """
+    n = x.shape[1]
+    if n >= 8:
+        return np.linalg.norm(x - center, axis=1)
+    d = x[:, 0] - center[0]
+    sq = d * d
+    for j in range(1, n):
+        d = x[:, j] - center[j]
+        sq += d * d
+    return np.sqrt(sq)
 
 
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
@@ -139,57 +178,80 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
 
     def run_chunk(path_indices: np.ndarray):
         k = len(path_indices)
-        x = np.tile(x0, (k, 1))
-        alive = np.ones(k, dtype=bool)
+        x = np.tile(x0, (k, 1))  # a path's state lands here when it stops, and at snapshots
         exited = np.zeros(k, dtype=bool)
         excluded = np.zeros(k, dtype=bool)
         pole = np.zeros(k, dtype=bool)
         exit_time = np.full(k, cfg.t_end)
-        z = _path_noise(cfg.seed, path_indices, n_steps, m) if m else None
         traj = np.empty((k, n_snaps, n)) if n_snaps else None
         if traj is not None:
             traj[:, 0, :] = x
+        live = np.arange(k)  # chunk rows of the paths still moving, ascending
+        xl = x.copy()        # their states, row for row
+        if m:
+            normals = [g.standard_normal for g in _path_generators(cfg.seed, path_indices)]
+            block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
+            drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
+            noise = np.empty((block, m, k))  # the same, contiguous over paths at each step
+        zcol = None  # z_block columns of the live paths, once one stopped inside the block
+
+        def drop(stop: np.ndarray, states: np.ndarray):
+            """Write the stopping rows of `states` back to x; compact the rest."""
+            nonlocal live, zcol
+            x[live[stop]] = states[stop]
+            keep = ~stop
+            live = live[keep]
+            if m:
+                zcol = np.flatnonzero(keep) if zcol is None else zcol[keep]
+            return states[keep]
+
         done = 0
-        for step in range(n_steps):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            xa = x[idx]
-            if neg_axes:
-                at_pole = np.zeros(idx.size, dtype=bool)
-                for j in neg_axes:
-                    at_pole |= xa[:, j] == 0.0
-                if at_pole.any():
-                    rows = idx[at_pole]
-                    excluded[rows] = True
-                    pole[rows] = True
-                    alive[rows] = False
-                    idx = idx[~at_pole]
-                    if idx.size == 0:
-                        break
-                    xa = x[idx]
-            with np.errstate(all="ignore"):
-                new_x = xa + cfg.h * drift_fn(xa)
-                for i, gfn in enumerate(diff_fns):
-                    new_x = new_x + sqh * gfn(xa) * z[idx, step, i][:, None]
-            bad = ~np.isfinite(new_x).all(axis=1)
-            x[idx] = new_x
-            if bad.any():
-                rows = idx[bad]
-                excluded[rows] = True
-                alive[rows] = False
-            good = idx[~bad]
-            if good.size:
-                with np.errstate(all="ignore"):
-                    out = np.linalg.norm(x[good] - center, axis=1) >= cfg.R
-                if out.any():
-                    rows = good[out]
+        with np.errstate(all="ignore"):
+            for step in range(n_steps):
+                if not live.size:
+                    break
+                if neg_axes:
+                    at_pole = xl[:, neg_axes[0]] == 0.0
+                    for j in neg_axes[1:]:
+                        at_pole |= xl[:, j] == 0.0
+                    if at_pole.any():
+                        rows = live[at_pole]
+                        excluded[rows] = True
+                        pole[rows] = True
+                        xl = drop(at_pole, xl)
+                        if not live.size:
+                            break
+                powers = {}
+                new_x = xl + cfg.h * drift_fn(xl, powers)
+                if m:
+                    s = step % block
+                    if s == 0:
+                        b = min(block, n_steps - step)
+                        for r, row in enumerate(live.tolist()):
+                            normals[row](out=drawn[r, :b])
+                        z_block = noise[:b, :, :live.size]
+                        z_block[...] = drawn[:live.size, :b].transpose(1, 2, 0)
+                        zcol = None
+                    z = z_block[s] if zcol is None else z_block[s][:, zcol]
+                    for i, gfn in enumerate(diff_fns):
+                        new_x = new_x + sqh * gfn(xl, powers) * z[i][:, None]
+                dist = _distance(new_x, center)
+                # a nonfinite state has distance nan or inf, so it fails this test too
+                if (dist < cfg.R).all():
+                    xl = new_x
+                else:
+                    finite = _finite_rows(new_x)
+                    out = finite & (dist >= cfg.R)
+                    excluded[live[~finite]] = True
+                    rows = live[out]
                     exited[rows] = True
                     exit_time[rows] = (step + 1) * cfg.h
-                    alive[rows] = False
-            done = step + 1
-            if traj is not None and done % cfg.thin == 0:
-                traj[:, done // cfg.thin, :] = x
+                    xl = drop(out | ~finite, new_x)
+                done = step + 1
+                if traj is not None and done % cfg.thin == 0:
+                    x[live] = xl
+                    traj[:, done // cfg.thin, :] = x
+        x[live] = xl
         if traj is not None:
             # if every path stopped before T, the snapshots not reached hold the frozen states
             traj[:, done // cfg.thin + 1:, :] = x[:, None, :]

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import exactla
 from .algebra import CRational, lattice_points
 from .ito import SdeSystem
-from .spectral import Eigenvalues, SpectralData, aligned_spectra, h1_check, linearization
+from .spectral import Eigenvalues, H1Status, SpectralData, aligned_spectra, h1_check, linearization
 
 HALF = Fraction(1, 2)
 
@@ -332,14 +332,21 @@ def _scan(label: str, eig: Eigenvalues, lattice: str, K: int, tol: float) -> Sca
 
 
 def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
-                            include_z: bool = True) -> ResonanceReport:
+                            include_z: bool = True,
+                            linearized: tuple[SpectralData, H1Status] | None = None
+                            ) -> ResonanceReport:
     """Scan all linearization spectra and emit every verdict whose hypotheses verify.
 
+    `linearized` is the pair `(linearization(sys), h1_check(...))` when the
+    caller has already computed it; otherwise it is computed here.
     Raises NotApplicableError (via linearization) when the drift is not
     analytic-and-vanishing at the origin.
     """
-    data = linearization(sys)
-    h1 = h1_check(data)
+    if linearized is None:
+        data = linearization(sys)
+        h1 = h1_check(data)
+    else:
+        data, h1 = linearized
     m = sys.noise_dim
     g_zero = all(data.g_zero_at_origin)
     g_h2 = all(data.g_higher_order)

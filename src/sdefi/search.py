@@ -217,7 +217,8 @@ def independence_rank(polys, trials: int = 5, seed: int = 0) -> int:
     for _ in range(trials):
         point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(dim)]
-        jac = [[g.evaluate_exact(point) for g in row] for row in grads]
+        powers: dict = {}
+        jac = [[g.evaluate_exact(point, powers) for g in row] for row in grads]
         best = max(best, exactla.rank(jac))
         if best == min(len(polys), dim):
             break

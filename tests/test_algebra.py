@@ -202,6 +202,18 @@ def test_evaluate_exact_matches_float():
     assert abs(p.evaluate([2 / 3]) - complex(exact)) < 1e-12
 
 
+def test_evaluate_exact_shares_powers_at_one_point():
+    names = ["x1", "x2"]
+    polys = [parse_poly_text(t, names) for t in
+             ("x1^2 x2^-1 - 3 x1", "x1^2 + x2^-1 + 1/2", "x2^3 x1^-2", "7")]
+    point = [Fraction(-2, 3), CRational(Fraction(1, 5), Fraction(2))]
+    powers = {}
+    assert [p.evaluate_exact(point, powers) for p in polys] == \
+        [p.evaluate_exact(point) for p in polys]
+    assert set(powers) == {(0, 1), (0, 2), (0, -2), (1, -1), (1, 3)}
+    assert powers[0, -2] == CRational(Fraction(9, 4))
+
+
 def test_pole_raises():
     p = parse_poly_text("x1^-1", ["x1"])
     with pytest.raises(PoleError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdefi import resonance
+from sdefi import mc, resonance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +32,9 @@ def test_traced_parameters_exist():
     # the tracer's lattice-point counter binds these arguments by name
     assert {"values", "K", "lattice"} <= set(inspect.signature(resonance.enumerate_resonances).parameters)
     assert {"lam", "K"} <= set(inspect.signature(resonance.weak_resonance_test).parameters)
+
+
+def test_simulate_paths_contract():
+    # the tracer unpacks simulate_paths' bound arguments as (sys, cfg) and reads mc._CHUNK
+    assert list(inspect.signature(mc.simulate_paths).parameters) == ["sys", "cfg"]
+    assert isinstance(mc._CHUNK, int) and mc._CHUNK > 0

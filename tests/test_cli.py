@@ -239,6 +239,25 @@ def test_analyze_json_schema(capsys):
     assert rep["count_bound"]["consistent"]
 
 
+def test_analyze_linearizes_once(monkeypatch, capsys):
+    # the resonance report reuses the linearization and H1 check analyze already made
+    from sdefi import cli, resonance
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, resonance):
+        for name in ("linearization", "h1_check"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["analyze", "cyclic_exchange", "--output", "json", "--dmax", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["resonance"]["verdicts"]
+    assert sorted(calls) == ["h1_check", "linearization"]
+
+
 def test_analyze_survives_laurent_drift(capsys):
     # linearization is undefined for the two-body system; the report must say so
     # and still run the searches

@@ -1,11 +1,12 @@
 """Euler-Maruyama ensembles: reproducibility, exits, exclusions, conservation tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdefi import systems
+from sdefi import mc, systems
 from sdefi.algebra import LaurentPoly, PoleError, VField, parse_poly_text
 from sdefi.ito import SdeSystem
 from sdefi.mc import SimConfig, conservation_test, simulate_paths
@@ -213,3 +214,154 @@ def test_report_dict_shape():
     d = conservation_test(ens, X_INV, "weak").to_dict()
     assert {"mode", "passed", "phi0", "mean", "stderr", "delta", "max_dev",
             "threshold", "c_bias", "c_path", "h", "seed"} <= set(d)
+
+
+# -- one path at a time: the reference the vectorised step loop must equal bit for bit --
+
+
+def _reference_paths(sys, cfg):
+    """Euler-Maruyama one path at a time, drawing each step's noise from the path's stream.
+
+    Same Philox key (seed, path), same compiled fields, same pole, overflow
+    and exit rules as `simulate_paths`, but no chunks, blocks or compaction.
+    """
+    n, m = sys.dim, sys.noise_dim
+    drift = mc._compile_vfield(sys.drift)
+    diffs = [mc._compile_vfield(g) for g in sys.diffusions]
+    neg_axes = mc._negative_axes(sys)
+    x0 = np.asarray(cfg.x0, dtype=float)[None, :]
+    center = np.zeros(n) if cfg.center == "origin" else x0[0].copy()
+    sqh = math.sqrt(cfg.h)
+    final = np.empty((cfg.N, n))
+    exit_time = np.full(cfg.N, cfg.t_end)
+    exited = np.zeros(cfg.N, dtype=bool)
+    excluded = np.zeros(cfg.N, dtype=bool)
+    pole = np.zeros(cfg.N, dtype=bool)
+    snaps = []
+    for p in range(cfg.N):
+        gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, p], dtype=np.uint64)))
+        x = x0.copy()
+        states = [x]
+        moving = True
+        with np.errstate(all="ignore"):
+            for step in range(cfg.n_steps):
+                if moving and any(x[0, j] == 0.0 for j in neg_axes):
+                    excluded[p] = pole[p] = True
+                    moving = False
+                if moving:
+                    z = gen.standard_normal(m)
+                    new = x + cfg.h * drift(x)
+                    for i, g in enumerate(diffs):
+                        new = new + sqh * g(x) * z[i]
+                    x = new
+                    if not np.isfinite(x).all():
+                        excluded[p] = True
+                        moving = False
+                    elif np.linalg.norm(x - center, axis=1)[0] >= cfg.R:
+                        exited[p] = True
+                        exit_time[p] = (step + 1) * cfg.h
+                        moving = False
+                states.append(x)
+        final[p] = x[0]
+        if cfg.thin:
+            snaps.append(np.concatenate(states[::cfg.thin]))
+    traj = np.stack(snaps) if cfg.thin else None
+    n_pole = int(pole.sum())
+    return final, exit_time, exited, excluded, n_pole, int(excluded.sum()) - n_pole, traj
+
+
+def _fields(ens):
+    return (ens.final, ens.exit_time, ens.exited, ens.excluded, ens.n_pole, ens.n_overflow,
+            ens.trajectories)
+
+
+def _assert_bits_equal(got, want):
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def _pole_midway():
+    # x1 lands on 0.0 exactly after the first step (h = 1/2), a pole of the x2 drift
+    names = ("x1", "x2")
+    drift = VField((parse_poly_text("-2 x1", names), parse_poly_text("x1^-1", names)))
+    g = VField((parse_poly_text("x1 - 1", names), parse_poly_text("x2", names)))
+    return SdeSystem(drift, (g,), names)
+
+
+REFERENCE_CASES = {
+    # m = 0: Euler spirals outward and leaves a ball slightly wider than the circle
+    "m0-exit-origin": (systems.harmonic_oscillator,
+                       dict(x0=(1.0, 0.0), h=0.05, T=4, N=3, seed=0, R=1.02, thin=7)),
+    "m1-exit-x0": (systems.gbm, dict(x0=(1.0,), h=0.01, T=1, N=23, seed=3, R=0.3,
+                                     center="x0", thin=10)),
+    "m2-exit-origin": (systems.gbm_twin_noise, dict(x0=(1.0,), h=0.02, T=2, N=23, seed=4,
+                                                    R=3.0, thin=9)),
+    "m2-dim4-exit": (systems.two_body, dict(x0=(1.0, 0.0, 0.0, 1.0), h=0.01, T=3, N=17,
+                                            seed=5, R=2.0, center="x0")),
+    "m2-no-exit": (systems.lotka_volterra, dict(x0=(0.3, 0.4), h=0.01, T=1, N=19, seed=6,
+                                                thin=25)),
+    "pole-at-start": (lambda: _scalar("x1^-1"), dict(x0=(0.0,), h=0.1, T=0.5, N=4, seed=0,
+                                                     thin=2)),
+    "pole-midway": (_pole_midway, dict(x0=(1.0, 1.0), h=0.5, T=3, N=9, seed=2, thin=1,
+                                       R=1.2, center="x0")),
+    "overflow": (lambda: _scalar("x1^3", ("x1^2",)),
+                 dict(x0=(1.0,), h=0.05, T=3.0, N=40, seed=1, thin=5, R=math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_simulate_paths_equals_one_path_reference(case):
+    make, kw = REFERENCE_CASES[case]
+    sys, cfg = make(), SimConfig(**kw)
+    ens = simulate_paths(sys, cfg)
+    _assert_bits_equal(_fields(ens), _reference_paths(sys, cfg))
+    if case == "m0-exit-origin":
+        assert ens.exited.all()
+    if case.startswith("pole"):
+        assert ens.n_pole > 0
+    if case == "pole-midway":
+        assert 0 < ens.exited.sum() < cfg.N
+    if case == "overflow":
+        assert 0 < ens.n_overflow < cfg.N and ens.exited.any()
+
+
+@pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "overflow"])
+@pytest.mark.parametrize("block_steps", [1, 3])
+def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps):
+    make, kw = REFERENCE_CASES[case]
+    sys, cfg = make(), SimConfig(**kw)
+    want = _fields(simulate_paths(sys, cfg))
+    monkeypatch.setattr(mc, "_CHUNK", 7)
+    # a 7-path chunk gets `block_steps` steps per block; the last, smaller chunk gets more
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", block_steps * 8 * sys.noise_dim * 7)
+    _assert_bits_equal(_fields(simulate_paths(sys, cfg)), want)
+
+
+def test_memory_does_not_grow_with_n_steps():
+    # Noise is drawn in step blocks of at most mc._BLOCK_BYTES per chunk, so going
+    # from 1000 to 4000 steps, both past one block, leaves the peak where it was; a
+    # (N, n_steps, m) noise tensor would make it grow about fourfold.
+    sys = systems.gbm()
+    peaks = []
+    for T in (1.0, 4.0):
+        tracemalloc.start()
+        try:
+            simulate_paths(sys, SimConfig(x0=(1.0,), h=1e-3, T=T, N=1000, seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    assert mc._BLOCK_BYTES // (8 * sys.noise_dim * 1000) < 1000
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_distance_equals_norm(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-200, 200, (500, n))
+    x[:4, 0] = [np.nan, np.inf, -np.inf, 1e300]
+    center = rng.standard_normal(n)
+    with np.errstate(all="ignore"):
+        assert mc._distance(x, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
