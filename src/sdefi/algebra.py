@@ -138,10 +138,6 @@ class CRational:
     def conjugate(self) -> "CRational":
         return CRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2, exactly."""
-        return self.re * self.re + self.im * self.im
-
     # -- conversions / comparisons --------------------------------------
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -14,7 +14,10 @@ accepted only if the degree-l obstruction
 
 is nonzero for every 0 < |l|_1 <= L (mu_i = u^{a_i}); then the perturbed
 system dX = f dt + (P X) dB has no polynomial weak integral through degree L.
-If some E(l) vanishes, fresh u values from a seeded sequence are tried.
+E(l) = 2 q(l), twice the weak resonance function of the corrected spectrum
+lam_j - mu_j^2 / 2 and the noise spectrum mu, and `resonance.resonance_values`
+computes it.  If some E(l) vanishes, fresh u values from a seeded sequence are
+tried.
 
 Verification is independent: the weak-integral search is run on an exactly
 rational lift of P, so PASS means an exact kernel computation found nothing.
@@ -29,9 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, VField, default_var_names, lattice_points
+from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
+from .resonance import resonance_values
 from .spectral import Eigenvalues, eigenvalues, jacobian_at_origin, value_at_origin
 
 
@@ -106,31 +110,6 @@ def _as_u_fraction(u) -> Fraction:
     return f
 
 
-def _obstruction_values(lam, mu: list[Fraction], L: int):
-    """Yield (l, |E(l)|, is_zero, scale) over 0 < |l|_1 <= L; exact when lam is exact.
-
-    E(l) = 2 <lam, l> + <mu, l>^2 - <mu^2, l>, the module docstring's double sum
-    collected; the mu part is exact on both routes.
-    """
-    exact = all(e is not None for e in lam.exact)
-    max_lam = max(abs(v) for v in lam.values)
-    max_mu = max(float(m) for m in mu)
-    forms = (lam.exact if exact else lam.values, mu, [m * m for m in mu])
-    for l, (s_lam, s_mu, s_mu2) in lattice_points(len(mu), L, 0, L, forms):
-        if not any(l):
-            continue
-        if exact:
-            e_val = 2 * s_lam + (s_mu * s_mu - s_mu2)
-            val = abs(complex(e_val))
-            is_zero = e_val.is_zero()
-        else:
-            val = abs(2 * s_lam + float(s_mu * s_mu - s_mu2))
-            is_zero = False
-        l1 = sum(l)
-        scale = 1.0 + 2 * l1 * max_lam + (l1 * max_mu) ** 2
-        yield l, val, is_zero, scale
-
-
 def _exact_eigvecs(a: Matrix, eig: Eigenvalues) -> Matrix | None:
     """Columns of Q as exact eigenvectors, or None if any eigenspace is not 1-dim."""
     n = len(a)
@@ -179,11 +158,16 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
     last_bad = None
     for cand in candidates:
         mu = [cand ** k for k in exponents]
+        # P shifts the drift spectrum to the corrected lam_j - mu_j^2 / 2
+        exact, points = resonance_values(
+            [v - float(m * m) / 2 if e is None else e - m * m / 2
+             for v, e, m in zip(eig.values, eig.exact, mu)], [mu], L)
         ok = True
         worst = float("inf")
-        for l, val, is_zero, scale_l in _obstruction_values(eig, mu, L):
-            worst = min(worst, val)
-            if is_zero or val <= 1e-12 * scale_l:
+        for l, q, scale in points:
+            e_val = q + q  # E(l) = 2 q(l)
+            worst = min(worst, abs(complex(e_val)))
+            if e_val.is_zero() if exact else abs(q) <= 1e-12 * scale:
                 ok = False
                 last_bad = (cand, l)
                 break

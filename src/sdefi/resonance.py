@@ -1,24 +1,30 @@
 """Resonance lattices and non-integrability verdicts.
 
-Given eigenvalue tuples from the linearization, this module enumerates
-resonance vectors
+Both results rest on one quantity.  For the diagonalized linear system with
+corrected spectrum lam (of A0 = Df - (1/2) sum_i Dg_i^2) and noise spectra
+mu^i, the generator acts on a monomial x^k by the eigenvalue
 
-    S = { k : <lam, k> = 0, k != 0 }
+    q(k) = <lam, k> + (1/2) sum_i <mu^i, k>^2,
 
-over the nonnegative lattice (analytic integrals) or the full integer
-lattice (rational/Laurent integrals), bounded by an order K, and computes
-exact ranks of what was found.  Two genuine certificates exist:
+so x^k is a weak integral exactly when q(k) = 0; with no noise spectra q(k)
+is the resonance form <lam, k>.  `resonance_values` is the one scan of q over
+the window 0 < |k|_1 <= K of the nonnegative lattice (analytic integrals) or
+the full integer lattice (rational/Laurent integrals); resonance enumeration,
+the weak resonance test and `perturb`'s obstruction all read it.  The scan
+is exact whenever every eigenvalue is a certified complex rational.
+
+Two genuine certificates exist:
 
 * half-plane: if the spectrum lies strictly inside an open half-plane
   through 0, no nonnegative resonance exists at any order, so an empty
   scan is complete, not just empty-up-to-K;
-* positive-definiteness of the weak resonance function
-  q(k) = <lam, k> + (1/2) sum_i |<mu^i, k>|^2, which is > 0 for all k
-  whenever every lam_j is real and positive.
+* positive-definiteness: if every lam_j is real and positive and every
+  mu^i_j is real, then q(k) >= <lam, k> > 0 for every k != 0 in the
+  nonnegative lattice.  A complex mu^i_j makes <mu^i, k>^2 negative for
+  some k, so the shortcut does not apply then.
 
 Everything else is honestly K-bounded, and every verdict carries an
-epistemic status: `certified` or `bounded(K, tol)`.  Membership tests are
-exact whenever the eigenvalues themselves are certified complex rationals.
+epistemic status: `certified` or `bounded(K, tol)`.
 """
 
 from __future__ import annotations
@@ -69,7 +75,53 @@ def _normalize_values(values) -> tuple[tuple[complex, ...], tuple[CRational | No
 # -- lattice enumeration -----------------------------------------------------------
 
 def _l1(k) -> int:
-    return sum(abs(t) for t in k)
+    return sum(map(abs, k))
+
+
+def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus"):
+    """(exact, points): points yields (k, q(k), scale) for each k != 0 with
+    |k|_1 <= K on the lattice ("zplus" or "z"), in lexicographic order.
+
+    q(k) = <lam,k> + (1/2) sum_i <mu^i,k>^2, with lam and each mu^i aligned to
+    one eigenvector order.  exact: every value has an exact witness, q is a
+    CRational and scale is None.  Otherwise q is a complex float and
+    scale = 1 + |k|_1 max|lam_j| + (m/2) (|k|_1 max|mu^i_j|)^2.
+    """
+    if K < 0:
+        raise ValueError(f"window bound K must be nonnegative, got {K}")
+    if lattice not in ("zplus", "z"):
+        raise ValueError(f"unknown lattice {lattice!r}")
+    norm = [_normalize_values(v) for v in (lam, *mus)]
+    n, m = len(norm[0][0]), len(norm) - 1
+    if any(len(fs) != n for fs, _ in norm):
+        raise ValueError("mu tuple length differs from lam")
+    exact = all(e is not None for _, es in norm for e in es)
+    forms = [es if exact else fs for fs, es in norm]
+    max_lam = max((abs(v) for v in norm[0][0]), default=0.0)
+    max_mu = max((abs(v) for fs, _ in norm[1:] for v in fs), default=0.0)
+    half = CRational(HALF) if exact else 0.5
+
+    def points():
+        for k, (q, *mu_dots) in lattice_points(n, K, 0 if lattice == "zplus" else K, K, forms):
+            if not any(k):
+                continue
+            for s in mu_dots:
+                q = q + half * (s * s)
+            if exact:
+                yield k, q, None
+            else:
+                l1 = _l1(k)
+                yield k, q, 1.0 + l1 * max_lam + 0.5 * m * (l1 * max_mu) ** 2
+
+    return exact, points()
+
+
+def _zeros(points, tol: float) -> list[tuple]:
+    """The k with q(k) = 0 exactly, or |q(k)| <= tol * scale on the float path."""
+    out = [k for k, q, scale in points
+           if (q.is_zero() if scale is None else abs(q) <= tol * scale)]
+    out.sort(key=lambda k: (_l1(k), k))
+    return out
 
 
 def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
@@ -80,22 +132,8 @@ def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
     The test is exact whenever every value carries an exact witness;
     otherwise |<lam,k>| <= tol * (1 + |k|_1 * max|lam_j|).
     """
-    if K < 0:
-        raise ValueError(f"window bound K must be nonnegative, got {K}")
-    if lattice not in ("zplus", "z"):
-        raise ValueError(f"unknown lattice {lattice!r}")
-    floats, exacts = _normalize_values(values)
-    exact_mode = all(e is not None for e in exacts)
-    maxmod = max((abs(v) for v in floats), default=0.0)
-    neg = 0 if lattice == "zplus" else K
-    out: list[tuple] = []
-    for k, (s,) in lattice_points(len(floats), K, neg, K, (exacts if exact_mode else floats,)):
-        if not any(k):
-            continue
-        if (s.is_zero() if exact_mode else abs(s) <= tol * (1.0 + _l1(k) * maxmod)):
-            out.append(k)
-    out.sort(key=lambda k: (_l1(k), k))
-    return out
+    _, points = resonance_values(values, (), K, lattice)
+    return _zeros(points, tol)
 
 
 def lattice_rank(vectors) -> int:
@@ -151,49 +189,28 @@ class WeakResonanceResult:
     tol: float
 
 
+def _real(values, tol: float, positive: bool = False) -> bool:
+    """Every value real (and > 0 if asked): exactly when every value has a
+    witness, else within tol * max(1, max|v|)."""
+    floats, exacts = _normalize_values(values)
+    if all(e is not None for e in exacts):
+        return all(e.is_real() and (e.re > 0 or not positive) for e in exacts)
+    eps = tol * max(1.0, max((abs(v) for v in floats), default=0.0))
+    return all(abs(v.imag) <= eps and (v.real > eps or not positive) for v in floats)
+
+
 def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonanceResult:
-    """Zeros of q(k) = <lam,k> + (1/2) sum_i |<mu^i,k>|^2 over 0 < |k|_1 <= K.
+    """Zeros of q(k) = <lam,k> + (1/2) sum_i <mu^i,k>^2 over 0 < |k|_1 <= K.
 
     lam and each mu^i must be aligned to a single shared eigenvector order.
-    If every lam_j is real and positive, q > 0 everywhere and the scan is
-    skipped (certificate "positive-definite").
+    If every lam_j is real and positive and every mu^i_j is real, q > 0
+    everywhere and the scan is skipped (certificate "positive-definite").
     """
-    lam_f, lam_e = _normalize_values(lam)
-    mus_norm = [_normalize_values(m) for m in mus]
-    n = len(lam_f)
-    if any(len(mf) != n for mf, _ in mus_norm):
-        raise ValueError("mu tuple length differs from lam")
-
-    lam_exact_all = all(e is not None for e in lam_e)
-    if lam_exact_all:
-        positive = all(e.is_real() and e.re > 0 for e in lam_e)
-    else:
-        maxmod = max([abs(v) for v in lam_f], default=0.0)
-        positive = all(abs(v.imag) <= tol * max(1.0, maxmod) and v.real > tol * max(1.0, maxmod)
-                       for v in lam_f)
-    if positive:
-        return WeakResonanceResult((), "positive-definite", lam_exact_all, K, tol)
-
-    exact_mode = lam_exact_all and all(all(e is not None for e in me) for _, me in mus_norm)
-    max_lam = max([abs(v) for v in lam_f], default=0.0)
-    max_mu = max([abs(v) for mf, _ in mus_norm for v in mf], default=0.0)
-    forms = [lam_e if exact_mode else lam_f] + [me if exact_mode else mf for mf, me in mus_norm]
-    violations: list[tuple] = []
-    for k, (q, *mu_dots) in lattice_points(n, K, 0, K, forms):
-        if not any(k):
-            continue
-        if exact_mode:
-            q = q + HALF * sum(s.abs2() for s in mu_dots)
-            if q.is_zero():
-                violations.append(k)
-        else:
-            for s in mu_dots:
-                q += 0.5 * (s.real * s.real + s.imag * s.imag)
-            scale = 1.0 + _l1(k) * max_lam + 0.5 * len(mus_norm) * (_l1(k) * max_mu) ** 2
-            if abs(q) <= tol * scale:
-                violations.append(k)
-    violations.sort(key=lambda k: (_l1(k), k))
-    return WeakResonanceResult(tuple(violations), "bounded", exact_mode, K, tol)
+    mus = tuple(mus)
+    exact, points = resonance_values(lam, mus, K)
+    if _real(lam, tol, positive=True) and all(_real(mu, tol) for mu in mus):
+        return WeakResonanceResult((), "positive-definite", exact, K, tol)
+    return WeakResonanceResult(tuple(_zeros(points, tol)), "bounded", exact, K, tol)
 
 
 # -- report -------------------------------------------------------------------------

@@ -13,8 +13,8 @@ evaluation vanishes.  Hence an eigenvalue is either `exact` (a CRational
 witness) or honest floating point.
 
 Also here: the simultaneous-diagonalizability check (exact commutators plus
-a numeric eigenvector-rank test) and the common-eigenbasis alignment of
-drift/noise spectra that downstream resonance tests require.
+an exact square-free-part test per matrix) and the common-eigenbasis alignment
+of drift/noise spectra that downstream resonance tests require.
 """
 
 from __future__ import annotations
@@ -267,36 +267,26 @@ def eigenvalues(m: Matrix, seed: int = 0) -> Eigenvalues:
 
 # -- simultaneous diagonalizability (hypothesis H of the weak resonance test) -----
 
-_EVEC_TOL = 1e-10
-
-
-def _diagonalizable(m: Matrix, seed: int = 0) -> str:
-    """'yes' | 'no' | 'unknown' via exact distinct spectrum or eigenvector rank."""
-    n = len(m)
-    if n == 1:
-        return "yes"
-    ev = eigenvalues(m, seed=seed)
-    vals = ev.values
-    scale = max(1.0, max(abs(v) for v in vals))
-    distinct = all(abs(vals[i] - vals[j]) > 1e-8 * scale
-                   for i in range(n) for j in range(i + 1, n))
-    if distinct:
-        return "yes"
-    _, vecs = np.linalg.eig(exactla.mat_to_complex(m))
-    svals = np.linalg.svd(vecs, compute_uv=False)
-    ratios = svals / svals[0] if svals[0] > 0 else svals
-    if any(1e-12 < r < 1e-8 for r in ratios):
-        return "unknown"
-    rank = int(np.sum(ratios > _EVEC_TOL))
-    return "yes" if rank == n else "no"
+def _diagonalizable(m: Matrix) -> bool:
+    """Exact: m is diagonalizable iff r(m) = 0, where r = chi / gcd(chi, chi') is
+    the square-free part of its characteristic polynomial chi (the minimal
+    polynomial divides r exactly when it has no repeated root)."""
+    chi = exactla.char_poly(m)
+    r, _ = exactla.poly_divmod(chi, exactla.poly_gcd(chi, exactla.poly_deriv(chi)))
+    acc = exactla.zeros(len(m))
+    for c in reversed(r):  # Horner: acc <- acc m + c I
+        acc = exactla.mat_mul(acc, m)
+        for i in range(len(m)):
+            acc[i][i] = acc[i][i] + c
+    return exactla.is_zero_matrix(acc)
 
 
 def h1_check(data: SpectralData) -> H1Status:
     """Do Df(0) and all Dg_i(0) commute pairwise and diagonalize simultaneously?
 
-    Commutators are exact; diagonalizability of each matrix is certified via a
-    distinct exact spectrum where possible, otherwise judged by the numeric
-    rank of an eigenvector basis (tolerance 1e-10, borderline -> unknown).
+    Both tests are exact, with no borderline case: the commutators are
+    computed over the complex rationals, and each matrix is diagonalizable iff
+    the square-free part of its characteristic polynomial annihilates it.
     """
     mats: list[tuple[str, Matrix]] = [("Df", data.A_f)]
     for i, m in enumerate(data.A_g):
@@ -309,25 +299,21 @@ def h1_check(data: SpectralData) -> H1Status:
                                    exactla.mat_mul(mats[b][1], mats[a][1]))
             if not exactla.is_zero_matrix(comm):
                 return H1Status("fails", f"[{mats[a][0]}, {mats[b][0]}] != 0")
-    unknown = None
     for name, m in mats:
-        d = _diagonalizable(m)
-        if d == "no":
+        if not _diagonalizable(m):
             return H1Status("fails", f"{name} is not diagonalizable")
-        if d == "unknown":
-            unknown = f"{name}: eigenvector rank borderline"
-    if unknown:
-        return H1Status("unknown", unknown)
     return H1Status("holds", None)
 
 
 def aligned_spectra(data: SpectralData) -> tuple[Eigenvalues, list[Eigenvalues], bool] | None:
     """Common-eigenbasis-aligned (lam, [mu^i...], exact?) for the weak resonance test.
 
-    lam_j = mu0_j - (1/2) sum_i (mu^i_j)^2 with all tuples read in one shared
-    eigenvector order.  Exact when every matrix is literally diagonal; otherwise
-    numeric via the eigenbasis of a generic combination of the commuting family.
-    Returns None when no reliable alignment exists (h1 not holding, say).
+    Precondition: `h1_check(data)` holds; the caller checks it, and this
+    function does not repeat it.  lam_j = mu0_j - (1/2) sum_i (mu^i_j)^2 with
+    all tuples read in one shared eigenvector order.  Exact when every matrix
+    is literally diagonal; otherwise numeric via the eigenbasis of a generic
+    combination of the commuting family.  Returns None when no reliable
+    numeric alignment exists.
     """
     if any(m is None for m in data.A_g):
         return None
@@ -346,8 +332,6 @@ def aligned_spectra(data: SpectralData) -> tuple[Eigenvalues, list[Eigenvalues],
         to_eig = lambda xs: Eigenvalues(values=tuple(complex(x) for x in xs), exact=tuple(xs))
         return to_eig(lam), [to_eig(m) for m in mus], True
 
-    if h1_check(data).verdict != "holds":
-        return None
     fmats = [exactla.mat_to_complex(m) for m in mats]
     rng = random.Random(17)
     for _ in range(8):

@@ -55,7 +55,6 @@ def test_crational_arithmetic():
     assert (a / b) * b == a
     assert -a + a == CRational(0)
     assert a.conjugate().im == -a.im
-    assert a.abs2() == Fraction(1, 4) + Fraction(9, 16)
 
 
 def test_crational_pow_negative():

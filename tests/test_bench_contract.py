@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sdefi import mc, resonance
+from sdefi.algebra import CRational
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,6 +33,24 @@ def test_traced_parameters_exist():
     # the tracer's lattice-point counter binds these arguments by name
     assert {"values", "K", "lattice"} <= set(inspect.signature(resonance.enumerate_resonances).parameters)
     assert {"lam", "K"} <= set(inspect.signature(resonance.weak_resonance_test).parameters)
+
+
+def test_enumerate_counts_on_real_calls(tracing):
+    # `--trace 1` counts lattice points from the bound arguments and the result
+    one, minus_one, two = CRational(1), CRational(-1), CRational(2)
+    cases = [
+        (resonance.enumerate_resonances, ([one, minus_one],), {"K": 4, "lattice": "z"},
+         tracing.lattice_points(2, 4, "z")),
+        (resonance.weak_resonance_test, ([one], [[two]]), {"K": 5}, 0),
+        (resonance.weak_resonance_test, ([-two], [[two]]), {"K": 5},
+         tracing.lattice_points(1, 5, "zplus")),
+    ]
+    certificates = []
+    for fn, args, kwargs, points in cases:
+        result = fn(*args, **kwargs)
+        assert tracing._enumerate_counts(fn, args, kwargs, result) == {"points": points}
+        certificates.append(getattr(result, "certificate", None))
+    assert certificates == [None, "positive-definite", "bounded"]
 
 
 def test_simulate_paths_contract():

@@ -11,12 +11,11 @@ from sdefi import exactla, systems
 from sdefi.algebra import CRational, VField, parse_poly_text
 from sdefi.perturb import (
     PerturbationError,
-    _obstruction_values,
     build_perturbation,
     recurrence_exponents,
     verify_perturbation,
 )
-from sdefi.spectral import Eigenvalues
+from sdefi.resonance import resonance_values
 
 
 def _drift(*texts, names=None):
@@ -115,6 +114,7 @@ def test_numeric_route_for_irrational_spectrum():
 
 def test_obstruction_values_match_double_sum():
     # E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
+    # is 2 q(l) for the corrected spectrum lam_j - mu_j^2 / 2 and the noise spectrum mu
     rng = random.Random(17)
     cases = [([CRational(-1)], [Fraction(1, 2)], 9)]  # E((9,)) = 0
     for _ in range(30):
@@ -126,17 +126,18 @@ def test_obstruction_values_match_double_sum():
     zeros = 0
     for lam, mu, L in cases:
         n = len(lam)
-        eig = Eigenvalues(tuple(complex(e) for e in lam), tuple(lam))
-        got = list(_obstruction_values(eig, mu, L))
+        exact, points = resonance_values([e - m * m / 2 for e, m in zip(lam, mu)], [mu], L)
+        assert exact
+        got = list(points)
         assert [l for l, *_ in got] == [l for l in itertools.product(range(L + 1), repeat=n)
                                         if 0 < sum(l) <= L]
-        for l, val, is_zero, _ in got:
+        for l, q, scale in got:
             e = sum((lam[i] * (2 * l[i]) for i in range(n)), CRational(0))
             e += sum(l[i] * (l[i] - 1) * mu[i] ** 2 for i in range(n))
             e += sum(l[i] * l[j] * mu[i] * mu[j] for i in range(n) for j in range(n) if i != j)
-            assert is_zero == e.is_zero()
-            assert val == abs(complex(e))
-            zeros += is_zero
+            assert scale is None
+            assert 2 * q == e
+            zeros += e.is_zero()
     assert zeros >= 1
 
 

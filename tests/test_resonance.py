@@ -9,12 +9,13 @@ import pytest
 
 from sdefi import systems
 from sdefi.algebra import CRational, LaurentPoly, VField
-from sdefi.ito import SdeSystem
+from sdefi.ito import SdeSystem, check_weak, weak_generator_apply
 from sdefi.resonance import (
     enumerate_resonances,
     halfplane_certificate,
     lattice_rank,
     nonintegrability_report,
+    resonance_values,
     weak_resonance_test,
 )
 from sdefi.spectral import Eigenvalues
@@ -148,6 +149,66 @@ def test_weak_resonance_bounded_scan_without_certificate():
             expect.append(k)
     assert sorted(res.violations) == sorted(expect)
     assert res.certificate == "bounded"  # window scan only, no global proof
+
+
+def test_weak_resonance_function_is_the_generator_eigenvalue():
+    # dX_j = a_j X_j dt + sum_i b_ij X_j dB^i maps x^k to q(k) x^k under the
+    # generator, with lam = a - (1/2) sum_i b_i^2 and mu^i = b_i
+    rng = random.Random(29)
+
+    def z():
+        return CRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                         Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    def diagonal(n, c):
+        return VField(tuple(LaurentPoly(n, {tuple(int(i == j) for i in range(n)): c[j]})
+                            for j in range(n)))
+
+    checked = 0
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        a = [z() for _ in range(n)]
+        b = [[z() for _ in range(n)] for _ in range(m)]
+        sys = SdeSystem(diagonal(n, a), tuple(diagonal(n, bi) for bi in b),
+                        tuple(f"x{j + 1}" for j in range(n)))
+        lam = [a[j] - sum((bi[j] * bi[j] for bi in b), CRational(0)) / 2 for j in range(n)]
+        exact, points = resonance_values(lam, b, K=4)
+        assert exact
+        zeros = set()
+        for k, q, scale in points:
+            xk = LaurentPoly.monomial(n, k)
+            assert weak_generator_apply(sys, xk) == xk.scale(q)
+            if q.is_zero():
+                zeros.add(k)
+            checked += 1
+        assert set(weak_resonance_test(lam, b, K=4).violations) == zeros
+    assert checked >= 500
+
+
+def _rotation_noise_system():
+    # dX = (1/2) X dt + J X dB with J the rotation [[0, -1], [1, 0]]
+    half = Fraction(1, 2)
+    f = VField((LaurentPoly(2, {(1, 0): half}), LaurentPoly(2, {(0, 1): half})))
+    g = VField((LaurentPoly(2, {(0, 1): -1}), LaurentPoly(2, {(1, 0): 1})))
+    return SdeSystem(f, (g,), ("x1", "x2"))
+
+
+def test_rotation_noise_weak_integrals_are_not_excluded():
+    # lam = (1, 1) is real and positive but mu = (i, -i) is not real:
+    # q(k) = k1 + k2 - (k1 - k2)^2 / 2 vanishes at (2, 0) and (0, 2),
+    # the monomials (x1 +- i x2)^2, whose real and imaginary parts are weak integrals
+    sys = _rotation_noise_system()
+    for phi in ({(2, 0): 1, (0, 2): -1}, {(1, 1): 1}):
+        assert check_weak(sys, LaurentPoly(2, phi)).holds
+    rep = nonintegrability_report(sys)
+    assert rep.hypotheses["simultaneously_diagonalizable"] == "holds"
+    assert "NO_WEAK_ANALYTIC" not in rep.verdict_codes()
+    assert rep.weak.certificate == "bounded"
+    assert {(2, 0), (0, 2)} <= set(rep.weak.violations)
+    mu = Eigenvalues((1j, -1j), (CRational(0, 1), CRational(0, -1)))
+    res = weak_resonance_test(_exact_eig([1, 1]), [mu], K=4)
+    assert res.certificate == "bounded" and res.exact
+    assert res.violations == ((0, 2), (2, 0))
 
 
 # -- orchestrated reports ---------------------------------------------------------------------

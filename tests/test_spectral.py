@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from sdefi import systems
+from sdefi import resonance, spectral, systems
 from sdefi.algebra import CRational, LaurentPoly, VField
 from sdefi import exactla
 from sdefi.exactla import as_matrix, char_poly, det, nullspace, poly_eval, rank, rref
 from sdefi.ito import SdeSystem, stratonovich_drift
 from sdefi.spectral import (
+    H1Status,
     NotApplicableError,
     aligned_spectra,
     eigenvalues,
@@ -226,6 +227,16 @@ def test_h1_fails_on_noncommuting_or_nilpotent():
     assert st2.witness  # names the failing commutator or matrix
 
 
+def test_h1_is_exact_for_near_repeated_and_defective_matrices():
+    # distinct eigenvalues 1 and 1 + eps: diagonalizable however small eps is
+    for eps in (Fraction(1, 10 ** 9), Fraction(1, 10 ** 13)):
+        near = _linear_system([[1, 1], [0, 1 + eps]], [])
+        assert h1_check(linearization(near)) == H1Status("holds", None)
+    jordan = h1_check(linearization(_linear_system([[1, 1], [0, 1]], [])))
+    assert jordan == H1Status("fails", "Df is not diagonalizable")
+    assert h1_check(linearization(_linear_system([[2, 0], [0, 2]], []))).verdict == "holds"
+
+
 def test_commutator_oracle():
     # brute-force [A, B] for the fixture h1 accepts
     a = as_matrix([[1, 0], [0, -2]])
@@ -262,3 +273,21 @@ def test_aligned_spectra_numeric_pairing():
     mu = mus[0]
     for lam_j, mu_j in zip(lam.values, mu.values):
         assert abs(lam_j - (mu_j - 0.5 * mu_j ** 2)) < 1e-8
+
+
+def test_report_does_not_repeat_callers_h1_check(monkeypatch):
+    # aligned_spectra relies on the H1 check its caller made
+    sys = systems.coupled_exchange_linear()
+    data = linearization(sys)
+    h1 = h1_check(data)
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return h1_check(d)
+
+    monkeypatch.setattr(spectral, "h1_check", counted)
+    monkeypatch.setattr(resonance, "h1_check", counted)
+    rep = resonance.nonintegrability_report(sys, linearized=(data, h1))
+    assert rep.weak is not None
+    assert calls == []
