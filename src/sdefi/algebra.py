@@ -3,10 +3,18 @@
 A polynomial in ``n`` variables is a mapping from exponent vectors to
 coefficients.  An exponent vector is a tuple of ``n`` ints and may contain
 negative entries (Laurent terms such as ``x1^-2``); a coefficient is a
-:class:`CRational`, a complex number with exact ``fractions.Fraction`` real
-and imaginary parts.  The zero polynomial has no terms; zero coefficients
-are pruned on construction, so representations are canonical and equality
-is structural.
+complex number with exact rational real and imaginary parts.
+
+Storage is content and primitive part (Knuth, TAOCP vol. 2, §4.6.1): a
+:class:`LaurentPoly` holds a dict from exponent vector to a pair ``(re, im)``
+of Python ints and one common denominator ``_den``, so the coefficient of
+``x^e`` is ``(re + im i) / _den``.  Invariant: ``_den > 0``; no pair is
+``(0, 0)``; gcd(``_den``, every ``re`` and ``im``) = 1; the zero polynomial
+has no terms and ``_den == 1``.  The form is canonical, so equality is
+structural.  Sums, products, scalings and derivatives are integer
+arithmetic with one gcd pass per result.  ``terms()``, ``coeff()`` and the
+other accessors return :class:`CRational` views, whose parts are
+``fractions.Fraction``.
 
 Values are immutable after construction and safe to share.  Term order
 everywhere is graded lexicographic: sort key ``(total_degree, exponents)``,
@@ -23,6 +31,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -35,6 +44,10 @@ class PoleError(ArithmeticError):
 
 
 RationalLike = Union[int, str, Fraction]
+
+_ZERO = Fraction(0)
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -49,8 +62,16 @@ class CRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        _set(self, "re", _as_fraction(re))
+        _set(self, "im", _as_fraction(im))
+
+    @classmethod
+    def _make(cls, re: Fraction, im: Fraction) -> "CRational":
+        """Unchecked constructor for parts that already are Fractions."""
+        z = _new(cls)
+        _set(z, "re", re)
+        _set(z, "im", im)
+        return z
 
     def __setattr__(self, name, value):
         raise AttributeError("CRational is immutable")
@@ -71,25 +92,25 @@ class CRational:
         if isinstance(x, CRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return CRational(x)
+            return CRational._make(Fraction(x), _ZERO)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational(self.re + o.re, self.im + o.im)
+        return CRational._make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CRational(-self.re, -self.im)
+        return CRational._make(-self.re, -self.im)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational(self.re - o.re, self.im - o.im)
+        return CRational._make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -101,8 +122,8 @@ class CRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
+        return CRational._make(self.re * o.re - self.im * o.im,
+                               self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -113,8 +134,8 @@ class CRational:
         d = o.re * o.re + o.im * o.im
         if not d:
             raise ZeroDivisionError("division by zero CRational")
-        return CRational((self.re * o.re + self.im * o.im) / d,
-                         (self.im * o.re - self.re * o.im) / d)
+        return CRational._make((self.re * o.re + self.im * o.im) / d,
+                               (self.im * o.re - self.re * o.im) / d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -136,7 +157,7 @@ class CRational:
         return out
 
     def conjugate(self) -> "CRational":
-        return CRational(self.re, -self.im)
+        return CRational._make(self.re, -self.im)
 
     # -- conversions / comparisons --------------------------------------
     def __complex__(self) -> complex:
@@ -149,7 +170,8 @@ class CRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, so it agrees with int and Fraction
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"CRational({str(self.re)!r}, {str(self.im)!r})"
@@ -215,30 +237,51 @@ def lattice_points(n: int, pos: int, neg: int, l1: int,
     yield from rec(0, (), zero, pos, neg, l1)
 
 
+def _reduced(dim: int, num: dict, den: int) -> "LaurentPoly":
+    """Unchecked constructor for int pairs over ``den`` > 0: drops the zero
+    pairs, then one gcd pass brings the rest to lowest terms (no terms: ``den`` 1)."""
+    num = {e: v for e, v in num.items() if v != (0, 0)}
+    if den != 1:
+        g = den
+        for a, b in num.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        if g != 1:
+            num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+            den //= g
+    p = _new(LaurentPoly)
+    _set(p, "dim", dim)
+    _set(p, "_num", num)
+    _set(p, "_den", den)
+    return p
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial; immutable after construction."""
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim: int,
                  terms: Mapping[ExpVec, CoeffLike] | Iterable[tuple[ExpVec, CoeffLike]] = ()):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple, CRational] = {}
+        acc: dict[tuple, tuple[Fraction, Fraction]] = {}
         for e, c in items:
             e = tuple(e)
             if len(e) != dim or not all(isinstance(k, int) for k in e):
                 raise DimensionMismatch(f"exponent vector {e} does not fit dim {dim}")
             c = _as_crational(c)
             prev = acc.get(e)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", acc)
+            acc[e] = (c.re, c.im) if prev is None else (prev[0] + c.re, prev[1] + c.im)
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        den = lcm(*(q for re, im in acc.values() for q in (re.denominator, im.denominator)))
+        _set(self, "dim", dim)
+        _set(self, "_num", {e: (re.numerator * (den // re.denominator),
+                                im.numerator * (den // im.denominator))
+                            for e, (re, im) in acc.items() if re or im})
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -265,45 +308,45 @@ class LaurentPoly:
         return cls(dim, {tuple(exps): coeff})
 
     # -- inspection -------------------------------------------------------
+    def _view(self, re: int, im: int) -> CRational:
+        return CRational._make(Fraction(re, self._den), Fraction(im, self._den))
+
     def terms(self) -> list[tuple[tuple, CRational]]:
         """Terms sorted ascending graded-lex."""
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]))
+        return [(e, self._view(*self._num[e])) for e in sorted(self._num, key=grlex_key)]
 
     def coeff(self, exps: Sequence[int]) -> CRational:
-        return self._terms.get(tuple(exps), CRational(0))
+        return self._view(*self._num.get(tuple(exps), (0, 0)))
 
     def support(self) -> frozenset:
-        return frozenset(self._terms)
+        return frozenset(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self._terms)
+        return all(not any(e) for e in self._num)
 
     def constant_term(self) -> CRational:
-        return self._terms.get((0,) * self.dim, CRational(0))
+        return self._view(*self._num.get((0,) * self.dim, (0, 0)))
 
     def has_negative_exponents(self) -> bool:
-        return any(min(e) < 0 for e in self._terms)
+        return any(min(e) < 0 for e in self._num)
 
     def min_total_degree(self) -> int | None:
-        return min((sum(e) for e in self._terms), default=None)
-
-    def max_total_degree(self) -> int | None:
-        return max((sum(e) for e in self._terms), default=None)
+        return min((sum(e) for e in self._num), default=None)
 
     def leading_term(self) -> tuple[tuple, CRational]:
         """Graded-lex greatest term; raises on the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
-        return e, self._terms[e]
+        e = max(self._num, key=grlex_key)
+        return e, self._view(*self._num[e])
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __iter__(self) -> Iterator[tuple[tuple, CRational]]:
         return iter(self.terms())
@@ -319,19 +362,19 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_dim(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, CRational(0)) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.dim, out)
+        # rescale both to lcm(den_a, den_b) = den_a * fa = den_b * fb
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        out = {e: (a * fa, b * fa) for e, (a, b) in self._num.items()}
+        for e, (c, d) in other._num.items():
+            a, b = out.get(e, (0, 0))
+            out[e] = (a + c * fb, b + d * fb)
+        return _reduced(self.dim, out, self._den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.dim, {e: -c for e, c in self._terms.items()})
+        return _reduced(self.dim, {e: (-a, -b) for e, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -_as_crational(other))
@@ -340,10 +383,7 @@ class LaurentPoly:
         return (-self) + other
 
     def scale(self, c: CoeffLike) -> "LaurentPoly":
-        c = _as_crational(c)
-        if c.is_zero():
-            return LaurentPoly.zero(self.dim)
-        return LaurentPoly(self.dim, {e: k * c for e, k in self._terms.items()})
+        return self * LaurentPoly.const(self.dim, c)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CRational)):
@@ -351,16 +391,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_dim(other)
-        out: dict[tuple, CRational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, CRational(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.dim, out)
+        add = operator.add
+        rhs = list(other._num.items())
+        out: dict[tuple, tuple[int, int]] = {}
+        for e1, (a, b) in self._num.items():
+            for e2, (c, d) in rhs:
+                e = tuple(map(add, e1, e2))
+                re, im = out.get(e, (0, 0))
+                out[e] = (re + a * c - b * d, im + a * d + b * c)
+        return _reduced(self.dim, out, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CRational)):
@@ -384,25 +423,25 @@ class LaurentPoly:
             other = LaurentPoly.const(self.dim, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
+        # a constant hashes as its value, since it compares equal to that scalar
+        if self.is_constant:
+            return hash(self.constant_term())
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     # -- calculus -------------------------------------------------------------
     def differentiate(self, axis: int) -> "LaurentPoly":
         """Exact partial derivative along 0-based ``axis`` (power rule, negative exponents included)."""
         if not 0 <= axis < self.dim:
             raise DimensionMismatch(f"axis {axis} out of range for dim {self.dim}")
-        out: dict[tuple, CRational] = {}
-        for e, c in self._terms.items():
+        out: dict[tuple, tuple[int, int]] = {}
+        for e, (a, b) in self._num.items():
             k = e[axis]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[axis] = k - 1
-            out[tuple(e2)] = c * k
-        return LaurentPoly(self.dim, out)
+            if k:
+                out[e[:axis] + (k - 1,) + e[axis + 1:]] = (a * k, b * k)
+        return _reduced(self.dim, out, self._den)
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(self, point: Sequence[complex]) -> complex:
@@ -410,9 +449,11 @@ class LaurentPoly:
         if len(point) != self.dim:
             raise DimensionMismatch(f"point has {len(point)} coords, poly dim {self.dim}")
         z = [complex(p) for p in point]
+        den = self._den
         total = 0j
-        for e, c in self._terms.items():
-            v = complex(c)
+        for e, (a, b) in self._num.items():
+            # int / int rounds the exact quotient once, as float(Fraction) does
+            v = complex(a / den, b / den)
             for x, k in zip(z, e):
                 if k == 0:
                     continue
@@ -435,8 +476,8 @@ class LaurentPoly:
         if powers is None:
             powers = {}
         total = CRational(0)
-        for e, c in self._terms.items():
-            v = c
+        for e, (a, b) in self._num.items():
+            v = self._view(a, b)
             for j, k in enumerate(e):
                 if k == 0:
                     continue
@@ -501,11 +542,6 @@ class VField:
 
     def evaluate(self, point: Sequence[complex]) -> list[complex]:
         return [p.evaluate(point) for p in self.components]
-
-    @classmethod
-    def zero(cls, dim: int, n_components: int | None = None) -> "VField":
-        n = dim if n_components is None else n_components
-        return cls(tuple(LaurentPoly.zero(dim) for _ in range(n)))
 
 
 def gradient(p: LaurentPoly) -> VField:

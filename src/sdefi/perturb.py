@@ -1,7 +1,8 @@
 """Construction of a linear noise that destroys all low-degree weak integrals.
 
-Given an ODE drift f with f(0) = 0 and invertible Jacobian A = Df(0), pick
-0 < u < 1 and set
+Given an ODE drift f with f(0) = 0 and invertible Jacobian A = Df(0) whose
+eigenvalues are distinct (exactly: gcd(chi, chi') is constant for the
+characteristic polynomial chi), pick 0 < u < 1 and set
 
     P = Q diag(u^{a_1}, ..., u^{a_n}) Q^{-1},    a_1 = 1, a_k = 2 (a_1 + ... + a_{k-1}),
 
@@ -36,7 +37,7 @@ from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
-from .spectral import Eigenvalues, eigenvalues, jacobian_at_origin, value_at_origin
+from .spectral import Eigenvalues, eigenvalues, jacobian_at_origin, roots, value_at_origin
 
 
 class PerturbationError(RuntimeError):
@@ -135,14 +136,13 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
     det_a = exactla.det(a)
     if det_a.is_zero():
         raise PerturbationError("drift Jacobian at the origin is singular")
+    chi = exactla.char_poly(a)
+    repeated = exactla.poly_gcd(chi, exactla.poly_deriv(chi))
+    if len(repeated) > 1:  # its roots are exactly the repeated eigenvalues
+        raise PerturbationError(
+            f"repeated eigenvalue near {roots(repeated).values[0]:.6g}: "
+            "defective/defect-prone Jacobians are not supported")
     eig = eigenvalues(a)
-    scale = max(1.0, max(abs(v) for v in eig.values))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eig.values[i] - eig.values[j]) <= 1e-9 * scale:
-                raise PerturbationError(
-                    f"repeated eigenvalue near {eig.values[i]:.6g}: "
-                    "defective/defect-prone Jacobians are not supported")
 
     exponents = recurrence_exponents(n)
     rng = random.Random(seed)

@@ -21,7 +21,9 @@ Two genuine certificates exist:
 * positive-definiteness: if every lam_j is real and positive and every
   mu^i_j is real, then q(k) >= <lam, k> > 0 for every k != 0 in the
   nonnegative lattice.  A complex mu^i_j makes <mu^i, k>^2 negative for
-  some k, so the shortcut does not apply then.
+  some k, so the shortcut does not apply then.  It is granted on exact
+  spectra only: a float mu^i_j within tolerance of the real axis can still
+  give q a zero far out in the lattice.
 
 Everything else is honestly K-bounded, and every verdict carries an
 epistemic status: `certified` or `bounded(K, tol)`.
@@ -189,26 +191,18 @@ class WeakResonanceResult:
     tol: float
 
 
-def _real(values, tol: float, positive: bool = False) -> bool:
-    """Every value real (and > 0 if asked): exactly when every value has a
-    witness, else within tol * max(1, max|v|)."""
-    floats, exacts = _normalize_values(values)
-    if all(e is not None for e in exacts):
-        return all(e.is_real() and (e.re > 0 or not positive) for e in exacts)
-    eps = tol * max(1.0, max((abs(v) for v in floats), default=0.0))
-    return all(abs(v.imag) <= eps and (v.real > eps or not positive) for v in floats)
-
-
 def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonanceResult:
     """Zeros of q(k) = <lam,k> + (1/2) sum_i <mu^i,k>^2 over 0 < |k|_1 <= K.
 
     lam and each mu^i must be aligned to a single shared eigenvector order.
-    If every lam_j is real and positive and every mu^i_j is real, q > 0
-    everywhere and the scan is skipped (certificate "positive-definite").
+    If every value is exact, every lam_j real and positive and every mu^i_j
+    real, q > 0 everywhere and the scan is skipped (certificate
+    "positive-definite").
     """
     mus = tuple(mus)
     exact, points = resonance_values(lam, mus, K)
-    if _real(lam, tol, positive=True) and all(_real(mu, tol) for mu in mus):
+    if exact and all(e.is_real() and e.re > 0 for e in _normalize_values(lam)[1]) \
+            and all(e.is_real() for mu in mus for e in _normalize_values(mu)[1]):
         return WeakResonanceResult((), "positive-definite", exact, K, tol)
     return WeakResonanceResult(tuple(_zeros(points, tol)), "bounded", exact, K, tol)
 

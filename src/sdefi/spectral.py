@@ -226,12 +226,21 @@ def _certify_root(p: list[CRational], w: complex) -> CRational | None:
 
 
 def _distinct_roots(p: list[CRational], seed: int) -> list[tuple[complex, CRational | None]]:
-    """Roots of a square-free monic polynomial, each exactly certified when possible."""
+    """Roots of a square-free monic polynomial, each exactly certified when possible.
+
+    Every root is simple, so an exact root certifies only the first float root
+    that rounds to it; a later one keeps its float value and no witness.
+    """
     floats = _durand_kerner([complex(c) for c in p], seed=seed)
     out = []
+    seen: set[CRational] = set()
     for w in floats:
         ex = _certify_root(p, w)
-        out.append((complex(ex) if ex is not None else w, ex))
+        if ex is None or ex in seen:
+            out.append((w, None))
+        else:
+            seen.add(ex)
+            out.append((complex(ex), ex))
     return out
 
 

@@ -45,6 +45,11 @@ def test_crational_rejects_floats():
         CRational(0.5)
     with pytest.raises(TypeError):
         CRational(1, 0.25)
+    x = LaurentPoly.variable(1, 0)
+    for bad in (lambda: LaurentPoly(1, {(1,): 0.5}), lambda: x.scale(0.5), lambda: x + 0.5,
+                lambda: x * 0.5):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_crational_arithmetic():
@@ -262,6 +267,156 @@ def test_negative_exponent_not_split():
     # the '-' inside x1^-1 must not start a new term
     p = parse_poly_text("x1^-1 + x1", ["x1"])
     assert p.coeff([-1]) == CRational(1) and p.coeff([1]) == CRational(1)
+
+
+# -- the integer-numerator core against a Fraction-pair oracle ---------------------
+#
+# The oracle keeps a polynomial as a dict exponent -> (re, im) of Fractions and
+# implements each operation by its definition; zero coefficients are dropped.
+
+
+def _ref(p):
+    return {e: (c.re, c.im) for e, c in p.terms()}
+
+
+def _ref_prune(d):
+    return {e: c for e, c in d.items() if c[0] or c[1]}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, (a, b) in q.items():
+        a0, b0 = out.get(e, (0, 0))
+        out[e] = (a0 + a, b0 + b)
+    return _ref_prune(out)
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            a0, b0 = out.get(e, (0, 0))
+            a, b = _cmul(c1, c2)
+            out[e] = (a0 + a, b0 + b)
+    return _ref_prune(out)
+
+
+def _ref_diff(p, axis):
+    out = {}
+    for e, (a, b) in p.items():
+        if e[axis]:
+            e2 = list(e)
+            e2[axis] -= 1
+            out[tuple(e2)] = (a * e[axis], b * e[axis])
+    return out
+
+
+def _cinv(x):
+    d = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / d, -x[1] / d)
+
+
+def _ref_eval(p, point):
+    total = (Fraction(0), Fraction(0))
+    for e, c in p.items():
+        for x, k in zip(point, e):
+            for _ in range(abs(k)):
+                c = _cmul(c, x) if k > 0 else _cmul(c, _cinv(x))
+        total = (total[0] + c[0], total[1] + c[1])
+    return total
+
+
+def _big_fraction(rng):
+    den = rng.choice([1, 2, 3, 6, rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 30)])
+    return Fraction(rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)), den)
+
+
+def _rand_ref(rng, dim, max_terms=6):
+    out = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(-1, 2) for _ in range(dim))  # small box: products collide
+        out[e] = (_big_fraction(rng), _big_fraction(rng) if rng.random() < 0.5 else Fraction(0))
+    return _ref_prune(out)
+
+
+def _poly_of(dim, ref):
+    return LaurentPoly(dim, {e: CRational(a, b) for e, (a, b) in ref.items()})
+
+
+def test_integer_core_matches_fraction_oracle():
+    rng = random.Random(1337)
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        ra, rb = _rand_ref(rng, dim), _rand_ref(rng, dim)
+        if rng.random() < 0.5:
+            # share terms with the opposite sign, so that sums cancel
+            rb.update({e: (-c[0], -c[1]) for e, c in ra.items() if rng.random() < 0.6})
+        a, b = _poly_of(dim, ra), _poly_of(dim, rb)
+        c = CRational(_big_fraction(rng), _big_fraction(rng))
+        neg_rb = {e: (-x, -y) for e, (x, y) in rb.items()}
+        assert _ref(a + b) == _ref_add(ra, rb)
+        assert _ref(a - b) == _ref_add(ra, neg_rb)
+        assert _ref(-b) == neg_rb
+        assert _ref(a * b) == _ref_mul(ra, rb)
+        assert _ref(a.scale(c)) == _ref_prune({e: _cmul(x, (c.re, c.im)) for e, x in ra.items()})
+        assert _ref(a ** 2) == _ref_mul(ra, ra)
+        for axis in range(dim):
+            assert _ref(a.differentiate(axis)) == _ref_diff(ra, axis)
+        point = [(_big_fraction(rng) or Fraction(1), Fraction(rng.randint(-3, 3), 7))
+                 for _ in range(dim)]
+        value = a.evaluate_exact([CRational(x, y) for x, y in point])
+        assert (value.re, value.im) == _ref_eval(ra, point)
+
+
+def test_canonical_form():
+    x = LaurentPoly.variable(1, 0)
+    half = x.scale(Fraction(1, 2))
+    assert half._den == 2 and half._num == {(1,): (1, 0)}
+    twice = half.scale(2)
+    assert twice._den == 1 and twice == x and hash(twice) == hash(x)
+    assert (half * LaurentPoly.const(1, 2))._den == 1
+    assert (half - half)._den == 1 and (half - half).is_zero
+    # the same value reached two ways: equal, equal hashes, lowest terms
+    p = LaurentPoly(2, {(1, 0): Fraction(2, 6), (0, -1): CRational(Fraction(4, 10), Fraction(6, 4))})
+    q = (p.scale(Fraction(10 ** 20, 3)) + p).scale(Fraction(3, 10 ** 20 + 3))
+    assert q == p and hash(q) == hash(p)
+    assert q._den == 30 and q._num == {(1, 0): (10, 0), (0, -1): (12, 45)}
+    for e, c in q.terms():
+        assert type(c) is CRational and type(c.re) is Fraction and type(c.im) is Fraction
+    assert type(q.coeff((1, 0))) is CRational and q.coeff((5, 5)) == 0
+    assert LaurentPoly.zero(3)._den == 1 and LaurentPoly(1, {(2,): 0})._num == {}
+
+
+def test_evaluate_rounds_each_coefficient_like_complex():
+    rng = random.Random(4242)
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        e = tuple(rng.randint(-2, 3) for _ in range(dim))
+        c = CRational(_big_fraction(rng), _big_fraction(rng))
+        point = [complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)) for _ in range(dim)]
+        want = complex(c)
+        for x, k in zip(point, e):
+            if k:
+                want *= x ** k
+        got = LaurentPoly.monomial(dim, e, c).evaluate(point)
+        assert (got.real.hex(), got.imag.hex()) == ((0j + want).real.hex(), (0j + want).imag.hex())
+
+
+def test_equal_values_hash_equal():
+    half = Fraction(1, 2)
+    values = [3, Fraction(3), CRational(3), LaurentPoly.const(1, 3), LaurentPoly.const(2, 3),
+              0, CRational(0), LaurentPoly.zero(2), half, CRational(half), LaurentPoly.const(1, half),
+              CRational(1, 2), LaurentPoly.const(1, CRational(1, 2)), LaurentPoly.variable(2, 0)]
+    for a, b in itertools.product(values, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+    assert 3 in {CRational(3)} and CRational(3) in {3}
+    assert 3 in {LaurentPoly.const(1, 3)} and half in {LaurentPoly.const(2, half)}
 
 
 # -- lattice enumeration -----------------------------------------------------------

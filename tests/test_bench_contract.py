@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import sys
 from pathlib import Path
 
@@ -57,3 +58,12 @@ def test_simulate_paths_contract():
     # the tracer unpacks simulate_paths' bound arguments as (sys, cfg) and reads mc._CHUNK
     assert list(inspect.signature(mc.simulate_paths).parameters) == ["sys", "cfg"]
     assert isinstance(mc._CHUNK, int) and mc._CHUNK > 0
+
+
+def test_algebra_microbench_runs(tracing):
+    # `--trace 1` times CRational and LaurentPoly through their public API; a
+    # counting clock keeps this a smoke test of that API, not a timing
+    clock = itertools.count().__next__
+    out = tracing.algebra_microbench(clock)
+    assert set(out) == {"algebra.crational_mul_us", "algebra.poly_mul_us", "algebra.poly_diff_us"}
+    assert all(v > 0 for v in out.values())

@@ -112,6 +112,17 @@ def test_numeric_route_for_irrational_spectrum():
     assert verify_perturbation(d, plan, D=3).passed
 
 
+def test_near_repeated_eigenvalues_are_distinct():
+    # Jacobian [[1, 1], [0, 1 + 10^-13]]: distinct eigenvalues, so the plan builds
+    # (numeric route: 1 + 10^-13 has no exact witness) and verifies
+    d = _drift("x1 + x2", "10000000000001/10000000000000 * x2")
+    plan = build_perturbation(d)
+    assert plan.u == Fraction(37, 100) and not plan.exact_route
+    assert verify_perturbation(d, plan).passed
+    with pytest.raises(PerturbationError, match="repeated eigenvalue near 1"):
+        build_perturbation(_drift("x1 + x2", "x2"))  # Jordan block: truly repeated
+
+
 def test_obstruction_values_match_double_sum():
     # E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
     # is 2 q(l) for the corrected spectrum lam_j - mu_j^2 / 2 and the noise spectrum mu

@@ -135,6 +135,16 @@ def test_weak_resonance_positive_definite_certificate():
     assert res.certificate == "positive-definite"
 
 
+def test_weak_resonance_float_spectra_never_skip_the_scan():
+    # q(k) = k1 + k2 - (1/2) 10^-20 (k1 - k2)^2 vanishes at k = (2 10^20, 0): a
+    # float mu within tolerance of the real axis proves nothing
+    res = weak_resonance_test([1.0, 1.0], [[1e-10j, -1e-10j]], K=6)
+    assert res.certificate == "bounded" and not res.exact
+    assert res.violations == ()
+    exact = weak_resonance_test(_exact_eig([1, 1]), [_exact_eig([1, -1])], K=6)
+    assert exact.certificate == "positive-definite" and exact.exact
+
+
 def test_weak_resonance_bounded_scan_without_certificate():
     lam = _exact_eig([1, -3])
     mu = _exact_eig([1, 2])

@@ -178,6 +178,14 @@ def test_repeated_roots_multiset():
     assert eig.all_exact()
 
 
+def test_near_repeated_roots_certify_an_exact_root_once():
+    # eigenvalues 1 and 1 + 10^-13 are distinct: both float roots round to 1,
+    # but only one of them may carry the exact witness
+    eig = eigenvalues(as_matrix([[1, 1], [0, 1 + Fraction(1, 10 ** 13)]]))
+    assert [str(e) if e is not None else None for e in eig.exact] == ["1", None]
+    assert not eig.all_exact()
+
+
 def test_linearization_requires_vanishing_analytic_drift():
     with pytest.raises(NotApplicableError):
         linearization(systems.two_body())  # Laurent drift: pole at the origin
