@@ -532,16 +532,8 @@ class VField:
             raise DimensionMismatch("vector fields of different length")
         return VField(tuple(a - b for a, b in zip(self, other)))
 
-    def __add__(self, other: "VField") -> "VField":
-        if len(other) != len(self):
-            raise DimensionMismatch("vector fields of different length")
-        return VField(tuple(a + b for a, b in zip(self, other)))
-
     def scale(self, c: CoeffLike) -> "VField":
         return VField(tuple(p.scale(c) for p in self.components))
-
-    def evaluate(self, point: Sequence[complex]) -> list[complex]:
-        return [p.evaluate(point) for p in self.components]
 
 
 def gradient(p: LaurentPoly) -> VField:

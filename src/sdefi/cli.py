@@ -1,5 +1,9 @@
 """Command-line surface: system-file ingestion, dispatch, verdict reporting.
 
+Each subcommand builds one JSON-able report dict.  `--output json` prints it;
+`--output text` renders it line by line, reading nothing but that dict, so
+the two modes cannot state different verdicts.
+
 System files are JSON with exact rational coefficients:
 
     {
@@ -20,6 +24,7 @@ Exit codes: 0 = analysis completed (verdicts live inside the report),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -193,7 +198,7 @@ def parse_candidate(spec: str, var_names) -> tuple[str, LaurentPoly]:
     return name, poly
 
 
-# -- report rendering --------------------------------------------------------------
+# -- reports: `_*_dict` builds from domain objects, `_*_text` renders a dict --------
 
 
 def _fmt(x: float) -> str:
@@ -209,45 +214,49 @@ def _verdict_dict(name: str, v: IntegralVerdict, names) -> dict:
     }
 
 
-def _verdict_text(name: str, v: IntegralVerdict, names) -> list[str]:
-    out = [f"candidate {name}: {v.mode} first integral: {'YES' if v.holds else 'NO'}"]
-    for rn, rp in v.residuals:
-        out.append(f"  residual[{rn}] = {to_text(rp, names)}")
+def _verdict_text(d: dict) -> list[str]:
+    out = [f"candidate {d['candidate']}: {d['mode']} first integral: "
+           f"{'YES' if d['holds'] else 'NO'}"]
+    for rn, text in d["residuals"].items():
+        out.append(f"  residual[{rn}] = {text}")
     return out
 
 
-def _resonance_text(rep) -> list[str]:
-    lines = [f"resonance scan: dim={rep.dim} noise={rep.noise_dim} K={rep.K} tol={rep.tol:g}"]
+def _resonance_text(rep: dict) -> list[str]:
+    lines = [f"resonance scan: dim={rep['dim']} noise={rep['noise_dim']} "
+             f"K={rep['K']} tol={rep['tol']:g}"]
     lines.append("hypotheses:")
-    for k, v in rep.hypotheses.items():
+    for k, v in rep["hypotheses"].items():
         lines.append(f"  {k}: {v}")
-    if rep.scans:
+    if rep["scans"]:
         lines.append("scans:")
-        for s in rep.scans:
-            tag = "complete" if s.complete else f"|k|_1<={s.K}"
-            extra = " (degenerate: all eigenvalues zero)" if s.degenerate else ""
-            lines.append(f"  {s.label} [{s.lattice}] resonances={len(s.vectors)} "
-                         f"rank={s.rank} [{tag}]{extra}")
-    if rep.s_min is not None:
-        kind = "certified" if rep.s_min_certified else "lower bound (K-window)"
-        lines.append(f"s_min = {rep.s_min} ({kind})")
-    if rep.weak is not None:
-        if rep.weak.violations:
-            ks = ", ".join(str(list(k)) for k in rep.weak.violations[:8])
-            lines.append(f"weak-resonance roots: {ks}"
-                         + (" ..." if len(rep.weak.violations) > 8 else ""))
-        else:
-            lines.append(f"weak-resonance function: no roots "
-                         f"({rep.weak.certificate or 'window scan'})")
+        for s in rep["scans"]:
+            tag = "complete" if s["complete"] else f"|k|_1<={s['K']}"
+            extra = " (degenerate: all eigenvalues zero)" if s["degenerate"] else ""
+            lines.append(f"  {s['label']} [{s['lattice']}] resonances={len(s['vectors'])} "
+                         f"rank={s['rank']} [{tag}]{extra}")
+    if rep["s_min"] is not None:
+        kind = "certified" if rep["s_min_certified"] else "lower bound (K-window)"
+        lines.append(f"s_min = {rep['s_min']} ({kind})")
+    violations = rep["weak_violations"]
+    if violations:
+        ks = ", ".join(str(k) for k in violations[:8])
+        lines.append(f"weak-resonance roots: {ks}" + (" ..." if len(violations) > 8 else ""))
+    elif violations is not None:
+        lines.append(f"weak-resonance function: no roots "
+                     f"({rep['weak_certificate'] or 'window scan'})")
     lines.append("verdicts:")
-    for v in rep.verdicts:
-        head = f"  {v.code} [{v.status}]"
-        if v.theorem:
-            head += f" via {v.theorem}"
+    for v in rep["verdicts"]:
+        st = v["epistemic_status"]
+        status = "certified" if st["kind"] == "certified" else \
+            f"bounded(K={st['K']}, tol={st['tol']:g})"
+        head = f"  {v['code']} [{status}]"
+        if v["theorem"]:
+            head += f" via {v['theorem']}"
         lines.append(head)
-        if v.hypotheses_checked:
-            lines.append(f"    hypotheses: {'; '.join(v.hypotheses_checked)}")
-        lines.append(f"    {v.detail}")
+        if v["hypotheses_checked"]:
+            lines.append(f"    hypotheses: {'; '.join(v['hypotheses_checked'])}")
+        lines.append(f"    {v['detail']}")
     return lines
 
 
@@ -261,11 +270,12 @@ def _basis_dict(basis, names) -> dict:
     }
 
 
-def _basis_text(basis, names) -> list[str]:
-    lines = [f"{basis.mode} search on window [{basis.dmin}, {basis.dmax}]: "
-             f"{len(basis)} integral(s), independence rank {basis.independence_rank}"]
-    for i, p in enumerate(basis.basis):
-        lines.append(f"  [{i + 1}] {to_text(p, names)}")
+def _basis_text(d: dict) -> list[str]:
+    dmin, dmax = d["window"]
+    lines = [f"{d['mode']} search on window [{dmin}, {dmax}]: "
+             f"{d['count']} integral(s), independence rank {d['independence_rank']}"]
+    for i, text in enumerate(d["basis"]):
+        lines.append(f"  [{i + 1}] {text}")
     return lines
 
 
@@ -300,154 +310,54 @@ def _linearization_dict(data, h1) -> dict:
     }
 
 
-def _print_report(report: dict, text_lines: list[str], output: str):
-    if output == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(text_lines))
-
-
-# -- subcommands -------------------------------------------------------------------
-
-
-def _cmd_check(args, mode: str) -> int:
-    sys = load_system(args.system)
-    name, phi = parse_candidate(args.candidate, sys.var_names)
-    v = check_strong(sys, phi) if mode == "strong" else check_weak(sys, phi)
-    _print_report(_verdict_dict(name, v, sys.var_names),
-                  _verdict_text(name, v, sys.var_names), args.output)
-    return 0
-
-
-def _cmd_search(args) -> int:
-    sys = load_system(args.system)
-    if args.dmin > args.dmax:
-        raise InputFormatError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
-    basis = find_first_integrals(sys, args.mode, args.dmin, args.dmax)
-    _print_report(_basis_dict(basis, sys.var_names),
-                  _basis_text(basis, sys.var_names), args.output)
-    return 0
-
-
-def _cmd_resonance(args) -> int:
-    sys = load_system(args.system)
-    rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol,
-                                  include_z=args.lattice == "both")
-    _print_report(rep.to_dict(), _resonance_text(rep), args.output)
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    sys = load_system(args.system)
-    names = sys.var_names
-    report: dict = {"system": serialize_system(sys)}
-    lines: list[str] = [f"system: dim={sys.dim} noise={sys.noise_dim} "
-                        f"vars={', '.join(names)}"]
-
-    try:
-        data = linearization(sys)
-        h1 = h1_check(data)
-        report["linearization"] = _linearization_dict(data, h1)
-        lines.append(f"linearization at origin: ok (H1 {h1.verdict})")
-    except NotApplicableError as e:
-        report["linearization"] = {"applicable": False, "reason": str(e)}
-        lines.append(f"linearization at origin: not applicable ({e})")
-
-    if report["linearization"]["applicable"]:
-        rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol, linearized=(data, h1))
-        report["resonance"] = rep.to_dict()
+def _analyze_text(report: dict) -> list[str]:
+    system = report["system"]
+    lines = [f"system: dim={system['dim']} noise={system['noise_dim']} "
+             f"vars={', '.join(system['var_names'])}"]
+    lin = report["linearization"]
+    if lin["applicable"]:
+        lines.append(f"linearization at origin: ok (H1 {lin['h1']['verdict']})")
         lines.append("")
-        lines.extend(_resonance_text(rep))
+        lines.extend(_resonance_text(report["resonance"]))
     else:
-        rep = None
-        report["resonance"] = {"applicable": False,
-                               "reason": report["linearization"]["reason"]}
-
-    report["search"] = {}
+        lines.append(f"linearization at origin: not applicable ({lin['reason']})")
     lines.append("")
-    for mode in ("strong", "weak"):
-        basis = find_first_integrals(sys, mode, args.dmin, args.dmax)
-        report["search"][mode] = _basis_dict(basis, names)
-        lines.extend(_basis_text(basis, names))
-        if mode == "strong" and rep is not None and rep.s_min is not None:
-            cb = count_bound_check(sys, basis, rep)
-            report["count_bound"] = cb.to_dict()
-            lines.append(f"count bound: rank {cb.rank} <= s_min {cb.s_min}? "
-                         f"{'yes' if cb.consistent else 'NO'} ({cb.note})")
-
-    if args.candidate:
-        report["candidates"] = []
+    lines.extend(_basis_text(report["search"]["strong"]))
+    if "count_bound" in report:
+        cb = report["count_bound"]
+        lines.append(f"count bound: rank {cb['rank']} <= s_min {cb['s_min']}? "
+                     f"{'yes' if cb['consistent'] else 'NO'} ({cb['note']})")
+    lines.extend(_basis_text(report["search"]["weak"]))
+    if "candidates" in report:
         lines.append("")
-        for spec in args.candidate:
-            name, phi = parse_candidate(spec, names)
-            for checker in (check_strong, check_weak):
-                v = checker(sys, phi)
-                report["candidates"].append(_verdict_dict(name, v, names))
-                lines.extend(_verdict_text(name, v, names))
-
-    if args.simulate:
-        if args.seed is None:
-            raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
-        x0 = _parse_x0(args.x0, sys.dim)
-        cfg = SimConfig(x0=x0, h=args.step, T=args.horizon, N=args.paths,
-                        seed=args.seed, R=args.radius)
-        ens = simulate_paths(sys, cfg)
-        sim: dict = _ensemble_dict(ens)
-        sim_lines = _ensemble_text(ens)
-        if args.candidate:
-            sim["candidates"] = []
-            for spec in args.candidate:
-                name, phi = parse_candidate(spec, names)
-                rep_c = conservation_test(ens, phi, "weak")
-                sim["candidates"].append({"candidate": name, **rep_c.to_dict()})
-                sim_lines.append(_conservation_line(name, rep_c))
-        report["simulation"] = sim
+        for v in report["candidates"]:
+            lines.extend(_verdict_text(v))
+    if "simulation" in report:
         lines.append("")
-        lines.extend(sim_lines)
-
-    _print_report(report, lines, args.output)
-    return 0
+        lines.extend(_ensemble_text(report["simulation"]))
+    return lines
 
 
-def _cmd_perturb(args) -> int:
-    sys = load_system(args.system)
-    try:
-        u = Fraction(args.u)
-    except (ValueError, ZeroDivisionError):
-        raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)") from None
-    plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
-    verdict = verify_perturbation(sys.drift, plan, D=args.degree)
-    report = {"plan": plan.to_dict(), "verification": verdict.to_dict()}
+def _perturb_text(report: dict) -> list[str]:
+    plan, ver = report["plan"], report["verification"]
+    spectrum = ", ".join(e if e is not None else f"{v[0]:.6g}{v[1]:+.6g}i"
+                         for v, e in zip(plan["eigenvalues"], plan["eigenvalues_exact"]))
+    dmin, dmax = ver["window"]
     lines = [
-        f"perturbation built for dim-{len(plan.exponents)} drift "
-        f"(det Df(0) = {plan.det_Df})",
-        f"  u = {plan.u}, exponents = {list(plan.exponents)}",
-        f"  target noise spectrum mu = {[str(m) for m in plan.mu]}",
-        f"  drift spectrum: " + ", ".join(
-            str(e) if e is not None else f"{v.real:.6g}{v.imag:+.6g}i"
-            for v, e in zip(plan.eigenvalues.values, plan.eigenvalues.exact)),
-        f"  route: {'exact eigenvectors' if plan.exact_route else 'numeric eigenvectors, exact lift'}",
-        f"  min |E(l)| over 0 < |l|_1 <= {plan.L}: {_fmt(plan.residual_min)}",
-        f"verification: weak search on window [{verdict.dmin}, {verdict.dmax}] -> "
-        + ("PASS (no weak integral survives)" if verdict.passed
-           else f"FAIL ({len(verdict.found)} weak integral(s) survive)"),
+        f"perturbation built for dim-{len(plan['exponents'])} drift "
+        f"(det Df(0) = {plan['det_Df']})",
+        f"  u = {plan['u']}, exponents = {plan['exponents']}",
+        f"  target noise spectrum mu = {plan['mu']}",
+        f"  drift spectrum: {spectrum}",
+        f"  route: {'exact eigenvectors' if plan['exact_route'] else 'numeric eigenvectors, exact lift'}",
+        f"  min |E(l)| over 0 < |l|_1 <= {plan['L']}: {_fmt(plan['residual_min'])}",
+        f"verification: weak search on window [{dmin}, {dmax}] -> "
+        + ("PASS (no weak integral survives)" if ver["passed"]
+           else f"FAIL ({len(ver['found'])} weak integral(s) survive)"),
     ]
-    for p in verdict.found:
-        lines.append(f"  survivor: {to_text(p, sys.var_names)}")
-    _print_report(report, lines, args.output)
-    return 0
-
-
-def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
-    if arg is None:
-        return (1.0,) * dim
-    try:
-        vals = tuple(float(s) for s in arg.split(","))
-    except ValueError:
-        raise InputFormatError(f"--x0 {arg!r} must be comma-separated numbers") from None
-    if len(vals) != dim:
-        raise InputFormatError(f"--x0 needs {dim} coordinates, got {len(vals)}")
-    return vals
+    for text in ver["found"]:
+        lines.append(f"  survivor: {text}")
+    return lines
 
 
 def _ensemble_dict(ens) -> dict:
@@ -466,44 +376,151 @@ def _ensemble_dict(ens) -> dict:
     }
 
 
-def _ensemble_text(ens) -> list[str]:
-    d = _ensemble_dict(ens)
-    return [
+def _ensemble_text(d: dict) -> list[str]:
+    """The ensemble summary, then one line per conservation-tested candidate."""
+    lines = [
         f"simulated {d['paths']} paths, {d['steps']} steps of h={_fmt(d['h'])} "
         f"(T={_fmt(d['T'])}, seed={d['seed']})",
         f"  usable={d['n_used']} poles={d['n_pole']} overflow={d['n_overflow']} "
         f"exited={d['n_exited']}",
         f"  mean final state: [{', '.join(_fmt(v) for v in d['final_mean'])}]",
     ]
+    for c in d.get("candidates", ()):
+        if c["mode"] == "weak":
+            stat = (f"mean={_fmt(c['mean'])} phi0={_fmt(c['phi0'])} delta={_fmt(c['delta'])} "
+                    f"stderr={_fmt(c['stderr'])} threshold={_fmt(c['threshold'])}")
+        else:
+            stat = (f"max_dev={_fmt(c['max_dev'])} phi0={_fmt(c['phi0'])} "
+                    f"threshold={_fmt(c['threshold'])}")
+        lines.append(f"  candidate {c['candidate']} [{c['mode']}] {stat} -> "
+                     f"{'PASS' if c['passed'] else 'FAIL'}")
+    return lines
 
 
-def _conservation_line(name: str, rep) -> str:
-    if rep.mode == "weak":
-        stat = (f"mean={_fmt(rep.mean)} phi0={_fmt(rep.phi0)} delta={_fmt(rep.delta)} "
-                f"stderr={_fmt(rep.stderr)} threshold={_fmt(rep.threshold)}")
+def _print_report(report: dict, render, output: str):
+    """Print `report` as JSON, or as the text lines `render(report)` reads off it."""
+    if output == "json":
+        print(json.dumps(report, indent=2))
     else:
-        stat = (f"max_dev={_fmt(rep.max_dev)} phi0={_fmt(rep.phi0)} "
-                f"threshold={_fmt(rep.threshold)}")
-    return (f"  candidate {name} [{rep.mode}] {stat} -> "
-            f"{'PASS' if rep.passed else 'FAIL'}")
+        print("\n".join(render(report)))
 
 
-def _cmd_simulate(args) -> int:
+# -- subcommands -------------------------------------------------------------------
+
+
+def _cmd_check(args, mode: str) -> int:
     sys = load_system(args.system)
-    x0 = _parse_x0(args.x0, sys.dim)
-    cfg = SimConfig(x0=x0, h=args.step, T=args.horizon, N=args.paths,
-                    seed=args.seed, R=args.radius)
+    name, phi = parse_candidate(args.candidate, sys.var_names)
+    v = check_strong(sys, phi) if mode == "strong" else check_weak(sys, phi)
+    _print_report(_verdict_dict(name, v, sys.var_names), _verdict_text, args.output)
+    return 0
+
+
+def _cmd_search(args) -> int:
+    sys = load_system(args.system)
+    if args.dmin > args.dmax:
+        raise InputFormatError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
+    basis = find_first_integrals(sys, args.mode, args.dmin, args.dmax)
+    _print_report(_basis_dict(basis, sys.var_names), _basis_text, args.output)
+    return 0
+
+
+def _cmd_resonance(args) -> int:
+    sys = load_system(args.system)
+    rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol,
+                                  include_z=args.lattice == "both")
+    _print_report(rep.to_dict(), _resonance_text, args.output)
+    return 0
+
+
+def _cmd_analyze(args) -> int:
+    sys = load_system(args.system)
+    names = sys.var_names
+    report: dict = {"system": serialize_system(sys)}
+
+    try:
+        data = linearization(sys)
+        h1 = h1_check(data)
+        report["linearization"] = _linearization_dict(data, h1)
+    except NotApplicableError as e:
+        report["linearization"] = {"applicable": False, "reason": str(e)}
+
+    if report["linearization"]["applicable"]:
+        rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol, linearized=(data, h1))
+        report["resonance"] = rep.to_dict()
+    else:
+        rep = None
+        report["resonance"] = {"applicable": False,
+                               "reason": report["linearization"]["reason"]}
+
+    report["search"] = {}
+    for mode in ("strong", "weak"):
+        basis = find_first_integrals(sys, mode, args.dmin, args.dmax)
+        report["search"][mode] = _basis_dict(basis, names)
+        if mode == "strong" and rep is not None and rep.s_min is not None:
+            report["count_bound"] = count_bound_check(sys, basis, rep).to_dict()
+
+    if args.candidate:
+        report["candidates"] = []
+        for spec in args.candidate:
+            name, phi = parse_candidate(spec, names)
+            for checker in (check_strong, check_weak):
+                report["candidates"].append(_verdict_dict(name, checker(sys, phi), names))
+
+    if args.simulate:
+        if args.seed is None:
+            raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
+        report["simulation"] = _simulate(sys, args, "weak")
+
+    _print_report(report, _analyze_text, args.output)
+    return 0
+
+
+def _cmd_perturb(args) -> int:
+    sys = load_system(args.system)
+    try:
+        u = Fraction(args.u)
+    except (ValueError, ZeroDivisionError):
+        raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)") from None
+    plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
+    verdict = verify_perturbation(sys.drift, plan, D=args.degree)
+    report = {"plan": plan.to_dict(),
+              "verification": {"passed": verdict.passed, "window": [verdict.dmin, verdict.dmax],
+                               "found": [to_text(p, sys.var_names) for p in verdict.found]}}
+    _print_report(report, _perturb_text, args.output)
+    return 0
+
+
+def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
+    if arg is None:
+        return (1.0,) * dim
+    try:
+        vals = tuple(float(s) for s in arg.split(","))
+    except ValueError:
+        raise InputFormatError(f"--x0 {arg!r} must be comma-separated numbers") from None
+    if len(vals) != dim:
+        raise InputFormatError(f"--x0 needs {dim} coordinates, got {len(vals)}")
+    return vals
+
+
+def _simulate(sys: SdeSystem, args, mode: str) -> dict:
+    """Simulate the ensemble `args` describes; test each --candidate along it in `mode`."""
+    cfg = SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
+                    N=args.paths, seed=args.seed, R=args.radius)
     ens = simulate_paths(sys, cfg)
     report = _ensemble_dict(ens)
-    lines = _ensemble_text(ens)
     if args.candidate:
         report["candidates"] = []
         for spec in args.candidate:
             name, phi = parse_candidate(spec, sys.var_names)
-            rep = conservation_test(ens, phi, args.mode)
-            report["candidates"].append({"candidate": name, **rep.to_dict()})
-            lines.append(_conservation_line(name, rep))
-    _print_report(report, lines, args.output)
+            report["candidates"].append(
+                {"candidate": name, **conservation_test(ens, phi, mode).to_dict()})
+    return report
+
+
+def _cmd_simulate(args) -> int:
+    sys = load_system(args.system)
+    _print_report(_simulate(sys, args, args.mode), _ensemble_text, args.output)
     return 0
 
 
@@ -515,7 +532,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--output", choices=("json", "text"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sdefi` parser, built on first use and shared by later `main` calls.
+
+    Sharing is safe: argparse copies an `append` default before appending to it.
+    """
     ap = argparse.ArgumentParser(
         prog="sdefi",
         description="Decide, certify, or refute strong/weak first integrals "

@@ -31,10 +31,6 @@ def zeros(n: int, m: int | None = None) -> Matrix:
     return [[CRational(0) for _ in range(m)] for _ in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -56,14 +52,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 s = s + a[i][t] * b[t][j]
             out[i][j] = s
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), CRational(0)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def trace(a: Matrix) -> CRational:
@@ -142,80 +130,55 @@ def nullspace(a: Matrix) -> list[Vector]:
 def sparse_nullspace(rows, ncols: int) -> list[Vector]:
     """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
 
-    `rows` are dicts {column: CRational}; no dense matrix is built.  The
-    columns split into the connected components of the sparsity graph (two
-    columns touch when a row holds both), and each block is brought to
-    reduced row echelon form by sparse Gauss-Jordan: columns in ascending
-    order, the candidate row with the fewest nonzeros as pivot (Markowitz).
-    RREF is unique, so the free columns and the kernel vectors (1 at the free
-    column, 0 at every other free column) are those of the dense path.
-    Columns are never reordered: that would change which columns are free.
+    `rows` are dicts {column: CRational}; no dense matrix is built.  Sparse
+    Gauss-Jordan brings the rows to reduced row echelon form: columns in
+    ascending order, the candidate row with the fewest nonzeros as pivot
+    (Markowitz).  Eliminating a column touches only the rows that hold it, so
+    independent blocks of the sparsity pattern never mix.  RREF is unique, so
+    the free columns and the kernel vectors (1 at the free column, 0 at every
+    other free column) are those of the dense path.  Columns are never
+    reordered: that would change which columns are free.
     """
     # Copies, since elimination works in place; stored zeros and empty rows dropped.
     rows = [r for r in ({c: v for c, v in row.items() if not v.is_zero()} for row in rows) if r]
-
-    parent = list(range(ncols))  # union-find over columns
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        cols = iter(row)
-        root = find(next(cols))
-        for c in cols:
-            other = find(c)
-            if other != root:
-                parent[other] = root
-
-    block_rows: dict[int, list[dict]] = {}
-    for row in rows:
-        block_rows.setdefault(find(next(iter(row))), []).append(row)
-    block_cols: dict[int, list[int]] = {}
-    for c in range(ncols):
-        block_cols.setdefault(find(c), []).append(c)
+    rows_with: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            rows_with[c].add(i)
 
     one = CRational(1)
     kernel: dict[int, dict[int, CRational]] = {}  # free column -> {pivot column: entry}
-    for root, cols in block_cols.items():
-        brows = block_rows.get(root, [])
-        rows_with: dict[int, set[int]] = {c: set() for c in cols}
-        for i, row in enumerate(brows):
-            for c in row:
-                rows_with[c].add(i)
-        pivot_of: dict[int, int] = {}  # pivot column -> row index
-        used: set[int] = set()
-        for c in cols:  # ascending
-            candidates = rows_with[c] - used
-            if not candidates:
-                kernel[c] = {}
-                continue
-            p = min(candidates, key=lambda i: (len(brows[i]), i))
-            prow = brows[p]
-            inv = one / prow[c]
-            if inv != one:
-                for k in prow:
-                    prow[k] = prow[k] * inv
-            for i in rows_with[c] - {p}:
-                row = brows[i]
-                factor = row[c]
-                for k, v in prow.items():
-                    x = row.get(k)
-                    x = -(factor * v) if x is None else x - factor * v
-                    if x.is_zero():
-                        del row[k]
-                        rows_with[k].discard(i)
-                    else:
-                        row[k] = x
-                        rows_with[k].add(i)
-            used.add(p)
-            pivot_of[c] = p
-        for pc, p in pivot_of.items():
-            for fc, v in brows[p].items():
-                if fc != pc:
-                    kernel[fc][pc] = -v
+    pivot_of: dict[int, int] = {}  # pivot column -> row index
+    used: set[int] = set()
+    for c in range(ncols):
+        candidates = rows_with[c] - used
+        if not candidates:
+            kernel[c] = {}
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = one / prow[c]
+        if inv != one:
+            for k in prow:
+                prow[k] = prow[k] * inv
+        for i in rows_with[c] - {p}:
+            row = rows[i]
+            factor = row[c]
+            for k, v in prow.items():
+                x = row.get(k)
+                x = -(factor * v) if x is None else x - factor * v
+                if x.is_zero():
+                    del row[k]
+                    rows_with[k].discard(i)
+                else:
+                    row[k] = x
+                    rows_with[k].add(i)
+        used.add(p)
+        pivot_of[c] = p
+    for pc, p in pivot_of.items():
+        for fc, v in rows[p].items():
+            if fc != pc:
+                kernel[fc][pc] = -v
 
     zero = CRational(0)
     basis: list[Vector] = []

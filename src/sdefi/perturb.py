@@ -37,7 +37,7 @@ from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
-from .spectral import Eigenvalues, eigenvalues, jacobian_at_origin, roots, value_at_origin
+from .spectral import Eigenvalues, jacobian_at_origin, roots, value_at_origin
 
 
 class PerturbationError(RuntimeError):
@@ -142,7 +142,7 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
         raise PerturbationError(
             f"repeated eigenvalue near {roots(repeated).values[0]:.6g}: "
             "defective/defect-prone Jacobians are not supported")
-    eig = eigenvalues(a)
+    eig = roots(chi)
 
     exponents = recurrence_exponents(n)
     rng = random.Random(seed)
@@ -216,10 +216,6 @@ class PerturbVerdict:
     dmin: int
     dmax: int
     found: tuple[LaurentPoly, ...]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "window": [self.dmin, self.dmax],
-                "found": [str(p) for p in self.found]}
 
 
 def verify_perturbation(drift: VField, plan: PerturbationPlan, D: int = 4) -> PerturbVerdict:

@@ -220,9 +220,6 @@ class EpistemicStatus:
             return {"kind": "certified"}
         return {"kind": "bounded", "K": self.K, "tol": self.tol}
 
-    def __str__(self) -> str:
-        return "certified" if self.certified else f"bounded(K={self.K}, tol={self.tol:g})"
-
 
 def _certified() -> EpistemicStatus:
     return EpistemicStatus(True)

@@ -149,19 +149,16 @@ def linearization(sys: SdeSystem) -> SpectralData:
         for m in A_g:
             A0 = exactla.mat_sub(A0, exactla.mat_scale(exactla.mat_mul(m, m), HALF))
 
-    char_polys = {"Df": _char_det_form(exactla.char_poly(A_f), n)}
-    mu0 = eigenvalues(A_f)
-    mu: list[Eigenvalues | None] = []
-    for i, m in enumerate(A_g):
-        if m is None:
-            mu.append(None)
-        else:
-            char_polys[f"Dg_{i + 1}"] = _char_det_form(exactla.char_poly(m), n)
-            mu.append(eigenvalues(m))
-    lam = None
-    if A0 is not None:
-        char_polys["A0"] = _char_det_form(exactla.char_poly(A0), n)
-        lam = eigenvalues(A0)
+    char_polys: dict = {}
+
+    def spectrum(name: str, m: Matrix) -> Eigenvalues:
+        chi = exactla.char_poly(m)  # once per matrix: stored, then rooted
+        char_polys[name] = _char_det_form(chi, n)
+        return roots(chi)
+
+    mu0 = spectrum("Df", A_f)
+    mu = [None if m is None else spectrum(f"Dg_{i + 1}", m) for i, m in enumerate(A_g)]
+    lam = None if A0 is None else spectrum("A0", A0)
 
     return SpectralData(A_f=A_f, A_g=tuple(A_g), A0=A0, mu0=mu0, mu=tuple(mu), lam=lam,
                         char_polys=char_polys, g_zero_at_origin=tuple(zero_flags),
@@ -276,11 +273,11 @@ def eigenvalues(m: Matrix, seed: int = 0) -> Eigenvalues:
 
 # -- simultaneous diagonalizability (hypothesis H of the weak resonance test) -----
 
-def _diagonalizable(m: Matrix) -> bool:
+def _diagonalizable(m: Matrix, chi: list[CRational]) -> bool:
     """Exact: m is diagonalizable iff r(m) = 0, where r = chi / gcd(chi, chi') is
     the square-free part of its characteristic polynomial chi (the minimal
-    polynomial divides r exactly when it has no repeated root)."""
-    chi = exactla.char_poly(m)
+    polynomial divides r exactly when it has no repeated root).  Either sign
+    convention of chi will do: it only scales r by -1."""
     r, _ = exactla.poly_divmod(chi, exactla.poly_gcd(chi, exactla.poly_deriv(chi)))
     acc = exactla.zeros(len(m))
     for c in reversed(r):  # Horner: acc <- acc m + c I
@@ -309,7 +306,7 @@ def h1_check(data: SpectralData) -> H1Status:
             if not exactla.is_zero_matrix(comm):
                 return H1Status("fails", f"[{mats[a][0]}, {mats[b][0]}] != 0")
     for name, m in mats:
-        if not _diagonalizable(m):
+        if not _diagonalizable(m, data.char_polys[name]):
             return H1Status("fails", f"{name} is not diagonalizable")
     return H1Status("holds", None)
 

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +68,26 @@ def test_algebra_microbench_runs(tracing):
     out = tracing.algebra_microbench(clock)
     assert set(out) == {"algebra.crational_mul_us", "algebra.poly_mul_us", "algebra.poly_diff_us"}
     assert all(v > 0 for v in out.values())
+
+
+def test_cli_calls_go_through_wrapped_names(monkeypatch, capsys):
+    # `--trace 1` wraps cli's module globals, so the CLI must call through them;
+    # a JSON report formats each basis polynomial once
+    from sdefi import cli
+
+    calls = {"to_text": 0, "find_first_integrals": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert cli.main(["search", "cyclic_exchange", "--mode", "strong", "--dmin", "1",
+                     "--dmax", "3", "--output", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == 3
+    assert calls == {"to_text": 3, "find_first_integrals": 1}

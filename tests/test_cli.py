@@ -273,3 +273,59 @@ def test_analyze_survives_laurent_drift(capsys):
 def test_analyze_simulate_needs_seed(capsys):
     assert main(["analyze", "gbm", "--simulate"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_parser_reuse_does_not_leak_candidates(capsys):
+    # main() builds its parser once; one call's --candidate must not reach the next
+    assert main(["analyze", "gbm", "--dmax", "1", "--candidate", "a=x1", "--candidate", "b=x1^2",
+                 "--output", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["candidates"]) == 4
+    assert main(["analyze", "gbm", "--dmax", "1", "--output", "json"]) == 0
+    assert "candidates" not in json.loads(capsys.readouterr().out)
+
+
+def test_perturb_survivors_use_the_system_variable_names(tmp_path, capsys):
+    # y^2 survives the weak search; JSON and text must both name it y^2
+    d = {"dim": 2, "noise_dim": 0, "var_names": ["y", "z"],
+         "drift": [[{"c": ["-1369/20000", "0"], "e": [1, 0]}],
+                   [{"c": ["1", "0"], "e": [0, 1]}]],
+         "diffusion": []}
+    p = tmp_path / "yz.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    argv = ["perturb", str(p), "--lbound", "1", "--degree", "3"]
+    assert main(argv + ["--output", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verification"]["found"] == ["y^2"]
+    assert main(argv) == 0
+    assert "  survivor: y^2" in capsys.readouterr().out.splitlines()
+
+
+def _text_commands(name, var_names):
+    from sdefi import cli
+
+    cand = f"a={var_names[0]}^2"
+    sim = ["--seed", "2", "--paths", "16", "--step", "0.01", "--horizon", "0.1"]
+    return [
+        (["check-strong", name, "--candidate", cand], cli._verdict_text),
+        (["check-weak", name, "--candidate", cand], cli._verdict_text),
+        (["search", name, "--mode", "weak", "--dmin", "-1", "--dmax", "2"], cli._basis_text),
+        (["resonance", name, "--kbound", "6"], cli._resonance_text),
+        (["analyze", name, "--dmax", "2", "--kbound", "6", "--candidate", cand,
+          "--simulate"] + sim, cli._analyze_text),
+        (["perturb", name, "--lbound", "4", "--degree", "2"], cli._perturb_text),
+        (["simulate", name, "--candidate", cand] + sim, cli._ensemble_text),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(systems.REGISTRY))
+def test_text_output_renders_the_json_report(name, capsys):
+    # one report per command: text mode is a pure function of the JSON report
+    for argv, render in _text_commands(name, systems.REGISTRY[name]().var_names):
+        rc = main(argv + ["--output", "json"])
+        out = capsys.readouterr()
+        assert main(argv + ["--output", "text"]) == rc, argv
+        text = capsys.readouterr()
+        if rc != 0:  # an error report goes to stderr, the same in both modes
+            assert (out.out, out.err) == ("", text.err) and text.out == "", argv
+            continue
+        assert text.out == "\n".join(render(json.loads(out.out))) + "\n", argv

@@ -1,4 +1,4 @@
-"""Sparse block kernel: equal to the dense Gauss-Jordan kernel, vector for vector."""
+"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector."""
 
 import random
 from fractions import Fraction

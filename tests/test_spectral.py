@@ -299,3 +299,20 @@ def test_report_does_not_repeat_callers_h1_check(monkeypatch):
     rep = resonance.nonintegrability_report(sys, linearized=(data, h1))
     assert rep.weak is not None
     assert calls == []
+
+
+def test_each_characteristic_polynomial_is_computed_once(monkeypatch):
+    # linearization roots the polynomials it stores, and h1_check reuses them
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return char_poly(m)
+
+    monkeypatch.setattr(exactla, "char_poly", counted)
+    data = linearization(systems.cyclic_exchange())
+    assert len(calls) == 3  # Df, Dg_1, A0
+    assert list(data.char_polys) == ["Df", "Dg_1", "A0"]
+    calls.clear()
+    h1_check(data)
+    assert calls == []
