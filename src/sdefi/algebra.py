@@ -13,8 +13,13 @@ of Python ints and one common denominator ``_den``, so the coefficient of
 has no terms and ``_den == 1``.  The form is canonical, so equality is
 structural.  Sums, products, scalings and derivatives are integer
 arithmetic with one gcd pass per result.  ``terms()``, ``coeff()`` and the
-other accessors return :class:`CRational` views, whose parts are
-``fractions.Fraction``.
+other accessors return :class:`CRational` views.
+
+A :class:`CRational` is stored the same way: integer numerators ``_re`` and
+``_im`` over one denominator ``_den > 0`` with gcd(``_re``, ``_im``,
+``_den``) = 1, zero being ``(0, 0, 1)``.  Its arithmetic is integer
+arithmetic with one gcd pass per result; its ``re`` and ``im`` properties
+return ``fractions.Fraction``.
 
 Values are immutable after construction and safe to share.  Term order
 everywhere is graded lexicographic: sort key ``(total_degree, exponents)``,
@@ -45,7 +50,6 @@ class PoleError(ArithmeticError):
 
 RationalLike = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
 _new = object.__new__
 _set = object.__setattr__
 
@@ -56,32 +60,56 @@ def _as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+def _ints(re: int, im: int, den: int) -> "CRational":
+    """Unchecked constructor for ``(re + im i) / den`` with ``den`` > 0: one gcd
+    pass brings it to lowest terms (skipped when ``den`` is 1)."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re //= g
+            im //= g
+            den //= g
+    z = _new(CRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_den(z, den)
+    return z
+
+
 class CRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as ``(_re + _im i) / _den`` with Python ints: ``_den > 0``,
+    gcd(``_re``, ``_im``, ``_den``) = 1, and zero is ``(0, 0, 1)``.  The form
+    is canonical, so equality compares the three ints.
+    """
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        _set(self, "re", _as_fraction(re))
-        _set(self, "im", _as_fraction(im))
+    __slots__ = ("_re", "_im", "_den")
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "CRational":
-        """Unchecked constructor for parts that already are Fractions."""
-        z = _new(cls)
-        _set(z, "re", re)
-        _set(z, "im", im)
-        return z
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        if type(re) is int and type(im) is int:
+            return _ints(re, im, 1)
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        return _ints(re.numerator * q, im.numerator * p, p * q)
 
     def __setattr__(self, name, value):
         raise AttributeError("CRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
     # -- classification ------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._re and not self._im
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -91,26 +119,39 @@ class CRational:
     def _coerce(x) -> "CRational":
         if isinstance(x, CRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return CRational._make(Fraction(x), _ZERO)
+        if isinstance(x, int):
+            return _ints(int(x), 0, 1)  # int() stores a bool as 0 or 1
+        if isinstance(x, Fraction):
+            return _ints(x.numerator, 0, x.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational._make(self.re + o.re, self.im + o.im)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return _ints(self._re + o._re, self._im + o._im, d1)
+        # rescale both to lcm(d1, d2) = d1 * f1 = d2 * f2
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return _ints(self._re * f1 + o._re * f2, self._im * f1 + o._im * f2, d1 * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CRational._make(-self.re, -self.im)
+        return _ints(-self._re, -self._im, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational._make(self.re - o.re, self.im - o.im)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return _ints(self._re - o._re, self._im - o._im, d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return _ints(self._re * f1 - o._re * f2, self._im * f1 - o._im * f2, d1 * f1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -122,8 +163,8 @@ class CRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CRational._make(self.re * o.re - self.im * o.im,
-                               self.re * o.im + self.im * o.re)
+        a, b, c, d = self._re, self._im, o._re, o._im
+        return _ints(a * c - b * d, a * d + b * c, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -131,11 +172,13 @@ class CRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if not d:
+        a, b, c, d = self._re, self._im, o._re, o._im
+        n = c * c + d * d
+        if not n:
             raise ZeroDivisionError("division by zero CRational")
-        return CRational._make((self.re * o.re + self.im * o.im) / d,
-                               (self.im * o.re - self.re * o.im) / d)
+        # (a + bi)/D1 / ((c + di)/D2) = (a + bi)(c - di) D2 / (D1 (c^2 + d^2))
+        d2 = o._den
+        return _ints((a * c + b * d) * d2, (b * c - a * d) * d2, self._den * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -146,9 +189,10 @@ class CRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("integer powers only")
+        base = self
         if k < 0:
-            return (CRational(1) / self) ** (-k)
-        out, base = CRational(1), self
+            base, k = _ints(1, 0, 1) / self, -k
+        out = _ints(1, 0, 1)
         while k:
             if k & 1:
                 out = out * base
@@ -157,33 +201,37 @@ class CRational:
         return out
 
     def conjugate(self) -> "CRational":
-        return CRational._make(self.re, -self.im)
+        return _ints(self._re, -self._im, self._den)
 
     # -- conversions / comparisons --------------------------------------
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return complex(self._re / self._den, self._im / self._den)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self) -> int:
         # a real value hashes as its Fraction, so it agrees with int and Fraction
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self._im else hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"CRational({str(self.re)!r}, {str(self.im)!r})"
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self._im:
             return str(self.re)
-        if not self.re:
+        if not self._re:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
 
+
+# the slot setters write past CRational.__setattr__, which refuses every write
+_set_re, _set_im, _set_den = (CRational.__dict__[name].__set__ for name in CRational.__slots__)
 
 CoeffLike = Union[int, Fraction, CRational]
 
@@ -267,20 +315,19 @@ class LaurentPoly:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple, tuple[Fraction, Fraction]] = {}
+        acc: dict[tuple, CRational] = {}
         for e, c in items:
             e = tuple(e)
             if len(e) != dim or not all(isinstance(k, int) for k in e):
                 raise DimensionMismatch(f"exponent vector {e} does not fit dim {dim}")
             c = _as_crational(c)
             prev = acc.get(e)
-            acc[e] = (c.re, c.im) if prev is None else (prev[0] + c.re, prev[1] + c.im)
+            acc[e] = c if prev is None else prev + c
         # the lcm of reduced denominators leaves the numerators in lowest terms
-        den = lcm(*(q for re, im in acc.values() for q in (re.denominator, im.denominator)))
+        den = lcm(*(c._den for c in acc.values()))
         _set(self, "dim", dim)
-        _set(self, "_num", {e: (re.numerator * (den // re.denominator),
-                                im.numerator * (den // im.denominator))
-                            for e, (re, im) in acc.items() if re or im})
+        _set(self, "_num", {e: (c._re * (den // c._den), c._im * (den // c._den))
+                            for e, c in acc.items() if c})
         _set(self, "_den", den)
 
     def __setattr__(self, name, value):
@@ -309,7 +356,7 @@ class LaurentPoly:
 
     # -- inspection -------------------------------------------------------
     def _view(self, re: int, im: int) -> CRational:
-        return CRational._make(Fraction(re, self._den), Fraction(im, self._den))
+        return _ints(re, im, self._den)
 
     def terms(self) -> list[tuple[tuple, CRational]]:
         """Terms sorted ascending graded-lex."""

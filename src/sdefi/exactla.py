@@ -225,18 +225,21 @@ def char_poly(a: Matrix) -> list[CRational]:
     """Monic characteristic polynomial det(xI - A), coefficients ascending.
 
     Faddeev-LeVerrier recurrence: M_1 = I, c_{n-1} = -tr(A M_1);
-    M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k)/k.
+    M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k)/k.  Each product
+    A M_k serves twice, for c_{n-k} and then for M_{k+1}, so an n x n matrix
+    costs n products.
     """
     n = len(a)
     coeffs = [CRational(0)] * (n + 1)
     coeffs[n] = CRational(1)
     m = identity(n)
     for k in range(1, n + 1):
-        if k > 1:
-            m = mat_mul(a, m)
+        am = mat_mul(a, m)
+        c = coeffs[n - k] = -(trace(am) / k)
+        if k < n:
+            m = am
             for i in range(n):
-                m[i][i] = m[i][i] + coeffs[n - k + 1]
-        coeffs[n - k] = -(trace(mat_mul(a, m)) / k)
+                m[i][i] = m[i][i] + c
     return coeffs
 
 

@@ -9,8 +9,9 @@ nonfinite states (overflow, or a pole hit exactly) drop the path from the
 statistics and are counted.
 
 Paths run in chunks of at most _CHUNK.  Each chunk keeps its paths'
-generators and draws the noise in step blocks of at most _BLOCK_BYTES, only
-for paths still moving, so memory is O(chunk x block) whatever h and T are;
+generators (a serial run re-keys one chunk's generators for the next) and
+draws the noise in step blocks of at most _BLOCK_BYTES, only for paths still
+moving, so memory is O(chunk x block) whatever h and T are;
 consecutive draws from one stream equal a single draw of the same length, so
 the blocking does not change a bit.  The step loop advances a dense array of
 the moving paths and writes a path back when it stops.
@@ -129,10 +130,29 @@ def _negative_axes(sys: SdeSystem) -> list[int]:
     return sorted(axes)
 
 
-def _path_generators(seed: int, path_indices: np.ndarray) -> list[np.random.Generator]:
-    """One Philox stream per path, keyed by (seed, path index)."""
-    return [np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
-            for p in path_indices.tolist()]
+def _path_generators(seed: int, path_indices: np.ndarray,
+                     pool: list[np.random.Generator] | None = None) -> list[np.random.Generator]:
+    """One Philox stream per path, keyed by (seed, path index).
+
+    Building a Philox also builds and discards an OS-entropy SeedSequence,
+    several times the cost of setting a state, so the generators already in
+    `pool` are re-keyed instead: the state of a new generator (counter 0,
+    empty buffer) gives the same stream.  The pool grows to the number of
+    paths; its first generators are returned.
+    """
+    pool = [] if pool is None else pool
+    keys = np.empty((len(path_indices), 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = path_indices
+    zero = np.zeros(4, dtype=np.uint64)
+    philox = {"counter": zero, "key": None}
+    state = {"bit_generator": "Philox", "state": philox, "buffer": zero,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for g, key in zip(pool, keys):
+        philox["key"] = key
+        g.bit_generator.state = state  # the setter copies every value
+    pool.extend(np.random.Generator(np.random.Philox(key=key)) for key in keys[len(pool):])
+    return pool[:len(keys)]
 
 
 def _finite_rows(x: np.ndarray) -> np.ndarray:
@@ -176,7 +196,7 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     sqh = math.sqrt(cfg.h)
     n_snaps = n_steps // cfg.thin + 1 if cfg.thin > 0 else 0
 
-    def run_chunk(path_indices: np.ndarray):
+    def run_chunk(path_indices: np.ndarray, gens: list | None = None):
         k = len(path_indices)
         x = np.tile(x0, (k, 1))  # a path's state lands here when it stops, and at snapshots
         exited = np.zeros(k, dtype=bool)
@@ -189,7 +209,7 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
         live = np.arange(k)  # chunk rows of the paths still moving, ascending
         xl = x.copy()        # their states, row for row
         if m:
-            normals = [g.standard_normal for g in _path_generators(cfg.seed, path_indices)]
+            normals = [g.standard_normal for g in _path_generators(cfg.seed, path_indices, gens)]
             block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
             drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
             noise = np.empty((block, m, k))  # the same, contiguous over paths at each step
@@ -263,7 +283,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
         with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(c) for c in chunks]
+        gens: list[np.random.Generator] = []  # one chunk's generators, re-keyed for the next
+        results = [run_chunk(c, gens) for c in chunks]
 
     final = np.concatenate([r[0] for r in results])
     exit_time = np.concatenate([r[1] for r in results])

@@ -1,6 +1,7 @@
 """Exact polynomial substrate: ring laws, calculus, evaluation, text format, lattices."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -371,6 +372,81 @@ def test_integer_core_matches_fraction_oracle():
                  for _ in range(dim)]
         value = a.evaluate_exact([CRational(x, y) for x, y in point])
         assert (value.re, value.im) == _ref_eval(ra, point)
+
+
+def _crational_pair(z):
+    assert z._den > 0 and math.gcd(z._re, z._im, z._den) == 1, (z._re, z._im, z._den)
+    return z.re, z.im
+
+
+def _ref_str(x):
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+
+
+def _ref_pow(x, k):
+    out, base = (Fraction(1), Fraction(0)), x if k >= 0 else _cinv(x)
+    for _ in range(abs(k)):
+        out = _cmul(out, base)
+    return out
+
+
+def test_crational_matches_fraction_pair_oracle():
+    rng = random.Random(90210)
+    for case in range(200):
+        x = (_big_fraction(rng), _big_fraction(rng) if rng.random() < 0.6 else Fraction(0))
+        mode = case % 5
+        if mode == 0:
+            y = (_big_fraction(rng), _big_fraction(rng) if rng.random() < 0.6 else Fraction(0))
+        elif mode == 1:  # x + y == 0
+            y = (-x[0], -x[1])
+        elif mode == 2:  # x + y is a Gaussian integer: denominator 1
+            y = (rng.randint(-9, 9) - x[0], rng.randint(-9, 9) - x[1])
+        elif mode == 3 and (x[0] or x[1]):  # x * y is an integer
+            y = tuple(rng.randint(1, 9) * c for c in _cinv(x))
+        else:  # x - y == 0 and x / y == 1
+            y = x
+        a, b = CRational(*x), CRational(*y)
+        assert _crational_pair(a) == x and _crational_pair(b) == y
+        assert _crational_pair(a + b) == (x[0] + y[0], x[1] + y[1])
+        assert _crational_pair(a - b) == (x[0] - y[0], x[1] - y[1])
+        assert _crational_pair(a * b) == _cmul(x, y)
+        assert _crational_pair(-a) == (-x[0], -x[1])
+        assert _crational_pair(a.conjugate()) == (x[0], -x[1])
+        if y[0] or y[1]:
+            assert _crational_pair(a / b) == _cmul(x, _cinv(y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        for k in (0, 1, 2, 3) + ((-1, -2) if x[0] or x[1] else ()):
+            assert _crational_pair(a ** k) == _ref_pow(x, k)
+        assert (a == b) == (x == y) and (a == x[0]) == (not x[1])
+        assert hash(a) == (hash(x[0]) if not x[1] else hash(x))
+        got, want = complex(a), complex(float(x[0]), float(x[1]))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert str(a) == _ref_str(x) and repr(a) == f"CRational({str(x[0])!r}, {str(x[1])!r})"
+
+
+def test_crational_canonical_form():
+    z = CRational(Fraction(2, 4), Fraction(1, 2))
+    assert (z._re, z._im, z._den) == (1, 1, 2)
+    for zero in (CRational(0), CRational(Fraction(0, 7), "0/3"), z - z, z * 0, 0 * z):
+        assert (zero._re, zero._im, zero._den) == (0, 0, 1)
+    for w in (z * z, z / CRational(0, 2), z ** -3, CRational("-6/4", "10/8"), z + Fraction(1, 6),
+              CRational(2, 2) * Fraction(1, 2), CRational(True)):
+        assert w._den > 0 and math.gcd(w._re, w._im, w._den) == 1
+        assert type(w._re) is int and type(w._im) is int and type(w._den) is int
+        assert type(w.re) is Fraction and type(w.im) is Fraction
+    assert CRational(2, 2) * Fraction(1, 2) == CRational(1, 1)
+    assert (CRational(2, 2) * Fraction(1, 2))._den == 1
+    for name in ("re", "im", "_re", "_im", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 3)
+    assert (z._re, z._im, z._den) == (1, 1, 2)
 
 
 def test_canonical_form():

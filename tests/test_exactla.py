@@ -1,11 +1,13 @@
-"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector."""
+"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector;
+the characteristic polynomial's product count."""
 
 import random
 from fractions import Fraction
 
-from sdefi import systems
+from sdefi import exactla, systems
 from sdefi.algebra import CRational
-from sdefi.exactla import nullspace, sparse_nullspace
+from sdefi.exactla import as_matrix, char_poly, det, identity, mat_sub, nullspace, poly_eval, \
+    sparse_nullspace
 from sdefi.search import monomial_basis, operator_matrix
 
 
@@ -96,3 +98,23 @@ def test_sparse_nullspace_matches_dense_on_operator_matrices():
         mat = operator_matrix(sysm, monomial_basis(sysm.dim, lo, hi), kind)
         ncols = mat.shape[1]
         assert sparse_nullspace(mat.sparse_rows(), ncols) == nullspace(mat.to_dense())
+
+
+def test_char_poly_makes_one_product_per_degree(monkeypatch):
+    calls = []
+    mat_mul = exactla.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exactla, "mat_mul", counted)
+    a = as_matrix([[Fraction(1, 2), CRational(2, -1), 0],
+                   [3, Fraction(-5, 3), CRational(0, 1)],
+                   [Fraction(7, 4), 1, -2]])
+    p = char_poly(a)
+    assert len(calls) == 3
+    for x in (CRational(0), CRational(Fraction(3, 2)), CRational(-2, Fraction(1, 3)), CRational(7)):
+        xi = [[x if i == j else CRational(0) for j in range(3)] for i in range(3)]
+        assert poly_eval(p, x) == det(mat_sub(xi, a))
+    assert char_poly(identity(2)) == [CRational(1), CRational(-2), CRational(1)]

@@ -340,6 +340,26 @@ def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps
     _assert_bits_equal(_fields(simulate_paths(sys, cfg)), want)
 
 
+def test_rekeyed_generators_equal_new_ones():
+    # a later chunk re-keys the pooled generators; each must then give the stream of a
+    # newly built Philox, also after an odd uint32 draw left half a word buffered
+    seed = 2 ** 64 - 5
+    pool = []
+    first = mc._path_generators(seed, np.arange(5), pool)
+    for g in first:
+        g.standard_normal(7)
+        g.integers(0, 1000, size=3, dtype=np.uint32)
+    assert all(g.bit_generator.state["has_uint32"] == 1 for g in first)
+    again = mc._path_generators(seed, np.arange(10, 17), pool)
+    assert len(pool) == 7 and all(a is b for a, b in zip(again, first))
+    for p, g in zip(range(10, 17), again):
+        new = np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+        assert g.bit_generator.state["has_uint32"] == 0
+        assert g.integers(0, 1000, size=3, dtype=np.uint32).tobytes() == \
+            new.integers(0, 1000, size=3, dtype=np.uint32).tobytes()
+        assert g.standard_normal(9).tobytes() == new.standard_normal(9).tobytes()
+
+
 def test_memory_does_not_grow_with_n_steps():
     # Noise is drawn in step blocks of at most mc._BLOCK_BYTES per chunk, so going
     # from 1000 to 4000 steps, both past one block, leaves the peak where it was; a
