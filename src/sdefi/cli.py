@@ -49,7 +49,7 @@ from .search import WindowOverflowError, count_bound_check, find_first_integrals
 from .spectral import NotApplicableError, RootFindingError, h1_check, linearization
 from . import systems as _builtin
 
-_COEFF_STR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_COEFF_STR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 class InputFormatError(ValueError):
@@ -64,12 +64,14 @@ def _parse_coeff_pair(c, where: str) -> CRational:
         raise InputFormatError(f"{where}: c must be a [re, im] pair of strings, got {c!r}")
     parts = []
     for s in c:
-        if not _COEFF_STR_RE.match(s.strip()):
+        m = _COEFF_STR_RE.match(s.strip())
+        if not m:
             raise InputFormatError(
                 f"{where}: coefficient {s!r} is not an exact rational "
                 f"(write 1/2, not 0.5)")
+        num, den = m.groups()
         try:
-            parts.append(Fraction(s.strip()))
+            parts.append(Fraction(int(num), int(den or 1)))
         except ZeroDivisionError:
             raise InputFormatError(f"{where}: zero denominator in {s!r}") from None
     return CRational(parts[0], parts[1])

@@ -7,6 +7,14 @@ column per candidate monomial, one row per monomial appearing in any image.
 Kernel vectors are candidate integrals; every one is re-verified through
 the symbolic checks before being returned, and constants are quotiented out.
 
+Columns are built from the operator's coefficient fields (``_symbol``), not
+by applying the operator to each monomial as a polynomial: a term c x^s of a
+coefficient of d_j (or d_j d_l) sends x^e to c w(e) x^(e+s-u_j(-u_l)), one
+shifted monomial with an integer weight, so each column is an integer
+accumulation keyed by shifted exponents.  Re-verification stays on the
+generic path: ``check_weak``/``check_strong`` apply the operators to each
+kernel element as a polynomial, independently of the matrix.
+
 A window [dmin, dmax] with dmin < 0 means Laurent candidates: the positive
 part of an exponent vector may total at most max(dmax, 0), the negative
 part at least min(dmin, 0), and the total degree must lie in the window.
@@ -14,13 +22,15 @@ part at least min(dmin, 0), and the total degree must lie in the window.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, dot, gradient, grlex_key, lattice_points
-from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
+from .algebra import CRational, LaurentPoly, _ints, grlex_key, lattice_points
+from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 from .resonance import ResonanceReport
 
 
@@ -94,18 +104,45 @@ class OperatorMatrix:
         return self.entries.get((r, c), CRational(0))
 
 
-def _operator(sys: SdeSystem, kind: str, noise_index: int | None):
+def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tuple], int]:
+    """The operator's coefficient fields as integer terms over one denominator.
+
+    Returns ``(terms, den)``.  A term ``(j, l, shift, a, b)`` sends x^e to
+    ``(a + b i) / den * w(e) * x^(e + shift)``: first order (``l`` is None) has
+    ``w(e) = e_j`` and second order ``w(e) = e_j (e_l - [j == l])``, and
+    ``shift`` is the coefficient term's exponent minus the unit vectors of the
+    differentiated axes.  The rule holds for negative exponents too.
+    """
+    n = sys.dim
+    # fields: (j, l, coefficient, divisor of the coefficient)
     if kind == "weak":
-        return lambda p: weak_generator_apply(sys, p)
-    if kind == "strong_drift":
-        corrected = stratonovich_drift(sys)
-        return lambda p: dot(gradient(p), corrected)
-    if kind == "strong_diff":
+        # L = sum_j f_j d_j + 1/2 sum_{j,l} a_jl d_j d_l with a_jl = sum_i g_ij g_il;
+        # the pairs (j, l) and (l, j) agree, so the 1/2 stays on the diagonal only
+        fields = [(j, None, f, 1) for j, f in enumerate(sys.drift)]
+        for j in range(n):
+            for l in range(j, n):
+                a_jl = sum((g[j] * g[l] for g in sys.diffusions), LaurentPoly.zero(n))
+                fields.append((j, l, a_jl, 2 if j == l else 1))
+    elif kind == "strong_drift":
+        fields = [(j, None, f, 1) for j, f in enumerate(stratonovich_drift(sys))]
+    elif kind == "strong_diff":
         if noise_index is None or not 0 <= noise_index < sys.noise_dim:
             raise ValueError("strong_diff requires a valid noise_index")
-        g = sys.diffusions[noise_index]
-        return lambda p: dot(gradient(p), g)
-    raise ValueError(f"unknown operator kind {kind!r}")
+        fields = [(j, None, g, 1) for j, g in enumerate(sys.diffusions[noise_index])]
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    # a LaurentPoly is integer pairs _num over one denominator _den (see algebra)
+    den = lcm(*(p._den * q for _, _, p, q in fields))
+    terms = []
+    for j, l, p, q in fields:
+        m = den // (p._den * q)
+        for s, (a, b) in p._num.items():
+            shift = list(s)
+            shift[j] -= 1
+            if l is not None:
+                shift[l] -= 1
+            terms.append((j, l, tuple(shift), a * m, b * m))
+    return terms, den
 
 
 def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
@@ -118,11 +155,21 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     """
     if basis.dim != sys.dim:
         raise ValueError("basis dim != system dim")
-    op = _operator(sys, kind, noise_index)
-    images = [op(LaurentPoly.monomial(sys.dim, e)) for e in basis.monomials]
+    terms, den = _symbol(sys, kind, noise_index)
+    add = operator.add
+    columns = []
+    for e in basis.monomials:
+        col: dict = {}
+        for j, l, shift, a, b in terms:
+            w = e[j] if l is None else e[j] * (e[l] - (j == l))
+            if w:
+                k = tuple(map(add, e, shift))
+                re, im = col.get(k, (0, 0))
+                col[k] = (re + w * a, im + w * b)
+        columns.append({k: v for k, v in col.items() if v != (0, 0)})
     out_set = set(basis.monomials)
-    for img in images:
-        out_set.update(img.support())
+    for col in columns:
+        out_set.update(col)
     degs = [sum(e) for e in out_set]
     if degs and (max(degs) > basis.dmax + widen_cap or min(degs) < basis.dmin - widen_cap):
         raise WindowOverflowError(
@@ -131,9 +178,9 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     output = tuple(sorted(out_set, key=grlex_key))
     row_of = {e: i for i, e in enumerate(output)}
     entries: dict = {}
-    for c, img in enumerate(images):
-        for e, coeff in img.terms():
-            entries[(row_of[e], c)] = coeff
+    for c, col in enumerate(columns):
+        for r, (a, b) in sorted((row_of[k], v) for k, v in col.items()):
+            entries[(r, c)] = _ints(a, b, den)
     label = kind if noise_index is None else f"{kind}_{noise_index + 1}"
     return OperatorMatrix(label, basis.monomials, output, entries)
 

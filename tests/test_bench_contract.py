@@ -91,3 +91,29 @@ def test_cli_calls_go_through_wrapped_names(monkeypatch, capsys):
                      "--dmax", "3", "--output", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["basis"]) == 3
     assert calls == {"to_text": 3, "find_first_integrals": 1}
+
+
+def test_search_calls_go_through_wrapped_names(monkeypatch):
+    # `--trace 1` times search.operator_matrix_s, search.reverify_s and counts
+    # search.op_nnz by wrapping search's module globals, so find_first_integrals
+    # must call through them: one operator matrix per strong operator, one exact
+    # re-verification per kernel element
+    from sdefi import search, systems
+
+    calls = {"operator_matrix": 0, "check_strong": 0, "independence_rank": 0}
+
+    def counted(name):
+        fn = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name))
+    sysm = systems.cyclic_exchange()
+    basis = search.find_first_integrals(sysm, "strong", 1, 3)
+    assert len(basis) == 3
+    assert calls == {"operator_matrix": 1 + sysm.noise_dim, "check_strong": len(basis),
+                     "independence_rank": 1}

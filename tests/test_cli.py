@@ -1,11 +1,13 @@
 """System JSON parsing/serialization, candidate parsing, CLI dispatch and exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sdefi import systems
+from sdefi.algebra import CRational
 from sdefi.cli import (
     InputFormatError,
     _parse_x0,
@@ -49,6 +51,30 @@ def test_committed_system_files_match_builders():
     for path in files:
         builder = systems.REGISTRY[path.stem]
         assert json.loads(path.read_text()) == serialize_system(builder()), path.stem
+
+
+def test_system_files_roundtrip_through_the_parser():
+    for path in sorted(SYSTEMS_DIR.glob("*.json")):
+        assert serialize_system(parse_system(path)) == json.loads(path.read_text()), path.stem
+
+
+@pytest.mark.parametrize("text, want", [
+    (" 3/4 ", Fraction(3, 4)), ("+2", Fraction(2)), ("-0/7", Fraction(0)),
+    ("-6/4", Fraction(-3, 2)), ("10/5", Fraction(2)),
+    ("1/0", "zero denominator in '1/0'"),
+    ("0.5", "coefficient '0.5' is not an exact rational (write 1/2, not 0.5)"),
+    ("1/-2", "coefficient '1/-2' is not an exact rational (write 1/2, not 0.5)"),
+    ("", "coefficient '' is not an exact rational (write 1/2, not 0.5)"),
+])
+def test_coefficient_strings(text, want):
+    d = gbm_dict()
+    d["drift"][0][0]["c"] = ["0", text]
+    if isinstance(want, Fraction):
+        assert parse_system_dict(d).drift[0].coeff((1,)) == CRational(0, want)
+    else:
+        with pytest.raises(InputFormatError) as err:
+            parse_system_dict(d)
+        assert str(err.value) == f"drift component 1, term 1: {want}"
 
 
 def test_drift_length_mismatch():

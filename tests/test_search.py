@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from sdefi import systems
-from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
-from sdefi.ito import SdeSystem, check_strong, check_weak
+from sdefi.algebra import CRational, LaurentPoly, VField, dot, gradient, grlex_key, parse_poly_text
+from sdefi.ito import SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
 from sdefi.resonance import nonintegrability_report
 from sdefi.search import (
     WindowOverflowError,
@@ -131,6 +131,77 @@ def test_operator_matrix_strong_diff_labels_channel():
     assert mat.kind == "strong_diff_2"
     with pytest.raises(ValueError):
         operator_matrix(sys, b, "strong_diff", noise_index=5)
+
+
+def operator_matrix_oracle(sys, basis, kind, noise_index=None):
+    """(output_monomials, entries as a list) with the operator applied to each
+    basis monomial as a polynomial: one generic image per column."""
+    if kind == "weak":
+        def op(p):
+            return weak_generator_apply(sys, p)
+    else:
+        field = stratonovich_drift(sys) if kind == "strong_drift" else sys.diffusions[noise_index]
+
+        def op(p):
+            return dot(gradient(p), field)
+    images = [op(LaurentPoly.monomial(sys.dim, e)) for e in basis.monomials]
+    output = tuple(sorted(set(basis.monomials).union(*(img.support() for img in images)),
+                          key=grlex_key))
+    row_of = {e: i for i, e in enumerate(output)}
+    return output, [((row_of[e], c), v) for c, img in enumerate(images) for e, v in img.terms()]
+
+
+def _assert_matches_oracle(sys, basis, label):
+    kinds = [("weak", None), ("strong_drift", None)]
+    kinds += [("strong_diff", i) for i in range(sys.noise_dim)]
+    for kind, i in kinds:
+        output, entries = operator_matrix_oracle(sys, basis, kind, i)
+        degs = [sum(e) for e in output]
+        if degs and (max(degs) > basis.dmax + 10 or min(degs) < basis.dmin - 10):
+            with pytest.raises(WindowOverflowError):
+                operator_matrix(sys, basis, kind, noise_index=i)
+        mat = operator_matrix(sys, basis, kind, noise_index=i, widen_cap=100)
+        assert mat.output_monomials == output, (label, kind, i)
+        assert list(mat.entries.items()) == entries, (label, kind, i)
+
+
+@pytest.mark.parametrize("name", sorted(systems.REGISTRY))
+def test_operator_matrix_matches_generic_images_on_builtins(name):
+    sys = systems.REGISTRY[name]()
+    for dmin, dmax in ((-2, 2), (0, 3), (1, 3)):
+        _assert_matches_oracle(sys, monomial_basis(sys.dim, dmin, dmax), (name, dmin, dmax))
+
+
+def _random_poly(rng, dim):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = tuple(rng.randint(-2, 2) for _ in range(dim))
+        terms[e] = CRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return LaurentPoly(dim, terms)
+
+
+def test_operator_matrix_matches_generic_images_on_random_systems():
+    rng = random.Random(2024)
+    for case in range(30):
+        dim = rng.randint(1, 3)
+        names = tuple(f"x{i + 1}" for i in range(dim))
+        drift = VField(tuple(_random_poly(rng, dim) for _ in range(dim)))
+        noises = tuple(VField(tuple(_random_poly(rng, dim) for _ in range(dim)))
+                       for _ in range(rng.randint(0, 2)))
+        sys = SdeSystem(drift, noises, names)
+        dmin = rng.randint(-2, 1)
+        dmax = rng.randint(max(dmin, 0), 2)
+        _assert_matches_oracle(sys, monomial_basis(dim, dmin, dmax), case)
+
+
+def test_operator_matrix_cancelled_column_and_constant_monomial():
+    # L x^-1 = -x^-1 + x^-1 = 0 for gbm, and every operator sends 1 to 0
+    sys = systems.gbm()
+    b = monomial_basis(1, -1, 1)
+    mat = operator_matrix(sys, b, "weak")
+    assert not any(c in (b.index((-1,)), b.index((0,))) for _, c in mat.entries)
+    assert list(mat.entries.items()) == operator_matrix_oracle(sys, b, "weak")[1]
 
 
 def test_window_overflow_guard():
