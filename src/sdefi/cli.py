@@ -482,8 +482,11 @@ def _cmd_perturb(args) -> int:
     sys = load_system(args.system)
     try:
         u = Fraction(args.u)
+        in_range = 0 < u < 1
     except (ValueError, ZeroDivisionError):
-        raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)") from None
+        in_range = False
+    if not in_range:
+        raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)")
     plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
     verdict = verify_perturbation(sys.drift, plan, D=args.degree)
     report = {"plan": plan.to_dict(),

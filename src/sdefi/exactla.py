@@ -62,10 +62,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def is_diagonal(a: Matrix) -> bool:
-    return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a[i])) if i != j)
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 

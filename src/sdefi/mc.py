@@ -55,7 +55,7 @@ class SimConfig:
             raise ValueError("h and T must be positive")
         if self.N < 1:
             raise ValueError("need at least one path")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if self.center not in ("origin", "x0"):
             raise ValueError("center must be 'origin' or 'x0'")

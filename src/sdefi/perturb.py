@@ -6,9 +6,10 @@ characteristic polynomial chi), pick 0 < u < 1 and set
 
     P = Q diag(u^{a_1}, ..., u^{a_n}) Q^{-1},    a_1 = 1, a_k = 2 (a_1 + ... + a_{k-1}),
 
-where Q diagonalizes A (columns = eigenvectors, order matched to the sorted
-eigenvalue tuple).  The exponents grow as (1, 2, 6, 18, ...): a_{k+1} = 3 a_k
-from the second term on, which keeps all pairwise sums distinct.  The plan is
+where Q is `spectral.eigenbasis` of A: its columns are eigenvectors in the
+order of the sorted eigenvalue tuple.  The exponents grow as (1, 2, 6, 18,
+...): a_{k+1} = 3 a_k from the second term on, which keeps all pairwise sums
+distinct.  The plan is
 accepted only if the degree-l obstruction
 
     E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
@@ -20,8 +21,11 @@ lam_j - mu_j^2 / 2 and the noise spectrum mu, and `resonance.resonance_values`
 computes it.  If some E(l) vanishes, fresh u values from a seeded sequence are
 tried.
 
-Verification is independent: the weak-integral search is run on an exactly
-rational lift of P, so PASS means an exact kernel computation found nothing.
+When every eigenvalue is exact, Q and hence P are computed exactly
+(`exact_route`); otherwise Q is numeric and P is lifted bit for bit to
+complex rationals.  Verification is independent: the weak-integral search is
+run on that exactly rational P, so PASS means an exact kernel computation
+found nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
-from .spectral import Eigenvalues, jacobian_at_origin, roots, value_at_origin
+from .spectral import Eigenvalues, eigenbasis, jacobian_at_origin, roots, value_at_origin
 
 
 class PerturbationError(RuntimeError):
@@ -111,20 +115,6 @@ def _as_u_fraction(u) -> Fraction:
     return f
 
 
-def _exact_eigvecs(a: Matrix, eig: Eigenvalues) -> Matrix | None:
-    """Columns of Q as exact eigenvectors, or None if any eigenspace is not 1-dim."""
-    n = len(a)
-    cols: list[list[CRational]] = []
-    for lam in eig.exact:
-        shifted = [[a[i][j] - (lam if i == j else CRational(0)) for j in range(n)]
-                   for i in range(n)]
-        ns = exactla.nullspace(shifted)
-        if len(ns) != 1:
-            return None
-        cols.append(ns[0])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
                        seed: int = 0, max_retries: int = 20) -> PerturbationPlan:
     """Construct P for the drift, retrying fresh u values until E(l) != 0 through L."""
@@ -179,33 +169,19 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
             f"no admissible u in {len(candidates)} tries; last failure u={last_bad[0]} "
             f"at l={last_bad[1]}")
 
-    exact_route = eig.all_exact()
-    q_exact = _exact_eigvecs(a, eig) if exact_route else None
-    if q_exact is not None:
-        lam_diag = [[CRational(m) if i == j else CRational(0)
-                     for j in range(n)] for i, m in enumerate(chosen_mu)]
-        p_exact = exactla.mat_mul(exactla.mat_mul(q_exact, lam_diag),
-                                  exactla.inverse(q_exact))
-        q_float = exactla.mat_to_complex(q_exact)
-        p_float = exactla.mat_to_complex(p_exact)
-        exact_route = True
+    # distinct eigenvalues: the basis always exists, exact when the spectrum is
+    qmat, _, exact_route = eigenbasis([a], [eig])
+    if exact_route:  # P = Q diag(mu) Q^-1, exactly
+        p_exact = exactla.mat_mul([[x * m for x, m in zip(row, chosen_mu)] for row in qmat],
+                                  exactla.inverse(qmat))
+        qmat, p_float = exactla.mat_to_complex(qmat), exactla.mat_to_complex(p_exact)
     else:
-        exact_route = False
-        vals, vecs = np.linalg.eig(exactla.mat_to_complex(a))
-        order: list[int] = []
-        used: set[int] = set()
-        for target in eig.values:
-            j = min((jj for jj in range(n) if jj not in used),
-                    key=lambda jj: abs(vals[jj] - target))
-            order.append(j)
-            used.add(j)
-        q_float = vecs[:, order]
-        p_float = q_float @ np.diag([float(m) for m in chosen_mu]) @ np.linalg.inv(q_float)
+        p_float = qmat @ np.diag([float(m) for m in chosen_mu]) @ np.linalg.inv(qmat)
         p_exact = [[CRational(Fraction(z.real), Fraction(z.imag)) for z in row]
                    for row in p_float.tolist()]
 
     return PerturbationPlan(u=chosen, exponents=exponents, mu=tuple(chosen_mu),
-                            eigenvalues=eig, Q=q_float, P=p_float, P_exact=p_exact,
+                            eigenvalues=eig, Q=qmat, P=p_float, P_exact=p_exact,
                             exact_route=exact_route, residual_min=residual_min,
                             L=L, det_Df=det_a)
 

@@ -118,6 +118,12 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus"):
     return exact, points()
 
 
+def _check_tol(tol: float) -> None:
+    """A negative or NaN tolerance would let no float q(k) count as zero."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
+
+
 def _zeros(points, tol: float) -> list[tuple]:
     """The k with q(k) = 0 exactly, or |q(k)| <= tol * scale on the float path."""
     out = [k for k, q, scale in points
@@ -134,6 +140,7 @@ def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
     The test is exact whenever every value carries an exact witness;
     otherwise |<lam,k>| <= tol * (1 + |k|_1 * max|lam_j|).
     """
+    _check_tol(tol)
     _, points = resonance_values(values, (), K, lattice)
     return _zeros(points, tol)
 
@@ -199,6 +206,7 @@ def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonan
     real, q > 0 everywhere and the scan is skipped (certificate
     "positive-definite").
     """
+    _check_tol(tol)
     mus = tuple(mus)
     exact, points = resonance_values(lam, mus, K)
     if exact and all(e.is_real() and e.re > 0 for e in _normalize_values(lam)[1]) \
@@ -348,8 +356,9 @@ def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
     `linearized` is the pair `(linearization(sys), h1_check(...))` when the
     caller has already computed it; otherwise it is computed here.
     Raises NotApplicableError (via linearization) when the drift is not
-    analytic-and-vanishing at the origin.
+    analytic-and-vanishing at the origin, and ValueError on a negative or NaN tol.
     """
+    _check_tol(tol)
     if linearized is None:
         data = linearization(sys)
         h1 = h1_check(data)

@@ -1,20 +1,20 @@
-"""Linearization data at the origin and certified eigenvalue extraction.
+"""Linearization data at the origin, certified eigenvalues, one common eigenbasis.
 
 For a system dX = f dt + sum_i g_i dB^i with f(0) = 0 this computes, exactly,
 
     A_f = Df(0),   A_g_i = Dg_i(0),   A0 = A_f - (1/2) sum_i A_g_i^2,
 
 their characteristic polynomials (Faddeev-LeVerrier over the complex
-rationals), and their eigenvalues.  Roots are found by stripping zero roots
-exactly, reducing to a square-free polynomial with exact gcds, then running
-Durand-Kerner simultaneous iteration; every float root is afterwards tested
-against a nearby small complex rational and certified exact when the exact
-evaluation vanishes.  Hence an eigenvalue is either `exact` (a CRational
-witness) or honest floating point.
+rationals), and their eigenvalues.  Zero roots are stripped exactly and
+repeated roots split off by exact gcds; `numpy.roots` finds the rest, and a
+float root is certified exact when a nearby small complex rational is an
+exact root.  Hence an eigenvalue is either `exact` (a CRational witness) or
+honest floating point.
 
-Also here: the simultaneous-diagonalizability check (exact commutators plus
-an exact square-free-part test per matrix) and the common-eigenbasis alignment
-of drift/noise spectra that downstream resonance tests require.
+Also here: the exact simultaneous-diagonalizability check (commutators plus
+a square-free-part test per matrix) and `eigenbasis`, the one place that
+diagonalizes: exactly when every spectrum is exact, numerically otherwise.
+The weak resonance test and `perturb` both read their spectra in it.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ class NotApplicableError(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to converge; never silently truncated."""
+    """The float root finder failed to converge; never silently truncated."""
 
 
 @dataclass(frozen=True)
 class Eigenvalues:
-    """Eigenvalue multiset, sorted by (re, im); exact[i] is a certified witness or None."""
+    """Eigenvalue multiset (`roots` sorts it by (re, im)); exact[i] is a witness or None."""
 
     values: tuple[complex, ...]
     exact: tuple[CRational | None, ...]
@@ -167,49 +167,6 @@ def linearization(sys: SdeSystem) -> SpectralData:
 
 # -- root finding -----------------------------------------------------------------
 
-_DK_TOL = 1e-12
-_DK_MAX_ITER = 600
-_DK_RESTARTS = 8
-
-
-def _durand_kerner(coeffs: list[complex], seed: int = 0) -> list[complex]:
-    """All roots of a monic complex polynomial (ascending coefficients)."""
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-coeffs[0]]
-    rng = random.Random(seed)
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    offset = 0.43
-    for attempt in range(_DK_RESTARTS + 1):
-        w = [radius * np.exp(1j * (2 * np.pi * k / deg + offset)) for k in range(deg)]
-        for _ in range(_DK_MAX_ITER):
-            max_step = 0.0
-            for k in range(deg):
-                pk = 0j
-                for c in reversed(coeffs):
-                    pk = pk * w[k] + c
-                denom = 1.0 + 0j
-                for j in range(deg):
-                    if j != k:
-                        denom *= w[k] - w[j]
-                if denom == 0:
-                    max_step = float("inf")
-                    break
-                step = pk / denom
-                w[k] -= step
-                max_step = max(max_step, abs(step))
-            scale = max(1.0, max(abs(x) for x in w))
-            if max_step <= _DK_TOL * scale:
-                return w
-            if not np.isfinite(max_step):
-                break
-        offset = 0.43 + rng.uniform(0.1, 2.9)
-        radius *= 1.0 + rng.uniform(0.0, 0.5)
-    raise RootFindingError(f"Durand-Kerner failed after {_DK_RESTARTS + 1} attempts (degree {deg})")
-
-
 def _certify_root(p: list[CRational], w: complex) -> CRational | None:
     """Try to promote a float root to an exact complex-rational one."""
     try:
@@ -222,16 +179,24 @@ def _certify_root(p: list[CRational], w: complex) -> CRational | None:
     return cand if exactla.poly_eval(p, cand).is_zero() else None
 
 
-def _distinct_roots(p: list[CRational], seed: int) -> list[tuple[complex, CRational | None]]:
+def _distinct_roots(p: list[CRational]) -> list[tuple[complex, CRational | None]]:
     """Roots of a square-free monic polynomial, each exactly certified when possible.
 
-    Every root is simple, so an exact root certifies only the first float root
-    that rounds to it; a later one keeps its float value and no witness.
+    Float roots come from `numpy.roots`, on a real coefficient array when
+    every coefficient is real.  Every root is simple, so an exact root
+    certifies only the first float root that rounds to it; a later one keeps
+    its float value and no witness.
     """
-    floats = _durand_kerner([complex(c) for c in p], seed=seed)
+    coeffs = np.array([complex(c) for c in reversed(p)])
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    try:
+        floats = np.roots(coeffs)
+    except np.linalg.LinAlgError as e:
+        raise RootFindingError(f"numpy.roots failed (degree {len(p) - 1}): {e}") from e
     out = []
     seen: set[CRational] = set()
-    for w in floats:
+    for w in map(complex, floats):
         ex = _certify_root(p, w)
         if ex is None or ex in seen:
             out.append((w, None))
@@ -241,7 +206,7 @@ def _distinct_roots(p: list[CRational], seed: int) -> list[tuple[complex, CRatio
     return out
 
 
-def _roots_multiset(p: list[CRational], seed: int = 0) -> list[tuple[complex, CRational | None]]:
+def _roots_multiset(p: list[CRational]) -> list[tuple[complex, CRational | None]]:
     p = exactla.poly_monic(p)
     out: list[tuple[complex, CRational | None]] = []
     while len(p) > 1 and p[0].is_zero():  # strip exact zero roots
@@ -252,23 +217,23 @@ def _roots_multiset(p: list[CRational], seed: int = 0) -> list[tuple[complex, CR
     g = exactla.poly_gcd(p, exactla.poly_deriv(p))
     if len(g) > 1:  # repeated roots: radical + recurse into the gcd
         radical, _ = exactla.poly_divmod(p, g)
-        out.extend(_distinct_roots(exactla.poly_monic(radical), seed))
-        out.extend(_roots_multiset(g, seed + 1))
+        out.extend(_distinct_roots(exactla.poly_monic(radical)))
+        out.extend(_roots_multiset(g))
         return out
-    out.extend(_distinct_roots(p, seed))
+    out.extend(_distinct_roots(p))
     return out
 
 
-def roots(char: list[CRational], seed: int = 0) -> Eigenvalues:
+def roots(char: list[CRational]) -> Eigenvalues:
     """Eigenvalue multiset of a characteristic polynomial (either sign convention)."""
-    pairs = _roots_multiset(list(char), seed=seed)
+    pairs = _roots_multiset(list(char))
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))
     return Eigenvalues(values=tuple(v for v, _ in pairs), exact=tuple(e for _, e in pairs))
 
 
-def eigenvalues(m: Matrix, seed: int = 0) -> Eigenvalues:
+def eigenvalues(m: Matrix) -> Eigenvalues:
     """Exact-where-possible spectrum of a complex-rational matrix."""
-    return roots(exactla.char_poly(m), seed=seed)
+    return roots(exactla.char_poly(m))
 
 
 # -- simultaneous diagonalizability (hypothesis H of the weak resonance test) -----
@@ -311,63 +276,100 @@ def h1_check(data: SpectralData) -> H1Status:
     return H1Status("holds", None)
 
 
-def aligned_spectra(data: SpectralData) -> tuple[Eigenvalues, list[Eigenvalues], bool] | None:
-    """Common-eigenbasis-aligned (lam, [mu^i...], exact?) for the weak resonance test.
+# -- one common eigenbasis -----------------------------------------------------------
 
-    Precondition: `h1_check(data)` holds; the caller checks it, and this
-    function does not repeat it.  lam_j = mu0_j - (1/2) sum_i (mu^i_j)^2 with
-    all tuples read in one shared eigenvector order.  Exact when every matrix
-    is literally diagonal; otherwise numeric via the eigenbasis of a generic
-    combination of the commuting family.  Returns None when no reliable
-    numeric alignment exists.
+def eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]
+               ) -> tuple[Matrix | np.ndarray, list[Eigenvalues], bool] | None:
+    """A common eigenbasis (Q, values, exact) of a commuting, diagonalizable family.
+
+    `spectra[i]` is the spectrum of `mats[i]`.  Column j of Q is an
+    eigenvector of every matrix, `values[i]` lists the eigenvalues of
+    `mats[i]` on the columns, and the columns follow `spectra[0]`'s order.
+    When every spectrum is exact, so is the basis: Q is a CRational Matrix and
+    each value carries its witness.  Otherwise Q is a complex ndarray and the
+    values are floats.  Returns None when no basis is found.
     """
-    if any(m is None for m in data.A_g):
-        return None
-    n = data.dim
-    mats = [data.A_f] + [m for m in data.A_g]
+    if all(s.all_exact() for s in spectra):
+        return _exact_eigenbasis(mats, spectra)
+    return _numeric_eigenbasis(mats, spectra)
 
-    if all(exactla.is_diagonal(m) for m in mats):
-        mu0 = [data.A_f[j][j] for j in range(n)]
-        mus = [[m[j][j] for j in range(n)] for m in data.A_g]
-        lam = []
-        for j in range(n):
-            s = CRational(0)
-            for mu_i in mus:
-                s = s + mu_i[j] * mu_i[j]
-            lam.append(mu0[j] - s * HALF)
-        to_eig = lambda xs: Eigenvalues(values=tuple(complex(x) for x in xs), exact=tuple(xs))
-        return to_eig(lam), [to_eig(m) for m in mus], True
 
+def _exact_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
+    """Each matrix M in turn splits every block of columns B into the pieces
+    B ker((M - lam I) B), one per distinct lam; B starts as the identity."""
+    n = len(mats[0])
+    blocks = [(exactla.identity(n), ())]  # (columns, eigenvalue of each matrix so far)
+    for m, spec in zip(mats, spectra):
+        split = []
+        for cols, vals in blocks:
+            b = [list(row) for row in zip(*cols)]
+            mb = exactla.mat_mul(m, b)
+            for lam in dict.fromkeys(spec.exact):
+                ker = exactla.nullspace([[x - lam * y for x, y in zip(rm, rb)]
+                                         for rm, rb in zip(mb, b)])
+                if ker:
+                    split.append(([[sum((c * col[i] for c, col in zip(k, cols)), CRational(0))
+                                    for i in range(n)] for k in ker], vals + (lam,)))
+        blocks = split
+        if sum(len(cols) for cols, _ in blocks) != n:
+            return None  # M is not diagonalizable on some block
+    q = [[col[i] for cols, _ in blocks for col in cols] for i in range(n)]
+    per_col = [vals for cols, vals in blocks for _ in cols]
+    return q, [Eigenvalues(tuple(complex(v[i]) for v in per_col), tuple(v[i] for v in per_col))
+               for i in range(len(mats))], True
+
+
+def _numeric_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
+    """Eigenvectors of a seeded random combination of the family, matched
+    greedily to `spectra[0]`.  With two or more matrices the combination is
+    redrawn until its eigenvalues separate and its eigenvectors diagonalize
+    every member."""
     fmats = [exactla.mat_to_complex(m) for m in mats]
+    n = len(fmats[0])
     rng = random.Random(17)
     for _ in range(8):
         combo = fmats[0].copy()
         for fm in fmats[1:]:
             combo = combo + rng.uniform(0.5, 2.0) * fm
         vals, t = np.linalg.eig(combo)
-        if n > 1:
-            sep = min(abs(vals[i] - vals[j]) for i in range(n) for j in range(i + 1, n))
-            if sep < 1e-8:
+        diags = [vals]
+        if len(fmats) > 1:
+            if min((abs(vals[i] - vals[j]) for i in range(n) for j in range(i + 1, n)),
+                   default=1.0) < 1e-8:
                 continue  # combo not generic enough; try another
-        try:
-            tinv = np.linalg.inv(t)
-        except np.linalg.LinAlgError:
-            continue
-        diags = []
-        ok = True
-        for fm in fmats:
-            d = tinv @ fm @ t
-            off = d - np.diag(np.diag(d))
-            if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(d))):
-                ok = False
-                break
-            diags.append(np.diag(d))
-        if not ok:
-            continue
-        mu0 = diags[0]
-        mus = diags[1:]
-        lam = mu0 - 0.5 * sum(m * m for m in mus)
-        none_eig = lambda xs: Eigenvalues(values=tuple(complex(x) for x in xs),
-                                          exact=(None,) * n)
-        return none_eig(lam), [none_eig(m) for m in mus], False
+            try:
+                tinv = np.linalg.inv(t)
+            except np.linalg.LinAlgError:
+                continue
+            diags = [tinv @ fm @ t for fm in fmats]
+            if any(np.max(np.abs(d - np.diag(np.diag(d)))) > 1e-8 * max(1.0, np.max(np.abs(d)))
+                   for d in diags):
+                continue
+            diags = [np.diag(d) for d in diags]
+        order: list[int] = []
+        for target in spectra[0].values:
+            order.append(min((j for j in range(n) if j not in order),
+                             key=lambda j: abs(diags[0][j] - target)))
+        return t[:, order], [Eigenvalues(tuple(map(complex, d[order])), (None,) * n)
+                             for d in diags], False
     return None
+
+
+def aligned_spectra(data: SpectralData) -> tuple[Eigenvalues, list[Eigenvalues], bool] | None:
+    """Common-eigenbasis-aligned (lam, [mu^i...], exact?) for the weak resonance test.
+
+    Precondition: `h1_check(data)` holds; the caller checks it, and this
+    function does not repeat it.  lam_j = mu0_j - (1/2) sum_i (mu^i_j)^2 with
+    all tuples read in the column order of `eigenbasis` of Df(0) and every
+    Dg_i(0); exact whenever every spectrum is.  Returns None when no common
+    eigenbasis is found.
+    """
+    if any(m is None for m in data.A_g):
+        return None
+    basis = eigenbasis([data.A_f, *data.A_g], [data.mu0, *data.mu])
+    if basis is None:
+        return None
+    _, (mu0, *mus), exact = basis
+    df, *dgs = [s.exact if exact else s.values for s in (mu0, *mus)]
+    lam = tuple(v - sum(dg[j] * dg[j] for dg in dgs) * HALF for j, v in enumerate(df))
+    return Eigenvalues(tuple(map(complex, lam)), lam if exact else (None,) * len(lam)), mus, exact

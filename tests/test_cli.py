@@ -217,6 +217,28 @@ def test_simulate_requires_seed(capsys):
     assert main(["simulate", "gbm", "--paths", "4"]) == 2
 
 
+def test_simulate_seed_beyond_64_bits_is_input_error(capsys):
+    assert main(["simulate", "gbm", "--seed", str(2 ** 64), "--paths", "4"]) == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u", ["3/2", "0", "1"])
+def test_perturb_u_outside_unit_interval_is_input_error(u, capsys):
+    assert main(["perturb", "harmonic_oscillator", "--u", u]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(0,1)" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_resonance_negative_or_nan_tol_is_input_error(tol, capsys):
+    # with tol = -1 no float q(k) counted as zero: the A0 scan of cyclic_exchange
+    # came back empty and claimed NO_STRONG_ANALYTIC, though x1+x2+x3 is a strong integral
+    argv = ["resonance", "cyclic_exchange", "--kbound", "4", "--tol", tol]
+    assert main(argv) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert main(["analyze", "gbm", "--dmax", "1", "--tol", tol]) == 2
+
+
 def test_simulate_json_report(capsys):
     rc = main(["simulate", "gbm", "--seed", "3", "--paths", "64", "--step", "0.01",
                "--horizon", "0.5", "--candidate", "inv=x1^-1", "--output", "json"])

@@ -29,7 +29,8 @@ X_INV = LaurentPoly.monomial(1, (-1,))
 def test_config_validation():
     good = dict(x0=(1.0,), h=0.1, T=1.0, N=4, seed=0)
     SimConfig(**good)
-    for bad in (dict(h=0.0), dict(T=-1.0), dict(N=0), dict(seed=-1), dict(center="there")):
+    for bad in (dict(h=0.0), dict(T=-1.0), dict(N=0), dict(seed=-1), dict(seed=2 ** 64),
+                dict(center="there")):
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
 

@@ -213,7 +213,7 @@ def test_rotation_noise_weak_integrals_are_not_excluded():
     rep = nonintegrability_report(sys)
     assert rep.hypotheses["simultaneously_diagonalizable"] == "holds"
     assert "NO_WEAK_ANALYTIC" not in rep.verdict_codes()
-    assert rep.weak.certificate == "bounded"
+    assert rep.weak.certificate == "bounded" and rep.weak.exact  # mu = (-i, i) exactly
     assert {(2, 0), (0, 2)} <= set(rep.weak.violations)
     mu = Eigenvalues((1j, -1j), (CRational(0, 1), CRational(0, -1)))
     res = weak_resonance_test(_exact_eig([1, 1]), [mu], K=4)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sdefi import resonance, spectral, systems
@@ -11,9 +12,11 @@ from sdefi import exactla
 from sdefi.exactla import as_matrix, char_poly, det, nullspace, poly_eval, rank, rref
 from sdefi.ito import SdeSystem, stratonovich_drift
 from sdefi.spectral import (
+    Eigenvalues,
     H1Status,
     NotApplicableError,
     aligned_spectra,
+    eigenbasis,
     eigenvalues,
     h1_check,
     jacobian_at_origin,
@@ -184,6 +187,21 @@ def test_near_repeated_roots_certify_an_exact_root_once():
     eig = eigenvalues(as_matrix([[1, 1], [0, 1 + Fraction(1, 10 ** 13)]]))
     assert [str(e) if e is not None else None for e in eig.exact] == ["1", None]
     assert not eig.all_exact()
+    # the uncertified root is a real float next to 1 + 10^-13, not a complex smear
+    assert eig.values[1].imag == 0.0
+    assert abs(eig.values[1] - (1 + 1e-13)) < 1e-12
+
+
+def test_root_finder_failure_is_root_finding_error(monkeypatch):
+    from sdefi.cli import main
+
+    def no_convergence(_coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np, "roots", no_convergence)
+    with pytest.raises(spectral.RootFindingError, match="did not converge"):
+        eigenvalues(as_matrix([[0, 1], [2, 0]]))  # x^2 - 2: no rational root to strip
+    assert main(["resonance", "harmonic_oscillator"]) == 3  # exit code of a numeric failure
 
 
 def test_linearization_requires_vanishing_analytic_drift():
@@ -281,6 +299,88 @@ def test_aligned_spectra_numeric_pairing():
     mu = mus[0]
     for lam_j, mu_j in zip(lam.values, mu.values):
         assert abs(lam_j - (mu_j - 0.5 * mu_j ** 2)) < 1e-8
+
+
+def test_aligned_spectra_exact_for_commuting_non_diagonal_family():
+    # Df = Dg = [[0, 1], [1, 0]]: eigenvalues exactly -1 and 1, eigenvectors (1, -1), (1, 1)
+    lam, mus, exact = aligned_spectra(linearization(systems.coupled_exchange_linear()))
+    assert exact
+    assert lam.exact == (CRational(Fraction(-3, 2)), CRational(Fraction(1, 2)))
+    assert mus[0].exact == (CRational(-1), CRational(1))
+    assert lam.values == (-1.5 + 0j, 0.5 + 0j)
+
+
+def test_aligned_spectra_numeric_route_for_irrational_spectra():
+    # Df = Dg = [[0, 1], [2, 0]]: eigenvalues +-sqrt(2) carry no exact witness
+    data = linearization(_linear_system([[0, 1], [2, 0]], [[[0, 1], [2, 0]]]))
+    lam, mus, exact = aligned_spectra(data)
+    assert not exact
+    r2 = 2 ** 0.5
+    assert [round(v.real, 12) for v in mus[0].values] == [round(-r2, 12), round(r2, 12)]
+    for lam_j, mu_j in zip(lam.values, mus[0].values):
+        assert abs(lam_j - (mu_j - 0.5 * mu_j ** 2)) < 1e-12
+
+
+def _commuting_family():
+    # A = S diag(1, 1, 2) S^-1 repeats 1; B = S diag(3, 5, 5) S^-1 splits it, and A splits B's 5
+    s = as_matrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    s_inv = exactla.inverse(s)
+
+    def conj(d):
+        diag = as_matrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+        return exactla.mat_mul(exactla.mat_mul(s, diag), s_inv)
+
+    return conj([1, 1, 2]), conj([3, 5, 5])
+
+
+def test_eigenbasis_exact_oracle_on_commuting_family():
+    a, b = _commuting_family()
+    assert exactla.mat_eq(exactla.mat_mul(a, b), exactla.mat_mul(b, a))
+    assert all(any(not m[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
+               for m in (a, b))  # neither is diagonal
+    for mats in ([a, b], [b, a]):
+        spectra = [eigenvalues(m) for m in mats]
+        q, values, exact = eigenbasis(mats, spectra)
+        assert exact and rank(q) == 3
+        assert values[0] == spectra[0]  # columns follow the first spectrum's order
+        for m, vals in zip(mats, values):
+            assert vals.all_exact()
+            diag = [[vals.exact[i] if i == j else CRational(0) for j in range(3)]
+                    for i in range(3)]
+            assert exactla.mat_eq(exactla.mat_mul(m, q), exactla.mat_mul(q, diag))
+        pairs = {(str(x), str(y)) for x, y in zip(values[0].exact, values[1].exact)}
+        want = {("1", "3"), ("1", "5"), ("2", "5")}  # (eigenvalue of A, eigenvalue of B)
+        assert pairs == (want if mats[0] is a else {(y, x) for x, y in want})
+
+
+def test_eigenbasis_single_matrix_columns_are_nullspace_vectors():
+    a, _ = _commuting_family()
+    eig = eigenvalues(a)
+    q, _, exact = eigenbasis([a], [eig])
+    assert exact
+    want = []
+    for lam in dict.fromkeys(eig.exact):
+        want += nullspace(exactla.mat_sub(a, exactla.mat_scale(exactla.identity(3), lam)))
+    assert q == [[col[i] for col in want] for i in range(3)]
+
+
+def test_eigenbasis_numeric_route_pairs_the_family():
+    a, b = _commuting_family()
+    spectra = [eigenvalues(m) for m in (a, b)]
+    floats = [Eigenvalues(s.values, (None,) * 3) for s in spectra]
+    q, values, exact = eigenbasis([a, b], floats)
+    assert not exact
+    for m, vals in zip((a, b), values):
+        fm = exactla.mat_to_complex(m)
+        assert abs(fm @ q - q * np.array(vals.values)).max() < 1e-9
+    assert [round(v.real, 9) for v in values[0].values] == [1, 1, 2]
+
+
+def test_eigenbasis_none_for_defective_or_noncommuting_family():
+    jordan = as_matrix([[1, 1], [0, 1]])
+    assert eigenbasis([jordan], [eigenvalues(jordan)]) is None
+    a, b = as_matrix([[1, 0], [0, 2]]), as_matrix([[1, 1], [0, 2]])
+    assert eigenbasis([a, b], [eigenvalues(a), eigenvalues(b)]) is None
 
 
 def test_report_does_not_repeat_callers_h1_check(monkeypatch):
