@@ -6,15 +6,18 @@ with xi drawn per path from a Philox counter-based stream keyed by
 independent of chunking or worker count.  Paths stop at the first exit from
 a ball of radius R (origin- or x0-centered) and are frozen at the exit state;
 nonfinite states (overflow, or a pole hit exactly) drop the path from the
-statistics and are counted.
+statistics and are counted.  Only each path's end state is kept.
 
-Paths run in chunks of at most _CHUNK.  Each chunk keeps its paths'
-generators (a serial run re-keys one chunk's generators for the next) and
-draws the noise in step blocks of at most _BLOCK_BYTES, only for paths still
-moving, so memory is O(chunk x block) whatever h and T are;
-consecutive draws from one stream equal a single draw of the same length, so
-the blocking does not change a bit.  The step loop advances a dense array of
-the moving paths and writes a path back when it stops.
+The drift and diffusions compile into one evaluator, which computes each
+coordinate power once per step for all fields.  The ensemble arrays are
+allocated once, and paths run in chunks of at most _CHUNK, each advancing
+views of its own rows.  Each chunk keeps its paths' generators (a serial run
+re-keys one chunk's generators for the next) and draws the noise in step
+blocks of at most _BLOCK_BYTES, only for paths still moving, so memory is
+O(chunk x block) whatever h and T are; consecutive draws from one stream
+equal a single draw of the same length, so the blocking does not change a
+bit.  The step loop advances a dense array of the moving paths and writes a
+path back when it stops.
 
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +51,16 @@ class SimConfig:
     seed: int
     R: float = 1e6
     center: str = "origin"  # or "x0"
-    thin: int = 0           # store every `thin`-th state (0: finals only)
     max_workers: int = 1
 
     def __post_init__(self):
-        if self.h <= 0 or self.T <= 0:
-            raise ValueError("h and T must be positive")
+        # comparisons with nan are false, so nan fails every check below
+        if not (0 < self.h < math.inf and 0 < self.T < math.inf and self.T / self.h < math.inf):
+            raise ValueError(f"h and T must be positive and finite, got h={self.h}, T={self.T}")
+        if not all(math.isfinite(c) for c in self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not self.R > 0:
+            raise ValueError(f"R must be positive (inf: no exit), got {self.R}")
         if self.N < 1:
             raise ValueError("need at least one path")
         if not 0 <= self.seed < 2 ** 64:
@@ -78,56 +86,50 @@ class SimEnsemble:
     excluded: np.ndarray       # (N,) bool: overflow/pole, dropped from statistics
     n_pole: int
     n_overflow: int
-    trajectories: np.ndarray | None = None   # (N, snapshots, n) when thinning
-    snapshot_times: np.ndarray | None = None
 
     @property
     def n_used(self) -> int:
         return int(np.sum(~self.excluded))
 
 
-def _compile_vfield(v: VField):
-    """Vectorized evaluator (N, n) -> (N, len(v)); real coefficients only.
+def _compile_fields(fields: Sequence[VField]):
+    """One vectorized evaluator x (N, n) -> [(N, len(v)) array for v in fields].
 
-    Evaluators called on the same x may share one `powers` table, so that
-    each coordinate power x_j ** e is computed once for all of them.
+    Real coefficients only.  Each call builds one table of coordinate powers,
+    so each x_j ** e is computed once for all the fields.
     """
-    comp_terms = []
-    for p in v:
-        terms = []
-        for e, c in p.terms():
-            if not c.is_real():
-                raise ValueError("simulation requires real coefficients")
-            terms.append((float(c.re), [(j, ej) for j, ej in enumerate(e) if ej]))
-        comp_terms.append(terms)
+    if not all(c.is_real() for v in fields for p in v for _, c in p.terms()):
+        raise ValueError("simulation requires real coefficients")
+    # per field, per component, per term: (coefficient, [(axis, exponent), ...])
+    compiled = [[[(float(c.re), [(j, ej) for j, ej in enumerate(e) if ej]) for e, c in p.terms()]
+                 for p in v] for v in fields]
 
-    def evaluate(x: np.ndarray, powers: dict | None = None) -> np.ndarray:
-        if powers is None:
-            powers = {}
-        out = np.zeros((x.shape[0], len(comp_terms)))
-        for i, terms in enumerate(comp_terms):
-            acc = out[:, i]
-            for coeff, factors in terms:
-                t = coeff
-                for j, ej in factors:
-                    pw = powers.get((j, ej))
-                    if pw is None:
-                        # x ** 1 is x, bit for bit
-                        pw = powers[j, ej] = x[:, j] if ej == 1 else x[:, j] ** ej
-                    t = t * pw
-                acc += t
-        return out
+    def evaluate(x: np.ndarray) -> list[np.ndarray]:
+        powers: dict = {}
+        outs = []
+        for comp_terms in compiled:
+            out = np.zeros((x.shape[0], len(comp_terms)))
+            for i, terms in enumerate(comp_terms):
+                acc = out[:, i]
+                for coeff, factors in terms:
+                    t = coeff
+                    for j, ej in factors:
+                        pw = powers.get((j, ej))
+                        if pw is None:
+                            # x ** 1 is x, bit for bit
+                            pw = powers[j, ej] = x[:, j] if ej == 1 else x[:, j] ** ej
+                        t = t * pw
+                    acc += t
+            outs.append(out)
+        return outs
 
     return evaluate
 
 
-def _negative_axes(sys: SdeSystem) -> list[int]:
-    axes: set[int] = set()
-    for fld in (sys.drift, *sys.diffusions):
-        for p in fld:
-            for e, _ in p.terms():
-                axes.update(j for j, ej in enumerate(e) if ej < 0)
-    return sorted(axes)
+def _negative_axes(fields: Sequence[VField]) -> list[int]:
+    """Coordinates on which some term of the fields has a negative exponent: their poles."""
+    return sorted({j for v in fields for p in v for e, _ in p.terms()
+                   for j, ej in enumerate(e) if ej < 0})
 
 
 def _path_generators(seed: int, path_indices: np.ndarray,
@@ -186,30 +188,28 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     n = sys.dim
     if len(cfg.x0) != n:
         raise ValueError(f"x0 has {len(cfg.x0)} coords for a dim-{n} system")
-    drift_fn = _compile_vfield(sys.drift)
-    diff_fns = [_compile_vfield(g) for g in sys.diffusions]
-    neg_axes = _negative_axes(sys)
+    fields = (sys.drift, *sys.diffusions)
+    evaluate = _compile_fields(fields)
+    neg_axes = _negative_axes(fields)
     m = sys.noise_dim
     x0 = np.asarray(cfg.x0, dtype=float)
     center = np.zeros(n) if cfg.center == "origin" else x0.copy()
     n_steps = cfg.n_steps
     sqh = math.sqrt(cfg.h)
-    n_snaps = n_steps // cfg.thin + 1 if cfg.thin > 0 else 0
+    # final state (a path's state lands here when it stops), exit time, exited,
+    # excluded, pole: the ensemble arrays, which each chunk fills in its own rows
+    arrays = (np.tile(x0, (cfg.N, 1)), np.full(cfg.N, cfg.t_end),
+              np.zeros(cfg.N, dtype=bool), np.zeros(cfg.N, dtype=bool),
+              np.zeros(cfg.N, dtype=bool))
 
-    def run_chunk(path_indices: np.ndarray, gens: list | None = None):
-        k = len(path_indices)
-        x = np.tile(x0, (k, 1))  # a path's state lands here when it stops, and at snapshots
-        exited = np.zeros(k, dtype=bool)
-        excluded = np.zeros(k, dtype=bool)
-        pole = np.zeros(k, dtype=bool)
-        exit_time = np.full(k, cfg.t_end)
-        traj = np.empty((k, n_snaps, n)) if n_snaps else None
-        if traj is not None:
-            traj[:, 0, :] = x
+    def run_chunk(lo: int, gens: list | None = None):
+        x, exit_time, exited, excluded, pole = (a[lo:lo + _CHUNK] for a in arrays)
+        k = len(x)
         live = np.arange(k)  # chunk rows of the paths still moving, ascending
         xl = x.copy()        # their states, row for row
         if m:
-            normals = [g.standard_normal for g in _path_generators(cfg.seed, path_indices, gens)]
+            normals = [g.standard_normal
+                       for g in _path_generators(cfg.seed, np.arange(lo, lo + k), gens)]
             block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
             drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
             noise = np.empty((block, m, k))  # the same, contiguous over paths at each step
@@ -225,7 +225,6 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                 zcol = np.flatnonzero(keep) if zcol is None else zcol[keep]
             return states[keep]
 
-        done = 0
         with np.errstate(all="ignore"):
             for step in range(n_steps):
                 if not live.size:
@@ -241,8 +240,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                         xl = drop(at_pole, xl)
                         if not live.size:
                             break
-                powers = {}
-                new_x = xl + cfg.h * drift_fn(xl, powers)
+                drift, *diffs = evaluate(xl)
+                new_x = xl + cfg.h * drift
                 if m:
                     s = step % block
                     if s == 0:
@@ -253,8 +252,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                         z_block[...] = drawn[:live.size, :b].transpose(1, 2, 0)
                         zcol = None
                     z = z_block[s] if zcol is None else z_block[s][:, zcol]
-                    for i, gfn in enumerate(diff_fns):
-                        new_x = new_x + sqh * gfn(xl, powers) * z[i][:, None]
+                    for i, g in enumerate(diffs):
+                        new_x = new_x + sqh * g * z[i][:, None]
                 dist = _distance(new_x, center)
                 # a nonfinite state has distance nan or inf, so it fails this test too
                 if (dist < cfg.R).all():
@@ -267,36 +266,22 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                     exited[rows] = True
                     exit_time[rows] = (step + 1) * cfg.h
                     xl = drop(out | ~finite, new_x)
-                done = step + 1
-                if traj is not None and done % cfg.thin == 0:
-                    x[live] = xl
-                    traj[:, done // cfg.thin, :] = x
         x[live] = xl
-        if traj is not None:
-            # if every path stopped before T, the snapshots not reached hold the frozen states
-            traj[:, done // cfg.thin + 1:, :] = x[:, None, :]
-        n_over = int(excluded.sum() - pole.sum())
-        return x, exit_time, exited, excluded, int(pole.sum()), n_over, traj
 
-    chunks = [np.arange(lo, min(lo + _CHUNK, cfg.N)) for lo in range(0, cfg.N, _CHUNK)]
-    if cfg.max_workers > 1 and len(chunks) > 1:
+    starts = range(0, cfg.N, _CHUNK)
+    if cfg.max_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
+            list(pool.map(run_chunk, starts))  # list() re-raises a chunk's exception
     else:
         gens: list[np.random.Generator] = []  # one chunk's generators, re-keyed for the next
-        results = [run_chunk(c, gens) for c in chunks]
+        for lo in starts:
+            run_chunk(lo, gens)
 
-    final = np.concatenate([r[0] for r in results])
-    exit_time = np.concatenate([r[1] for r in results])
-    exited = np.concatenate([r[2] for r in results])
-    excluded = np.concatenate([r[3] for r in results])
-    n_pole = sum(r[4] for r in results)
-    n_overflow = sum(r[5] for r in results)
-    traj = np.concatenate([r[6] for r in results]) if n_snaps else None
-    times = np.array([j * cfg.thin * cfg.h for j in range(n_snaps)]) if n_snaps else None
+    final, exit_time, exited, excluded, pole = arrays
+    n_pole = int(pole.sum())
     return SimEnsemble(config=cfg, final=final, exit_time=exit_time, exited=exited,
-                       excluded=excluded, n_pole=n_pole, n_overflow=n_overflow,
-                       trajectories=traj, snapshot_times=times)
+                       excluded=excluded, n_pole=n_pole,
+                       n_overflow=int(excluded.sum()) - n_pole)
 
 
 @dataclass(frozen=True)
@@ -334,20 +319,23 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = ens.config
-    phi_fn = _compile_vfield(VField((phi,)))
+    fields = (VField((phi,)),)
+    phi_fn = _compile_fields(fields)
+    neg_axes = _negative_axes(fields)
+    if any(cfg.x0[j] == 0.0 for j in neg_axes):
+        raise ValueError(f"candidate {phi} has a pole at x0={cfg.x0}")
     phi0 = float(phi.evaluate([complex(c) for c in cfg.x0]).real)
 
     keep = ~ens.excluded
     states = ens.final[keep]
     # candidate's own poles along paths also drop the sample
-    neg_axes = sorted({j for e, _ in phi.terms() for j, ej in enumerate(e) if ej < 0})
     if neg_axes and states.size:
         pole_rows = np.zeros(states.shape[0], dtype=bool)
         for j in neg_axes:
             pole_rows |= states[:, j] == 0.0
         states = states[~pole_rows]
     with np.errstate(all="ignore"):
-        vals = phi_fn(states)[:, 0] if states.size else np.empty(0)
+        vals = phi_fn(states)[0][:, 0] if states.size else np.empty(0)
     finite = np.isfinite(vals)
     vals = vals[finite]
     n_used = int(vals.size)

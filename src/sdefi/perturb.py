@@ -43,6 +43,8 @@ from .ito import SdeSystem
 from .resonance import resonance_values
 from .spectral import Eigenvalues, eigenbasis, jacobian_at_origin, roots, value_at_origin
 
+_MAX_RETRIES = 20  # seeded fresh u values tried after the requested one
+
 
 class PerturbationError(RuntimeError):
     """No admissible construction (singular/defective Jacobian, or no good u)."""
@@ -116,7 +118,7 @@ def _as_u_fraction(u) -> Fraction:
 
 
 def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
-                       seed: int = 0, max_retries: int = 20) -> PerturbationPlan:
+                       seed: int = 0) -> PerturbationPlan:
     """Construct P for the drift, retrying fresh u values until E(l) != 0 through L."""
     n = drift.dim
     f0 = value_at_origin(drift)
@@ -137,7 +139,7 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
     exponents = recurrence_exponents(n)
     rng = random.Random(seed)
     candidates = [_as_u_fraction(u)]
-    while len(candidates) < 1 + max_retries:
+    while len(candidates) < 1 + _MAX_RETRIES:
         c = Fraction(rng.randint(11, 989), 1000)
         if c not in candidates:
             candidates.append(c)

@@ -34,6 +34,10 @@ from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonov
 from .resonance import ResonanceReport
 
 
+_RANK_TRIALS = 5  # seeded rational points at which independence_rank evaluates the Jacobian
+_RANK_SEED = 0
+
+
 class WindowOverflowError(RuntimeError):
     """Generator image left the widened output window (cap exceeded)."""
 
@@ -198,8 +202,7 @@ class IntegralBasis:
         return len(self.basis)
 
 
-def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int,
-                         widen_cap: int = 10) -> IntegralBasis:
+def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> IntegralBasis:
     """All first integrals (mode "strong" or "weak") inside a monomial window.
 
     Returns a normalized exact kernel basis: leading graded-lex coefficient 1,
@@ -215,12 +218,11 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int,
         return IntegralBasis(mode, dmin, dmax, (), 0, ())
 
     if mode == "weak":
-        mats = [operator_matrix(sys, basis, "weak", widen_cap=widen_cap)]
+        mats = [operator_matrix(sys, basis, "weak")]
     else:
-        mats = [operator_matrix(sys, basis, "strong_drift", widen_cap=widen_cap)]
+        mats = [operator_matrix(sys, basis, "strong_drift")]
         for i in range(sys.noise_dim):
-            mats.append(operator_matrix(sys, basis, "strong_diff", noise_index=i,
-                                        widen_cap=widen_cap))
+            mats.append(operator_matrix(sys, basis, "strong_diff", noise_index=i))
     kernel = exactla.sparse_nullspace([row for m in mats for row in m.sparse_rows()],
                                       len(monos))
 
@@ -246,10 +248,10 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int,
     return IntegralBasis(mode, dmin, dmax, tuple(polys), rank, tuple(verdicts))
 
 
-def independence_rank(polys, trials: int = 5, seed: int = 0) -> int:
+def independence_rank(polys) -> int:
     """Functional independence: max exact Jacobian rank at seeded rational points.
 
-    Each of `trials` points has nonzero rational coordinates (hence is
+    Each of the _RANK_TRIALS points has nonzero rational coordinates (hence is
     pole-free for Laurent candidates); the gradients are evaluated there
     exactly and the rank is `exactla.rank`, so no tolerance decides it.
     A rank at one point is a lower bound of the generic rank.
@@ -259,9 +261,9 @@ def independence_rank(polys, trials: int = 5, seed: int = 0) -> int:
         return 0
     dim = polys[0].dim
     grads = [[p.differentiate(j) for j in range(dim)] for p in polys]
-    rng = random.Random(seed)
+    rng = random.Random(_RANK_SEED)
     best = 0
-    for _ in range(trials):
+    for _ in range(_RANK_TRIALS):
         point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(dim)]
         powers: dict = {}

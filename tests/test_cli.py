@@ -222,6 +222,16 @@ def test_simulate_seed_beyond_64_bits_is_input_error(capsys):
     assert "64-bit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--step", "inf"], ["--horizon", "inf"], ["--radius", "nan"],
+                                   ["--radius", "0"], ["--x0", "nan"], ["--x0", "0"]])
+def test_simulate_nonfinite_or_pole_inputs_are_input_errors(flags, capsys):
+    # --x0 0 puts the start on the candidate's pole
+    argv = ["simulate", "gbm", "--seed", "1", "--paths", "4", "--candidate", "x1^-1", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("u", ["3/2", "0", "1"])
 def test_perturb_u_outside_unit_interval_is_input_error(u, capsys):
     assert main(["perturb", "harmonic_oscillator", "--u", u]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -29,8 +30,12 @@ X_INV = LaurentPoly.monomial(1, (-1,))
 def test_config_validation():
     good = dict(x0=(1.0,), h=0.1, T=1.0, N=4, seed=0)
     SimConfig(**good)
+    SimConfig(**good, R=math.inf)  # no exit
+    nan, inf = math.nan, math.inf
     for bad in (dict(h=0.0), dict(T=-1.0), dict(N=0), dict(seed=-1), dict(seed=2 ** 64),
-                dict(center="there")):
+                dict(center="there"), dict(h=inf), dict(h=nan), dict(T=inf), dict(T=nan),
+                dict(h=1e-320), dict(x0=(nan,)), dict(x0=(-inf,)), dict(R=0.0), dict(R=-1.0),
+                dict(R=nan)):
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
 
@@ -44,6 +49,17 @@ def test_config_step_rounding():
 def test_x0_dimension_checked():
     with pytest.raises(ValueError):
         simulate_paths(systems.gbm(), SimConfig(x0=(1.0, 2.0), h=0.1, T=1.0, N=1, seed=0))
+
+
+def test_complex_coefficients_are_rejected():
+    names = ("x1",)
+    sys = SdeSystem(VField((parse_poly_text("x1", names),)),
+                    (VField((parse_poly_text("2i x1", names),)),), names)
+    with pytest.raises(ValueError, match="real coefficients"):
+        simulate_paths(sys, SimConfig(x0=(1.0,), h=0.1, T=1.0, N=1, seed=0))
+    ens = simulate_paths(systems.gbm(), SimConfig(x0=(1.0,), h=0.1, T=1.0, N=4, seed=0))
+    with pytest.raises(ValueError, match="real coefficients"):
+        conservation_test(ens, parse_poly_text("2i x1", names), "weak")
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -165,49 +181,18 @@ def test_pole_start_is_excluded():
     assert ens.excluded.all()
 
 
+def test_candidate_pole_at_x0_is_an_input_error():
+    ens = simulate_paths(systems.gbm(), SimConfig(x0=(0.0,), h=0.1, T=0.5, N=4, seed=0))
+    with pytest.raises(ValueError, match=r"candidate x1\^-1 has a pole at x0=\(0\.0,\)"):
+        conservation_test(ens, X_INV, "weak")
+
+
 def test_excluded_paths_leave_statistics():
     # mix one overflowing path family with a tame one via radius: kept paths only
     sys = systems.scalar_martingale()
     ens = simulate_paths(sys, SimConfig(x0=(1.0,), h=1e-2, T=1.0, N=64, seed=2))
     rep = conservation_test(ens, X, "weak")
     assert rep.n_used + rep.n_excluded == 64
-
-
-# -- thinning --------------------------------------------------------------------------
-
-
-def test_thinning_snapshots():
-    sys = _scalar("x1")
-    ens = simulate_paths(sys, SimConfig(x0=(1.0,), h=0.1, T=1.0, N=3, seed=0, thin=5))
-    assert ens.trajectories.shape == (3, 3, 1)  # t = 0, 0.5, 1.0
-    assert np.allclose(ens.snapshot_times, [0.0, 0.5, 1.0])
-    assert np.allclose(ens.trajectories[:, 0, 0], 1.0)
-    assert np.allclose(ens.trajectories[:, -1, :], ens.final)
-
-
-def test_thinning_after_every_path_exits():
-    # all four paths leave the ball before T, so the step loop stops early;
-    # the snapshots it no longer reaches hold the frozen exit states
-    cfg = SimConfig(x0=(1.0,), h=0.01, T=1, N=4, seed=3, R=0.3, center="x0", thin=10)
-    ens = simulate_paths(systems.gbm(), cfg)
-    assert ens.exited.all() and ens.exit_time.max() < 0.4
-    assert ens.trajectories.shape == (4, 11, 1)
-    after = int(ens.exit_time.max() / (cfg.thin * cfg.h)) + 1  # first snapshot after all exits
-    assert after < 11
-    assert np.array_equal(ens.trajectories[:, after:, :],
-                          np.repeat(ens.final[:, None, :], 11 - after, axis=1))
-
-
-@pytest.mark.parametrize("R", [1e6, 0.3])
-def test_snapshots_equal_finals_of_shorter_runs(R):
-    base = dict(x0=(1.0,), h=0.01, N=4, seed=3, R=R, center="x0")
-    thin = 10
-    ens = simulate_paths(systems.gbm(), SimConfig(T=1, thin=thin, **base))
-    assert np.array_equal(ens.trajectories[:, 0, :], np.ones((4, 1)))
-    for j in range(1, ens.trajectories.shape[1]):
-        short = simulate_paths(systems.gbm(), SimConfig(T=j * thin * base["h"], **base))
-        assert short.config.n_steps == j * thin
-        assert np.array_equal(ens.trajectories[:, j, :], short.final), j
 
 
 def test_report_dict_shape():
@@ -227,9 +212,9 @@ def _reference_paths(sys, cfg):
     and exit rules as `simulate_paths`, but no chunks, blocks or compaction.
     """
     n, m = sys.dim, sys.noise_dim
-    drift = mc._compile_vfield(sys.drift)
-    diffs = [mc._compile_vfield(g) for g in sys.diffusions]
-    neg_axes = mc._negative_axes(sys)
+    fields = (sys.drift, *sys.diffusions)
+    evaluate = mc._compile_fields(fields)
+    neg_axes = mc._negative_axes(fields)
     x0 = np.asarray(cfg.x0, dtype=float)[None, :]
     center = np.zeros(n) if cfg.center == "origin" else x0[0].copy()
     sqh = math.sqrt(cfg.h)
@@ -238,11 +223,9 @@ def _reference_paths(sys, cfg):
     exited = np.zeros(cfg.N, dtype=bool)
     excluded = np.zeros(cfg.N, dtype=bool)
     pole = np.zeros(cfg.N, dtype=bool)
-    snaps = []
     for p in range(cfg.N):
         gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, p], dtype=np.uint64)))
         x = x0.copy()
-        states = [x]
         moving = True
         with np.errstate(all="ignore"):
             for step in range(cfg.n_steps):
@@ -251,9 +234,10 @@ def _reference_paths(sys, cfg):
                     moving = False
                 if moving:
                     z = gen.standard_normal(m)
-                    new = x + cfg.h * drift(x)
+                    drift, *diffs = evaluate(x)
+                    new = x + cfg.h * drift
                     for i, g in enumerate(diffs):
-                        new = new + sqh * g(x) * z[i]
+                        new = new + sqh * g * z[i]
                     x = new
                     if not np.isfinite(x).all():
                         excluded[p] = True
@@ -262,18 +246,13 @@ def _reference_paths(sys, cfg):
                         exited[p] = True
                         exit_time[p] = (step + 1) * cfg.h
                         moving = False
-                states.append(x)
         final[p] = x[0]
-        if cfg.thin:
-            snaps.append(np.concatenate(states[::cfg.thin]))
-    traj = np.stack(snaps) if cfg.thin else None
     n_pole = int(pole.sum())
-    return final, exit_time, exited, excluded, n_pole, int(excluded.sum()) - n_pole, traj
+    return final, exit_time, exited, excluded, n_pole, int(excluded.sum()) - n_pole
 
 
 def _fields(ens):
-    return (ens.final, ens.exit_time, ens.exited, ens.excluded, ens.n_pole, ens.n_overflow,
-            ens.trajectories)
+    return ens.final, ens.exit_time, ens.exited, ens.excluded, ens.n_pole, ens.n_overflow
 
 
 def _assert_bits_equal(got, want):
@@ -295,21 +274,19 @@ def _pole_midway():
 REFERENCE_CASES = {
     # m = 0: Euler spirals outward and leaves a ball slightly wider than the circle
     "m0-exit-origin": (systems.harmonic_oscillator,
-                       dict(x0=(1.0, 0.0), h=0.05, T=4, N=3, seed=0, R=1.02, thin=7)),
+                       dict(x0=(1.0, 0.0), h=0.05, T=4, N=3, seed=0, R=1.02)),
     "m1-exit-x0": (systems.gbm, dict(x0=(1.0,), h=0.01, T=1, N=23, seed=3, R=0.3,
-                                     center="x0", thin=10)),
+                                     center="x0")),
     "m2-exit-origin": (systems.gbm_twin_noise, dict(x0=(1.0,), h=0.02, T=2, N=23, seed=4,
-                                                    R=3.0, thin=9)),
+                                                    R=3.0)),
     "m2-dim4-exit": (systems.two_body, dict(x0=(1.0, 0.0, 0.0, 1.0), h=0.01, T=3, N=17,
                                             seed=5, R=2.0, center="x0")),
-    "m2-no-exit": (systems.lotka_volterra, dict(x0=(0.3, 0.4), h=0.01, T=1, N=19, seed=6,
-                                                thin=25)),
-    "pole-at-start": (lambda: _scalar("x1^-1"), dict(x0=(0.0,), h=0.1, T=0.5, N=4, seed=0,
-                                                     thin=2)),
-    "pole-midway": (_pole_midway, dict(x0=(1.0, 1.0), h=0.5, T=3, N=9, seed=2, thin=1,
+    "m2-no-exit": (systems.lotka_volterra, dict(x0=(0.3, 0.4), h=0.01, T=1, N=19, seed=6)),
+    "pole-at-start": (lambda: _scalar("x1^-1"), dict(x0=(0.0,), h=0.1, T=0.5, N=4, seed=0)),
+    "pole-midway": (_pole_midway, dict(x0=(1.0, 1.0), h=0.5, T=3, N=9, seed=2,
                                        R=1.2, center="x0")),
     "overflow": (lambda: _scalar("x1^3", ("x1^2",)),
-                 dict(x0=(1.0,), h=0.05, T=3.0, N=40, seed=1, thin=5, R=math.inf)),
+                 dict(x0=(1.0,), h=0.05, T=3.0, N=40, seed=1, R=math.inf)),
 }
 
 
@@ -339,6 +316,25 @@ def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps
     # a 7-path chunk gets `block_steps` steps per block; the last, smaller chunk gets more
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_steps * 8 * sys.noise_dim * 7)
     _assert_bits_equal(_fields(simulate_paths(sys, cfg)), want)
+
+
+@pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "pole-midway",
+                                  "overflow"])
+def test_threads_write_the_serial_bits(monkeypatch, case):
+    # each worker advances views of its own rows of the shared ensemble arrays; a short
+    # switch interval interleaves the three workers (more than the cores) step by step
+    make, kw = REFERENCE_CASES[case]
+    sys = make()
+    want = _fields(simulate_paths(sys, SimConfig(**kw)))
+    monkeypatch.setattr(mc, "_CHUNK", 7)
+    assert kw["N"] > 7  # more than one chunk, so the thread pool runs
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        got = _fields(simulate_paths(sys, SimConfig(**kw, max_workers=3)))
+    finally:
+        setswitchinterval(interval)
+    _assert_bits_equal(got, want)
 
 
 def test_rekeyed_generators_equal_new_ones():
