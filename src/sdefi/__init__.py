@@ -52,7 +52,6 @@ from .resonance import (
 from .search import (
     CountBoundVerdict,
     IntegralBasis,
-    WindowOverflowError,
     count_bound_check,
     find_first_integrals,
     independence_rank,
@@ -85,7 +84,7 @@ __all__ = [
     "ResonanceReport", "Verdict", "EpistemicStatus", "WeakResonanceResult",
     "enumerate_resonances", "lattice_rank", "halfplane_certificate",
     "weak_resonance_test", "nonintegrability_report",
-    "IntegralBasis", "CountBoundVerdict", "WindowOverflowError",
+    "IntegralBasis", "CountBoundVerdict",
     "monomial_basis", "operator_matrix", "find_first_integrals",
     "independence_rank", "count_bound_check",
     "PerturbationPlan", "PerturbVerdict", "PerturbationError",

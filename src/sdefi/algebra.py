@@ -722,15 +722,18 @@ def _parse_coeff(tok: str) -> CRational:
     m = _COEFF_RE.match(tok)
     if not m:
         raise ValueError(f"bad coefficient {tok!r}")
-    if m.group("cplx"):
-        im = Fraction(m.group("im"))
-        if m.group("sgn") == "-":
-            im = -im
-        return CRational(Fraction(m.group("re")), im)
-    if m.group("imag") is not None:
-        return CRational(0, Fraction(m.group("imag")))
-    if m.group("real") is not None:
-        return CRational(Fraction(m.group("real")))
+    try:
+        if m.group("cplx"):
+            im = Fraction(m.group("im"))
+            if m.group("sgn") == "-":
+                im = -im
+            return CRational(Fraction(m.group("re")), im)
+        if m.group("imag") is not None:
+            return CRational(0, Fraction(m.group("imag")))
+        if m.group("real") is not None:
+            return CRational(Fraction(m.group("real")))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {tok!r}") from None
     return CRational(0, -1 if m.group("unit_i").startswith("-") else 1)
 
 

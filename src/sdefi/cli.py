@@ -32,21 +32,13 @@ import sys as _sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import (
-    CRational,
-    DimensionMismatch,
-    LaurentPoly,
-    PoleError,
-    VField,
-    to_text,
-    parse_poly_text,
-)
-from .ito import ConstantCandidateError, IntegralVerdict, SdeSystem, check_strong, check_weak
+from .algebra import CRational, LaurentPoly, VField, to_text, parse_poly_text
+from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak
 from .mc import SimConfig, conservation_test, simulate_paths
-from .perturb import PerturbationError, build_perturbation, verify_perturbation
+from .perturb import build_perturbation, verify_perturbation
 from .resonance import nonintegrability_report
-from .search import WindowOverflowError, count_bound_check, find_first_integrals
-from .spectral import NotApplicableError, RootFindingError, h1_check, linearization
+from .search import count_bound_check, find_first_integrals
+from .spectral import NotApplicableError, h1_check, linearization
 from . import systems as _builtin
 
 _COEFF_STR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -400,9 +392,17 @@ def _ensemble_text(d: dict) -> list[str]:
 
 
 def _print_report(report: dict, render, output: str):
-    """Print `report` as JSON, or as the text lines `render(report)` reads off it."""
+    """Print `report` as JSON, or as the text lines `render(report)` reads off it.
+
+    JSON is strict (RFC 8259): an infinite or NaN float is printed as null.
+    """
     if output == "json":
-        print(json.dumps(report, indent=2))
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError:  # a non-finite float: read Infinity and NaN back as null
+            text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None),
+                              indent=2)
+        print(text)
     else:
         print("\n".join(render(report)))
 
@@ -634,15 +634,10 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (InputFormatError, NotApplicableError, ConstantCandidateError,
-            DimensionMismatch, WindowOverflowError, OSError) as e:
+    except (ValueError, OSError) as e:  # every input error subclasses ValueError
         print(f"error: {e}", file=_sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except (RootFindingError, PerturbationError, PoleError, ArithmeticError,
-            AssertionError, RuntimeError) as e:
+    except (ArithmeticError, AssertionError, RuntimeError) as e:
         print(f"internal failure: {e}", file=_sys.stderr)
         return 3
 

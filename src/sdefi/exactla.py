@@ -74,18 +74,26 @@ def mat_to_complex(a: Matrix):
 
 # -- elimination ---------------------------------------------------------------
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (exact Gauss-Jordan); returns (R, pivot_columns)."""
+def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], CRational]:
+    """Exact Gauss-Jordan: (R, pivot_columns, d), R the reduced row echelon form.
+
+    d is the product of the pivots, negated once per row swap, so a square
+    matrix of full rank has determinant d.
+    """
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    d = CRational(1)
     r = 0
     for c in range(cols):
         pivot_row = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            d = -d
+        d = d * m[r][c]
         inv = CRational(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
@@ -96,7 +104,12 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return m, pivots, d
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (exact Gauss-Jordan); returns (R, pivot_columns)."""
+    return _gauss_jordan(a)[:2]
 
 
 def rank(a: Matrix) -> int:
@@ -188,24 +201,9 @@ def sparse_nullspace(rows, ncols: int) -> list[Vector]:
 
 
 def det(a: Matrix) -> CRational:
-    """Exact determinant via elimination with pivot bookkeeping."""
-    n = len(a)
-    m = [row[:] for row in a]
-    out = CRational(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
-            return CRational(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = CRational(1) / m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return out
+    """Exact determinant: the signed pivot product of the Gauss-Jordan pass."""
+    _, pivots, d = _gauss_jordan(a)
+    return d if len(pivots) == len(a) else CRational(0)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -32,6 +32,7 @@ epistemic status: `certified` or `bounded(K, tol)`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -119,9 +120,10 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus"):
 
 
 def _check_tol(tol: float) -> None:
-    """A negative or NaN tolerance would let no float q(k) count as zero."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
+    """A negative or NaN tolerance would let no float q(k) count as zero,
+    an infinite one every q(k)."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
 
 
 def _zeros(points, tol: float) -> list[tuple]:
@@ -347,6 +349,23 @@ def _scan(label: str, eig: Eigenvalues, lattice: str, K: int, tol: float) -> Sca
     return ScanResult(label, lattice, eig, vectors, lattice_rank(vectors), complete, False, K, tol)
 
 
+def _exclusion(code: str, theorem: str, hyp: tuple[str, ...],
+               scans: list[ScanResult]) -> Verdict | None:
+    """The verdict that an empty scan excludes integrals, or None if every scan resonates.
+
+    The first empty, non-degenerate scan that is complete certifies it;
+    otherwise the first empty one bounds it to the scan's K-window.
+    """
+    empty = [s for s in scans if not s.vectors and not s.degenerate]
+    if not empty:
+        return None
+    s = next((s for s in empty if s.complete), empty[0])
+    kind = "nonnegative" if s.lattice == "zplus" else "signed integer"
+    where = "at any order" if s.complete else f"with |k|_1 <= {s.K}"
+    return Verdict(code, theorem, hyp, _certified() if s.complete else _bounded(s.K, s.tol),
+                   f"spectrum of {s.label} has no {kind} resonance {where}")
+
+
 def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
                             include_z: bool = True,
                             linearized: tuple[SpectralData, H1Status] | None = None
@@ -378,29 +397,15 @@ def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
     verdicts: list[Verdict] = []
 
     # strong side: spectra of A0 and every Dg_i over the nonnegative lattice
-    strong_scans: list[ScanResult] = []
     if g_zero and data.lam is not None:
         tuples = [("A0", data.lam)] + [(f"Dg_{i + 1}", data.mu[i]) for i in range(m)]
         strong_hyp = ("f(0) = 0", "g_i(0) = 0 for every i")
-        for label, eig in tuples:
-            strong_scans.append(_scan(label, eig, "zplus", K, tol))
+        strong_scans = [_scan(label, eig, "zplus", K, tol) for label, eig in tuples]
         report.scans.extend(strong_scans)
         report.s_min = min(s.rank for s in strong_scans)
         report.s_min_certified = all(s.complete for s in strong_scans)
-
-        empty_certified = [s for s in strong_scans if s.complete and not s.vectors]
-        empty_bounded = [s for s in strong_scans if not s.vectors]
-        if empty_certified:
-            s0 = empty_certified[0]
-            verdicts.append(Verdict(
-                NO_STRONG_ANALYTIC, THM_STRONG_EXCLUSION, strong_hyp, _certified(),
-                f"spectrum of {s0.label} has no nonnegative resonance at any order "
-                f"(half-plane certificate)"))
-        elif empty_bounded:
-            s0 = empty_bounded[0]
-            verdicts.append(Verdict(
-                NO_STRONG_ANALYTIC, THM_STRONG_EXCLUSION, strong_hyp, _bounded(K, tol),
-                f"spectrum of {s0.label} has no nonnegative resonance with |k|_1 <= {K}"))
+        if v := _exclusion(NO_STRONG_ANALYTIC, THM_STRONG_EXCLUSION, strong_hyp, strong_scans):
+            verdicts.append(v)
         count_status = _certified() if report.s_min_certified else _bounded(K, tol)
         verdicts.append(Verdict(
             STRONG_COUNT_AT_MOST, THM_STRONG_COUNT, strong_hyp, count_status,
@@ -410,29 +415,20 @@ def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
     # weak side, quadratic-noise route: spectrum of Df over both lattices
     if g_h2:
         quad_hyp = ("f(0) = 0", "g_i = O(|x|^2) for every i")
-        scan_zp = _scan("Df", data.mu0, "zplus", K, tol)
-        report.scans.append(scan_zp)
-        if not scan_zp.vectors and not scan_zp.degenerate:
-            status = _certified() if scan_zp.complete else _bounded(K, tol)
-            how = "half-plane certificate" if scan_zp.complete else f"scan up to |k|_1 <= {K}"
-            verdicts.append(Verdict(
-                NO_WEAK_ANALYTIC, THM_QUADRATIC_NOISE, quad_hyp, status,
-                f"drift spectrum carries no nonnegative resonance ({how})"))
+        routes = [("zplus", NO_WEAK_ANALYTIC, THM_QUADRATIC_NOISE)]
         if include_z:
-            scan_z = _scan("Df", data.mu0, "z", K, tol)
-            report.scans.append(scan_z)
-            if not scan_z.vectors and not scan_z.degenerate:
-                status = _certified() if scan_z.complete else _bounded(K, tol)
-                verdicts.append(Verdict(
-                    NO_WEAK_RATIONAL, THM_QUADRATIC_NOISE_Z, quad_hyp, status,
-                    "drift spectrum carries no signed integer resonance "
-                    + ("at any order" if scan_z.complete else f"with |k|_1 <= {K}")))
+            routes.append(("z", NO_WEAK_RATIONAL, THM_QUADRATIC_NOISE_Z))
+        for lattice, code, theorem in routes:
+            scan = _scan("Df", data.mu0, lattice, K, tol)
+            report.scans.append(scan)
+            if v := _exclusion(code, theorem, quad_hyp, [scan]):
+                verdicts.append(v)
 
     # weak side, resonance-function route: needs aligned spectra under H1
     if g_zero and m > 0 and h1.verdict == "holds":
         aligned = aligned_spectra(data)
         if aligned is not None:
-            lam_a, mus_a, exact_a = aligned
+            lam_a, mus_a, _ = aligned
             wr = weak_resonance_test(lam_a, mus_a, K, tol)
             report.weak = wr
             if not wr.violations:

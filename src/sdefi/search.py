@@ -29,17 +29,13 @@ from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, _ints, grlex_key, lattice_points
+from .algebra import LaurentPoly, _ints, grlex_key, lattice_points
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 from .resonance import ResonanceReport
 
 
 _RANK_TRIALS = 5  # seeded rational points at which independence_rank evaluates the Jacobian
 _RANK_SEED = 0
-
-
-class WindowOverflowError(RuntimeError):
-    """Generator image left the widened output window (cap exceeded)."""
 
 
 @dataclass(frozen=True)
@@ -88,24 +84,12 @@ class OperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.output_monomials), len(self.input_monomials)
 
-    def to_dense(self) -> list:
-        rows, cols = self.shape
-        m = exactla.zeros(rows, cols)
-        for (r, c), v in self.entries.items():
-            m[r][c] = v
-        return m
-
     def sparse_rows(self) -> list[dict]:
         """One {column: coefficient} dict per output monomial (empty if no entries)."""
         rows: list[dict] = [{} for _ in self.output_monomials]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def entry(self, out_e, in_e) -> CRational:
-        r = self.output_monomials.index(tuple(out_e))
-        c = self.input_monomials.index(tuple(in_e))
-        return self.entries.get((r, c), CRational(0))
 
 
 def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tuple], int]:
@@ -150,12 +134,12 @@ def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tu
 
 
 def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
-                    noise_index: int | None = None, widen_cap: int = 10) -> OperatorMatrix:
+                    noise_index: int | None = None) -> OperatorMatrix:
     """Apply one conservation operator to every basis monomial, exactly.
 
-    The output window is widened to absorb the degree growth of the
-    coefficients; a single application always lands in a finite window, and
-    widen_cap guards against a window more than `cap` degrees beyond the input.
+    The rows are the distinct monomials of the images and the inputs, so
+    there are at most as many as nonzeros plus columns, whatever degrees
+    the coefficients reach.
     """
     if basis.dim != sys.dim:
         raise ValueError("basis dim != system dim")
@@ -174,11 +158,6 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     out_set = set(basis.monomials)
     for col in columns:
         out_set.update(col)
-    degs = [sum(e) for e in out_set]
-    if degs and (max(degs) > basis.dmax + widen_cap or min(degs) < basis.dmin - widen_cap):
-        raise WindowOverflowError(
-            f"operator image spans degrees [{min(degs)}, {max(degs)}], "
-            f"more than {widen_cap} beyond window [{basis.dmin}, {basis.dmax}]")
     output = tuple(sorted(out_set, key=grlex_key))
     row_of = {e: i for i, e in enumerate(output)}
     entries: dict = {}
@@ -214,8 +193,6 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
     zero_exp = (0,) * sys.dim
     monos = tuple(e for e in full.monomials if e != zero_exp)
     basis = MonomialBasis(sys.dim, dmin, dmax, monos)
-    if not monos:
-        return IntegralBasis(mode, dmin, dmax, (), 0, ())
 
     if mode == "weak":
         mats = [operator_matrix(sys, basis, "weak")]
@@ -226,14 +203,10 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
     kernel = exactla.sparse_nullspace([row for m in mats for row in m.sparse_rows()],
                                       len(monos))
 
-    polys = []
-    for vec in kernel:
-        p = LaurentPoly(sys.dim, {e: c for e, c in zip(monos, vec) if not c.is_zero()})
-        if p.is_zero:
-            continue
-        _, lead = p.leading_term()
-        polys.append(p.scale(CRational(1) / lead))
-    polys.sort(key=lambda p: grlex_key(p.leading_term()[0]))
+    # Each kernel vector has a 1 at its free column and nonzeros only at earlier
+    # (pivot) columns, and the free columns ascend; with `monos` graded-lex
+    # ascending, every polynomial is monic and the list is sorted by leading monomial.
+    polys = [LaurentPoly(sys.dim, zip(monos, vec)) for vec in kernel]
 
     checker = check_weak if mode == "weak" else check_strong
     verdicts = []
@@ -244,7 +217,7 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
                 f"internal error: kernel element failed exact re-verification: {p}")
         verdicts.append(v)
 
-    rank = independence_rank(polys) if polys else 0
+    rank = independence_rank(polys)
     return IntegralBasis(mode, dmin, dmax, tuple(polys), rank, tuple(verdicts))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,14 @@ def test_parse_rejects_unknown_and_decimal():
         parse_poly_text("0.5 * x1", ["x1"])
     with pytest.raises(ValueError):
         parse_poly_text("", ["x1"])
+
+
+@pytest.mark.parametrize("text, token", [("1/0 * x1", "1/0"), ("(1/0+1i) x1", "(1/0+1i)"),
+                                         ("(1+1/0i) x1", "(1+1/0i)"), ("1/0i * x1", "1/0i"),
+                                         ("x1^2 + 1/0", "1/0")])
+def test_parse_zero_denominator_names_the_token(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"zero denominator in coefficient {token!r}")):
+        parse_poly_text(text, ["x1"])
 
 
 def test_parse_merges_repeated_terms():

@@ -200,6 +200,17 @@ def test_bad_candidate_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-weak", "gbm", "--candidate", "1/0 x1"],
+    ["check-weak", "gbm", "--candidate", "(1/0+1i) x1"],
+    ["simulate", "gbm", "--seed", "1", "--paths", "4", "--candidate", "x1^2 + 1/0"],
+])
+def test_zero_denominator_candidate_is_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err, err
+
+
 def test_perturb_singular_jacobian_is_internal_failure(tmp_path, capsys):
     from sdefi.algebra import VField, parse_poly_text
     from sdefi.ito import SdeSystem
@@ -239,14 +250,41 @@ def test_perturb_u_outside_unit_interval_is_input_error(u, capsys):
     assert err.startswith("error:") and "(0,1)" in err
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_resonance_negative_or_nan_tol_is_input_error(tol, capsys):
     # with tol = -1 no float q(k) counted as zero: the A0 scan of cyclic_exchange
-    # came back empty and claimed NO_STRONG_ANALYTIC, though x1+x2+x3 is a strong integral
+    # came back empty and claimed NO_STRONG_ANALYTIC, though x1+x2+x3 is a strong
+    # integral; with tol = inf every float q(k) would count as zero
     argv = ["resonance", "cyclic_exchange", "--kbound", "4", "--tol", tol]
     assert main(argv) == 2
     assert "tolerance" in capsys.readouterr().err
     assert main(["analyze", "gbm", "--dmax", "1", "--tol", tol]) == 2
+
+
+def _strict_json(text):
+    """Parse RFC 8259 JSON: Infinity, -Infinity and NaN are refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_prints_nonfinite_floats_as_null(tmp_path, capsys):
+    assert main(["perturb", "gbm", "--lbound", "0", "--output", "json"]) == 0
+    assert _strict_json(capsys.readouterr().out)["plan"]["residual_min"] is None
+    # one path: no standard error, so no threshold
+    assert main(["simulate", "gbm", "--seed", "1", "--paths", "1", "--candidate", "x1",
+                 "--output", "json"]) == 0
+    cand = _strict_json(capsys.readouterr().out)["candidates"][0]
+    assert cand["stderr"] is None and cand["threshold"] is None
+    # dx = x^3 dt from x0 = 10 overflows on every path: no mean final state
+    d = {"dim": 1, "noise_dim": 0, "var_names": ["x1"],
+         "drift": [[{"c": ["1", "0"], "e": [3]}]], "diffusion": []}
+    p = tmp_path / "cube.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["simulate", str(p), "--seed", "0", "--x0", "10", "--step", "0.1",
+                 "--radius", "inf", "--paths", "2", "--output", "json"]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["n_overflow"] == 2 and rep["final_mean"] == [None] and rep["radius"] is None
 
 
 def test_simulate_json_report(capsys):

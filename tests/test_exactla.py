@@ -1,5 +1,5 @@
-"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector;
-the characteristic polynomial's product count."""
+"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector,
+and shaped as the search reads it; the characteristic polynomial's product count."""
 
 import random
 from fractions import Fraction
@@ -45,6 +45,13 @@ def test_sparse_nullspace_matches_dense_on_random_matrices():
         got = sparse_nullspace(rows, ncols)
         assert got == nullspace(_dense(rows, ncols))
         assert all(_is_kernel(rows, v) for v in got)
+        # the shape find_first_integrals relies on: each vector ends in a 1 at its
+        # free column, zero at the other free columns, and the free columns ascend
+        free = [max(c for c, x in enumerate(v) if not x.is_zero()) for v in got]
+        assert free == sorted(set(free))
+        for v, fc in zip(got, free):
+            assert v[fc] == CRational(1)
+            assert all(v[c].is_zero() for c in free if c != fc)
 
 
 def test_sparse_nullspace_empty_columns_are_free():
@@ -97,7 +104,8 @@ def test_sparse_nullspace_matches_dense_on_operator_matrices():
                                (systems.harmonic_oscillator(), "strong_drift", 1, 6)]:
         mat = operator_matrix(sysm, monomial_basis(sysm.dim, lo, hi), kind)
         ncols = mat.shape[1]
-        assert sparse_nullspace(mat.sparse_rows(), ncols) == nullspace(mat.to_dense())
+        rows = mat.sparse_rows()
+        assert sparse_nullspace(rows, ncols) == nullspace(_dense(rows, ncols))
 
 
 def test_char_poly_makes_one_product_per_degree(monkeypatch):

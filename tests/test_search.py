@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from sdefi import systems
-from sdefi.algebra import CRational, LaurentPoly, VField, dot, gradient, grlex_key, parse_poly_text
+from sdefi import exactla, systems
+from sdefi.algebra import (
+    CRational, LaurentPoly, VField, dot, gradient, grlex_key, parse_poly_text, to_text,
+)
 from sdefi.ito import SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
 from sdefi.resonance import nonintegrability_report
 from sdefi.search import (
-    WindowOverflowError,
     count_bound_check,
     find_first_integrals,
     independence_rank,
@@ -22,6 +23,14 @@ from sdefi.search import (
 
 def _poly(text, names):
     return parse_poly_text(text, names)
+
+
+def _to_dense(mat):
+    rows, cols = mat.shape
+    m = exactla.zeros(rows, cols)
+    for (r, c), v in mat.entries.items():
+        m[r][c] = v
+    return m
 
 
 # -- monomial windows ------------------------------------------------------------------
@@ -88,8 +97,8 @@ def test_gbm_weak_operator_is_diagonal():
     mat = operator_matrix(sys, b, "weak")
     assert mat.output_monomials == b.monomials
     expected = {(-1,): 0, (0,): 0, (1,): 1}
-    for e in b.monomials:
-        assert mat.entry(e, e) == CRational(expected[e])
+    for i, e in enumerate(b.monomials):  # row i and column i are both monomial e
+        assert mat.entries.get((i, i), CRational(0)) == CRational(expected[e])
     for (r, c) in mat.entries:
         assert r == c
 
@@ -106,16 +115,15 @@ def test_diagonal_drift_operator_entries():
         assert mat.output_monomials == b.monomials
         for (row, col) in mat.entries:
             assert row == col
-        for e in b.monomials:
-            l1, l2 = e
-            assert mat.entry(e, e) == CRational(l1 - 2 * l2)
+        for i, (l1, l2) in enumerate(b.monomials):
+            assert mat.entries.get((i, i), CRational(0)) == CRational(l1 - 2 * l2)
 
 
 def test_operator_matrix_dense_roundtrip():
     sys = systems.gbm()
     b = monomial_basis(1, -1, 1)
     mat = operator_matrix(sys, b, "weak")
-    dense = mat.to_dense()
+    dense = _to_dense(mat)
     assert (len(dense), len(dense[0])) == mat.shape
     for (r, c), v in mat.entries.items():
         assert dense[r][c] == v
@@ -156,11 +164,7 @@ def _assert_matches_oracle(sys, basis, label):
     kinds += [("strong_diff", i) for i in range(sys.noise_dim)]
     for kind, i in kinds:
         output, entries = operator_matrix_oracle(sys, basis, kind, i)
-        degs = [sum(e) for e in output]
-        if degs and (max(degs) > basis.dmax + 10 or min(degs) < basis.dmin - 10):
-            with pytest.raises(WindowOverflowError):
-                operator_matrix(sys, basis, kind, noise_index=i)
-        mat = operator_matrix(sys, basis, kind, noise_index=i, widen_cap=100)
+        mat = operator_matrix(sys, basis, kind, noise_index=i)
         assert mat.output_monomials == output, (label, kind, i)
         assert list(mat.entries.items()) == entries, (label, kind, i)
 
@@ -204,15 +208,18 @@ def test_operator_matrix_cancelled_column_and_constant_monomial():
     assert list(mat.entries.items()) == operator_matrix_oracle(sys, b, "weak")[1]
 
 
-def test_window_overflow_guard():
-    names = ("x1",)
-    sys = SdeSystem(VField((_poly("x1^15", names),)), (), names)
-    with pytest.raises(WindowOverflowError):
-        find_first_integrals(sys, "weak", 1, 2)
-    # a wider cap absorbs the same image
-    b = monomial_basis(1, 1, 2)
-    mat = operator_matrix(sys, b, "weak", widen_cap=20)
-    assert mat.shape[0] >= mat.shape[1]
+def test_window_far_below_the_image_is_answered():
+    # rotation at speed r^6, r = x1^2 + x2^2: the images reach degree 14 from the
+    # window [1, 2], and the window still holds the integral r
+    names = ("x1", "x2")
+    speed = _poly("x1^2 + x2^2", names) ** 6
+    sys = SdeSystem(VField((_poly("x2", names) * speed, _poly("-x1", names) * speed)), (), names)
+    mat = operator_matrix(sys, monomial_basis(2, 1, 2), "weak")
+    assert max(sum(e) for e in mat.output_monomials) == 14
+    for mode in ("strong", "weak"):
+        res = find_first_integrals(sys, mode, 1, 2)
+        assert [to_text(p, names) for p in res.basis] == ["x1^2 + x2^2"]
+        assert res.independence_rank == 1
 
 
 # -- kernel searches on the fixtures ---------------------------------------------------
