@@ -18,7 +18,8 @@ rejected so every downstream identity test stays exact.  A builtin name from
 `sdefi.systems` (e.g. "gbm") is accepted wherever a system file is expected.
 
 Exit codes: 0 = analysis completed (verdicts live inside the report),
-2 = input error, 3 = internal numeric failure.
+2 = input error (also an input too large for memory), 3 = internal numeric
+failure.
 """
 
 from __future__ import annotations
@@ -634,8 +635,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as e:  # every input error subclasses ValueError
-        print(f"error: {e}", file=_sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # every input error subclasses ValueError
+        # MemoryError: an input too large for this machine, such as a huge ensemble
+        print(f"error: {str(e) or 'out of memory'}", file=_sys.stderr)
         return 2
     except (ArithmeticError, AssertionError, RuntimeError) as e:
         print(f"internal failure: {e}", file=_sys.stderr)

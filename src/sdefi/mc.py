@@ -8,16 +8,22 @@ a ball of radius R (origin- or x0-centered) and are frozen at the exit state;
 nonfinite states (overflow, or a pole hit exactly) drop the path from the
 statistics and are counted.  Only each path's end state is kept.
 
-The drift and diffusions compile into one evaluator, which computes each
-coordinate power once per step for all fields.  The ensemble arrays are
-allocated once, and paths run in chunks of at most _CHUNK, each advancing
-views of its own rows.  Each chunk keeps its paths' generators (a serial run
-re-keys one chunk's generators for the next) and draws the noise in step
+The drift and diffusions compile into one evaluator.  Each step forms each
+distinct monomial of all the fields once, as a row over the moving paths,
+and each field component with terms as a fixed-order sum of coefficient x
+monomial row; components without terms are skipped.  The moving paths'
+states are held state-major, one contiguous row per coordinate, and each
+step adds the component rows into them in place: h f_j, then sqrt(h) xi^i
+g_ij for each noise i in turn.  Only elementwise operations are used, so a
+path's bits do not depend on the chunk size, the block size or its position
+in a chunk.  The ensemble arrays are allocated once, and paths run in chunks
+of at most _CHUNK, each writing its own rows; a path is written back when it
+stops.  Each chunk keeps its paths' generators and draws the noise in step
 blocks of at most _BLOCK_BYTES, only for paths still moving, so memory is
 O(chunk x block) whatever h and T are; consecutive draws from one stream
 equal a single draw of the same length, so the blocking does not change a
-bit.  The step loop advances a dense array of the moving paths and writes a
-path back when it stops.
+bit.  Building a Philox generator costs several times re-keying one, so
+serial runs re-key one pool of generators per thread, kept across calls.
 
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
@@ -29,6 +35,7 @@ authority on exactness — this module exists to cross-check it statistically:
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -93,34 +100,63 @@ class SimEnsemble:
 
 
 def _compile_fields(fields: Sequence[VField]):
-    """One vectorized evaluator x (N, n) -> [(N, len(v)) array for v in fields].
+    """One vectorized evaluator of real fields at k states held state-major.
 
-    Real coefficients only.  Each call builds one table of coordinate powers,
-    so each x_j ** e is computed once for all the fields.
+    `evaluate(x)` takes x of shape (n, k), one row per coordinate, and returns
+    for each field a dict {component: (k,) row} of the components that have
+    terms; a component without terms is absent, not a row of zeros.  Each call
+    forms each distinct nonconstant monomial of all the fields once, as a
+    product of coordinate powers, and each component as a fixed-order sum of
+    coefficient x monomial row.  Every returned row is a new array, which the
+    caller may update in place.  Only elementwise operations are used, so a
+    state's value does not depend on k or on its position.
     """
     if not all(c.is_real() for v in fields for p in v for _, c in p.terms()):
         raise ValueError("simulation requires real coefficients")
-    # per field, per component, per term: (coefficient, [(axis, exponent), ...])
-    compiled = [[[(float(c.re), [(j, ej) for j, ej in enumerate(e) if ej]) for e, c in p.terms()]
-                 for p in v] for v in fields]
+    monomials: dict[tuple, int] = {}  # exponent vector -> index in the monomial table
 
-    def evaluate(x: np.ndarray) -> list[np.ndarray]:
+    def term(e, c):  # (coefficient, monomial index, or None for the constant term)
+        return float(c.re), monomials.setdefault(e, len(monomials)) if any(e) else None
+
+    # per field, {component: (first term, later terms)}, the constant term last
+    plan = []
+    for v in fields:
+        comps = {}
+        for i, p in enumerate(v):
+            terms = [term(e, c) for e, c in sorted(p.terms(), key=lambda t: not any(t[0]))]
+            if terms:
+                comps[i] = terms[0], terms[1:]
+        plan.append(comps)
+    factors = [[(j, ej) for j, ej in enumerate(e) if ej] for e in monomials]
+
+    def evaluate(x: np.ndarray) -> list[dict[int, np.ndarray]]:
         powers: dict = {}
+        table = []
+        for fs in factors:
+            mon = None
+            for j, ej in fs:
+                pw = powers.get((j, ej))
+                if pw is None:
+                    # x ** 1 is x, bit for bit
+                    pw = powers[j, ej] = x[j] if ej == 1 else x[j] ** ej
+                mon = pw if mon is None else mon * pw
+            table.append(mon)
         outs = []
-        for comp_terms in compiled:
-            out = np.zeros((x.shape[0], len(comp_terms)))
-            for i, terms in enumerate(comp_terms):
-                acc = out[:, i]
-                for coeff, factors in terms:
-                    t = coeff
-                    for j, ej in factors:
-                        pw = powers.get((j, ej))
-                        if pw is None:
-                            # x ** 1 is x, bit for bit
-                            pw = powers[j, ej] = x[:, j] if ej == 1 else x[:, j] ** ej
-                        t = t * pw
-                    acc += t
-            outs.append(out)
+        for comps in plan:
+            rows = {}
+            for i, ((c0, t0), rest) in comps.items():
+                acc = np.full(x.shape[1], c0) if t0 is None else c0 * table[t0]
+                for c, t in rest:
+                    if t is None:
+                        acc += c
+                    elif c == 1.0:  # acc + 1 * m is acc + m, bit for bit
+                        acc += table[t]
+                    elif c == -1.0:  # and acc + (-1 * m) is acc - m
+                        acc -= table[t]
+                    else:
+                        acc += c * table[t]
+                rows[i] = acc
+            outs.append(rows)
         return outs
 
     return evaluate
@@ -157,30 +193,35 @@ def _path_generators(seed: int, path_indices: np.ndarray,
     return pool[:len(keys)]
 
 
-def _finite_rows(x: np.ndarray) -> np.ndarray:
-    """Rows of a (k, n) array whose entries are all finite, tested column by column."""
-    ok = np.isfinite(x[:, 0])
-    for j in range(1, x.shape[1]):
-        ok &= np.isfinite(x[:, j])
-    return ok
-
-
 def _distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Row norms of x - center, equal bit for bit to np.linalg.norm(x - center, axis=1).
+    """Distances of the state-major x (n, k) from center, one per state.
 
-    numpy adds fewer than 8 numbers left to right (its pairwise summation
-    starts at 8), so narrow states sum their squares column by column in that
-    order instead of paying for an axis reduction; wider ones call norm.
+    Equal bit for bit to np.linalg.norm(x.T - center, axis=1): numpy adds
+    fewer than 8 numbers left to right (its pairwise summation starts at 8),
+    so narrow states sum their squares row by row in that order instead of
+    paying for an axis reduction; wider ones call norm.
     """
-    n = x.shape[1]
+    n = x.shape[0]
     if n >= 8:
-        return np.linalg.norm(x - center, axis=1)
-    d = x[:, 0] - center[0]
-    sq = d * d
-    for j in range(1, n):
-        d = x[:, j] - center[j]
-        sq += d * d
+        return np.linalg.norm(x.T - center, axis=1)
+    sq = None
+    for j in range(n):
+        d = x[j] - center[j] if center[j] else x[j]  # (x - 0) ** 2 is x ** 2, bit for bit
+        if sq is None:
+            sq = d * d
+        else:
+            sq += d * d
     return np.sqrt(sq)
+
+
+class _GeneratorPool(threading.local):
+    """Each thread's Philox generators, re-keyed by every serial simulate_paths call."""
+
+    def __init__(self):
+        self.generators: list[np.random.Generator] = []
+
+
+_POOL = _GeneratorPool()
 
 
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
@@ -195,7 +236,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     x0 = np.asarray(cfg.x0, dtype=float)
     center = np.zeros(n) if cfg.center == "origin" else x0.copy()
     n_steps = cfg.n_steps
-    sqh = math.sqrt(cfg.h)
+    h = cfg.h
+    sqh = math.sqrt(h)
     # final state (a path's state lands here when it stops), exit time, exited,
     # excluded, pole: the ensemble arrays, which each chunk fills in its own rows
     arrays = (np.tile(x0, (cfg.N, 1)), np.full(cfg.N, cfg.t_end),
@@ -206,33 +248,33 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
         x, exit_time, exited, excluded, pole = (a[lo:lo + _CHUNK] for a in arrays)
         k = len(x)
         live = np.arange(k)  # chunk rows of the paths still moving, ascending
-        xl = x.copy()        # their states, row for row
+        xl = x.T.copy()      # their states, state-major: one row per coordinate
         if m:
             normals = [g.standard_normal
                        for g in _path_generators(cfg.seed, np.arange(lo, lo + k), gens)]
             block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
             drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
-            noise = np.empty((block, m, k))  # the same, contiguous over paths at each step
+            noise = np.empty((block, m, k))  # sqrt(h) times the same, contiguous over paths
         zcol = None  # z_block columns of the live paths, once one stopped inside the block
 
         def drop(stop: np.ndarray, states: np.ndarray):
-            """Write the stopping rows of `states` back to x; compact the rest."""
+            """Write the stopping columns of `states` back to x; compact the rest."""
             nonlocal live, zcol
-            x[live[stop]] = states[stop]
+            x[live[stop]] = states[:, stop].T
             keep = ~stop
             live = live[keep]
             if m:
                 zcol = np.flatnonzero(keep) if zcol is None else zcol[keep]
-            return states[keep]
+            return states[:, keep]
 
         with np.errstate(all="ignore"):
             for step in range(n_steps):
                 if not live.size:
                     break
                 if neg_axes:
-                    at_pole = xl[:, neg_axes[0]] == 0.0
+                    at_pole = xl[neg_axes[0]] == 0.0
                     for j in neg_axes[1:]:
-                        at_pole |= xl[:, j] == 0.0
+                        at_pole |= xl[j] == 0.0
                     if at_pole.any():
                         rows = live[at_pole]
                         excluded[rows] = True
@@ -240,42 +282,44 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                         xl = drop(at_pole, xl)
                         if not live.size:
                             break
+                # every row is evaluated before xl is advanced in place
                 drift, *diffs = evaluate(xl)
-                new_x = xl + cfg.h * drift
+                for j, row in drift.items():
+                    row *= h
+                    xl[j] += row
                 if m:
                     s = step % block
                     if s == 0:
                         b = min(block, n_steps - step)
-                        for r, row in enumerate(live.tolist()):
-                            normals[row](out=drawn[r, :b])
+                        for r, path in enumerate(live.tolist()):
+                            normals[path](out=drawn[r, :b])
                         z_block = noise[:b, :, :live.size]
-                        z_block[...] = drawn[:live.size, :b].transpose(1, 2, 0)
+                        np.multiply(drawn[:live.size, :b].transpose(1, 2, 0), sqh, out=z_block)
                         zcol = None
                     z = z_block[s] if zcol is None else z_block[s][:, zcol]
-                    for i, g in enumerate(diffs):
-                        new_x = new_x + sqh * g * z[i][:, None]
-                dist = _distance(new_x, center)
+                    for zi, g in zip(z, diffs):
+                        for j, row in g.items():
+                            row *= zi
+                            xl[j] += row
+                dist = _distance(xl, center)
                 # a nonfinite state has distance nan or inf, so it fails this test too
-                if (dist < cfg.R).all():
-                    xl = new_x
-                else:
-                    finite = _finite_rows(new_x)
+                if not (dist < cfg.R).all():
+                    finite = np.isfinite(xl).all(axis=0)
                     out = finite & (dist >= cfg.R)
                     excluded[live[~finite]] = True
                     rows = live[out]
                     exited[rows] = True
-                    exit_time[rows] = (step + 1) * cfg.h
-                    xl = drop(out | ~finite, new_x)
-        x[live] = xl
+                    exit_time[rows] = (step + 1) * h
+                    xl = drop(out | ~finite, xl)
+        x[live] = xl.T
 
     starts = range(0, cfg.N, _CHUNK)
     if cfg.max_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
             list(pool.map(run_chunk, starts))  # list() re-raises a chunk's exception
     else:
-        gens: list[np.random.Generator] = []  # one chunk's generators, re-keyed for the next
         for lo in starts:
-            run_chunk(lo, gens)
+            run_chunk(lo, _POOL.generators)
 
     final, exit_time, exited, excluded, pole = arrays
     n_pole = int(pole.sum())
@@ -335,7 +379,7 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
             pole_rows |= states[:, j] == 0.0
         states = states[~pole_rows]
     with np.errstate(all="ignore"):
-        vals = phi_fn(states)[0][:, 0] if states.size else np.empty(0)
+        vals = phi_fn(states.T)[0].get(0, np.zeros(len(states)))
     finite = np.isfinite(vals)
     vals = vals[finite]
     n_used = int(vals.size)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sdefi import systems
+from sdefi import cli, systems
 from sdefi.algebra import CRational
 from sdefi.cli import (
     InputFormatError,
@@ -241,6 +241,20 @@ def test_simulate_nonfinite_or_pole_inputs_are_input_errors(flags, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB for an array", ""])
+def test_simulate_out_of_memory_is_input_error(monkeypatch, message, capsys):
+    # an ensemble too large for the machine; simulate_paths is replaced, so nothing large
+    # is allocated
+    def too_large(*_args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "simulate_paths", too_large)
+    assert main(["simulate", "gbm", "--seed", "1", "--paths", "10000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert (message or "out of memory") in err
 
 
 @pytest.mark.parametrize("u", ["3/2", "0", "1"])

@@ -1,7 +1,9 @@
 """Euler-Maruyama ensembles: reproducibility, exits, exclusions, conservation tests."""
 
 import math
+import threading
 import tracemalloc
+from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -202,21 +204,88 @@ def test_report_dict_shape():
             "threshold", "c_bias", "c_path", "h", "seed"} <= set(d)
 
 
+# -- the monomial evaluator --------------------------------------------------------------
+
+
+def _random_fields(rng, dim=3, n_fields=3):
+    """Real Laurent fields drawn from a small exponent pool, so fields share monomials."""
+    pool = [tuple(int(e) for e in rng.integers(-2, 4, dim)) for _ in range(6)]
+    pool.append((0,) * dim)  # the constant monomial
+    coeffs = [Fraction(1), Fraction(-1), Fraction(-2, 3), Fraction(5, 7), Fraction(3)]
+    fields = []
+    for f in range(n_fields):
+        comps = []
+        for i in range(dim):
+            if (f + i) % 3 == 2:
+                comps.append(LaurentPoly.zero(dim))  # an empty component
+                continue
+            picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
+            comps.append(LaurentPoly(dim, {pool[t]: coeffs[int(rng.integers(len(coeffs)))]
+                                           for t in picks}))
+        fields.append(VField(tuple(comps)))
+    fields.append(VField((LaurentPoly.const(dim, Fraction(7, 3)),) * dim))  # constants only
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_fields_match_laurent_evaluate(seed):
+    # Each component equals LaurentPoly.evaluate to 1e-12 of the sum of its terms'
+    # magnitudes (the relative error of a sum without cancellation); an empty component
+    # is absent, and every row is a new array that the step loop may update in place.
+    rng = np.random.default_rng(seed)
+    fields = _random_fields(rng)
+    x = rng.uniform(0.3, 3.0, (3, 50)) * rng.choice((-1.0, 1.0), (3, 50))
+    outs = mc._compile_fields(fields)(x)
+    assert len(outs) == len(fields)
+    seen = []
+    for v, rows in zip(fields, outs):
+        assert set(rows) == {i for i, p in enumerate(v) if p.terms()}
+        for i, row in rows.items():
+            assert row.shape == (50,)
+            assert not np.shares_memory(row, x) and not any(np.shares_memory(row, r)
+                                                            for r in seen)
+            seen.append(row)
+            for col in range(50):
+                point = [complex(c) for c in x[:, col]]
+                want = v[i].evaluate(point).real
+                scale = sum(abs(LaurentPoly(3, {e: c}).evaluate(point)) for e, c in v[i].terms())
+                assert abs(row[col] - want) <= 1e-12 * scale
+
+
+def test_overflowing_monomial_leaves_other_components_finite():
+    names = ("x1", "x2")
+    drift = VField((parse_poly_text("x1^400 + x2", names), parse_poly_text("x2 + 1", names)))
+    g = VField((LaurentPoly.zero(2), parse_poly_text("x2", names)))
+    sys = SdeSystem(drift, (g,), names)
+    with np.errstate(over="ignore"):
+        drift_rows, g_rows = mc._compile_fields((drift, g))(np.array([[10.0, 0.5],
+                                                                      [1.0, 2.0]]))
+    assert drift_rows[0][0] == math.inf and drift_rows[0][1] == 0.5 ** 400 + 2.0
+    assert drift_rows[1].tolist() == [2.0, 3.0] and g_rows[1].tolist() == [1.0, 2.0]
+    assert set(g_rows) == {1}
+    cfg = SimConfig(x0=(10.0, 1.0), h=0.1, T=0.3, N=5, seed=3, R=math.inf)
+    ens = simulate_paths(sys, cfg)
+    assert ens.n_overflow == 5 and ens.n_pole == 0 and ens.excluded.all()
+    assert (ens.final[:, 0] == math.inf).all() and np.isfinite(ens.final[:, 1]).all()
+    _assert_bits_equal(_fields(ens), _reference_paths(sys, cfg))
+
+
 # -- one path at a time: the reference the vectorised step loop must equal bit for bit --
 
 
 def _reference_paths(sys, cfg):
     """Euler-Maruyama one path at a time, drawing each step's noise from the path's stream.
 
-    Same Philox key (seed, path), same compiled fields, same pole, overflow
-    and exit rules as `simulate_paths`, but no chunks, blocks or compaction.
+    Same Philox key (seed, path), same compiled fields and in-place row adds,
+    same pole, overflow and exit rules as `simulate_paths`, but no chunks,
+    blocks or compaction.
     """
     n, m = sys.dim, sys.noise_dim
     fields = (sys.drift, *sys.diffusions)
     evaluate = mc._compile_fields(fields)
     neg_axes = mc._negative_axes(fields)
-    x0 = np.asarray(cfg.x0, dtype=float)[None, :]
-    center = np.zeros(n) if cfg.center == "origin" else x0[0].copy()
+    x0 = np.asarray(cfg.x0, dtype=float)[:, None]
+    center = np.zeros(n) if cfg.center == "origin" else x0[:, 0].copy()
     sqh = math.sqrt(cfg.h)
     final = np.empty((cfg.N, n))
     exit_time = np.full(cfg.N, cfg.t_end)
@@ -225,28 +294,31 @@ def _reference_paths(sys, cfg):
     pole = np.zeros(cfg.N, dtype=bool)
     for p in range(cfg.N):
         gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, p], dtype=np.uint64)))
-        x = x0.copy()
+        x = x0.copy()  # state-major: one row per coordinate, one column
         moving = True
         with np.errstate(all="ignore"):
             for step in range(cfg.n_steps):
-                if moving and any(x[0, j] == 0.0 for j in neg_axes):
+                if moving and any(x[j, 0] == 0.0 for j in neg_axes):
                     excluded[p] = pole[p] = True
                     moving = False
                 if moving:
-                    z = gen.standard_normal(m)
+                    z = gen.standard_normal(m) * sqh
                     drift, *diffs = evaluate(x)
-                    new = x + cfg.h * drift
+                    for j, row in drift.items():
+                        row *= cfg.h
+                        x[j] += row
                     for i, g in enumerate(diffs):
-                        new = new + sqh * g * z[i]
-                    x = new
+                        for j, row in g.items():
+                            row *= z[i]
+                            x[j] += row
                     if not np.isfinite(x).all():
                         excluded[p] = True
                         moving = False
-                    elif np.linalg.norm(x - center, axis=1)[0] >= cfg.R:
+                    elif np.linalg.norm(x.T - center, axis=1)[0] >= cfg.R:
                         exited[p] = True
                         exit_time[p] = (step + 1) * cfg.h
                         moving = False
-        final[p] = x[0]
+        final[p] = x[:, 0]
     n_pole = int(pole.sum())
     return final, exit_time, exited, excluded, n_pole, int(excluded.sum()) - n_pole
 
@@ -357,6 +429,24 @@ def test_rekeyed_generators_equal_new_ones():
         assert g.standard_normal(9).tobytes() == new.standard_normal(9).tobytes()
 
 
+def test_generator_pool_kept_across_calls_gives_reference_bits():
+    # a serial call re-keys its thread's pool, which a larger call with another seed
+    # grew first; another thread starts from its own empty pool
+    make, kw = REFERENCE_CASES["m2-exit-origin"]
+    sys, cfg = make(), SimConfig(**kw)
+    simulate_paths(sys, SimConfig(**{**kw, "N": 3 * kw["N"], "seed": kw["seed"] + 1}))
+    pool = list(mc._POOL.generators)
+    assert len(pool) >= 3 * kw["N"]
+    ens = simulate_paths(sys, cfg)
+    assert all(a is b for a, b in zip(mc._POOL.generators, pool))
+    _assert_bits_equal(_fields(ens), _reference_paths(sys, cfg))
+    sizes = []
+    worker = threading.Thread(target=lambda: sizes.append(len(mc._POOL.generators)))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and sizes == [0]
+
+
 def test_memory_does_not_grow_with_n_steps():
     # Noise is drawn in step blocks of at most mc._BLOCK_BYTES per chunk, so going
     # from 1000 to 4000 steps, both past one block, leaves the peak where it was; a
@@ -381,4 +471,16 @@ def test_distance_equals_norm(n):
     x[:4, 0] = [np.nan, np.inf, -np.inf, 1e300]
     center = rng.standard_normal(n)
     with np.errstate(all="ignore"):
-        assert mc._distance(x, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
+        assert mc._distance(x.T, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_distance_from_origin_equals_norm(n):
+    # a zero center coordinate is not subtracted: (x - 0) ** 2 is x ** 2, also for -0.0
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-200, 200, (500, n))
+    x[:5, 0] = [np.nan, np.inf, -np.inf, 1e300, -0.0]
+    center = np.zeros(n)
+    center[1::2] = -0.0
+    with np.errstate(all="ignore"):
+        assert mc._distance(x.T, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
