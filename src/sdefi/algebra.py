@@ -641,22 +641,6 @@ def default_var_names(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _format_coeff(c: CRational) -> str:
-    def frac(q: Fraction) -> str:
-        return str(q)
-
-    if c.is_real():
-        return frac(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{frac(c.im)}i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({frac(c.re)}{sign}{frac(abs(c.im))}i)"
-
-
 def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
     """Canonical text form, graded-lex descending."""
     names = tuple(var_names) if var_names is not None else default_var_names(p.dim)
@@ -671,7 +655,9 @@ def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
             if k == 0:
                 continue
             factors.append(name if k == 1 else f"{name}^{k}")
-        coeff_txt = _format_coeff(c)
+        coeff_txt = str(c)
+        if coeff_txt in ("1i", "-1i"):  # the unit imaginary prints as i, -i
+            coeff_txt = coeff_txt.replace("1", "")
         neg = coeff_txt.startswith("-")
         if neg:
             coeff_txt = coeff_txt[1:]

@@ -1,8 +1,9 @@
 """Command-line surface: system-file ingestion, dispatch, verdict reporting.
 
-Each subcommand builds one JSON-able report dict.  `--output json` prints it;
-`--output text` renders it line by line, reading nothing but that dict, so
-the two modes cannot state different verdicts.
+`main` runs every subcommand the same way: it loads the system, calls the
+subcommand's builder for one JSON-able report dict, and prints that dict.
+`--output json` prints it; `--output text` renders it line by line, reading
+nothing but that dict, so the two modes cannot state different verdicts.
 
 System files are JSON with exact rational coefficients:
 
@@ -278,20 +279,13 @@ def _mat_strs(m) -> list[list[str]]:
     return [[str(x) for x in row] for row in m]
 
 
-def _eig_dict(eig) -> dict:
-    return {
-        "values": [[v.real, v.imag] for v in eig.values],
-        "exact": [str(e) if e is not None else None for e in eig.exact],
-    }
-
-
 def _linearization_dict(data, h1) -> dict:
-    spectra = {"Df": _eig_dict(data.mu0)}
+    spectra = {"Df": data.mu0.to_dict()}
     for i, mu in enumerate(data.mu):
         if mu is not None:
-            spectra[f"Dg_{i + 1}"] = _eig_dict(mu)
+            spectra[f"Dg_{i + 1}"] = mu.to_dict()
     if data.lam is not None:
-        spectra["A0"] = _eig_dict(data.lam)
+        spectra["A0"] = data.lam.to_dict()
     return {
         "applicable": True,
         "A_f": _mat_strs(data.A_f),
@@ -408,36 +402,31 @@ def _print_report(report: dict, render, output: str):
         print("\n".join(render(report)))
 
 
-# -- subcommands -------------------------------------------------------------------
+# -- subcommands: each builds its report from the loaded system and the parsed args --
 
 
-def _cmd_check(args, mode: str) -> int:
-    sys = load_system(args.system)
+def _check(sys: SdeSystem, args) -> dict:
     name, phi = parse_candidate(args.candidate, sys.var_names)
-    v = check_strong(sys, phi) if mode == "strong" else check_weak(sys, phi)
-    _print_report(_verdict_dict(name, v, sys.var_names), _verdict_text, args.output)
-    return 0
+    checker = check_strong if args.command == "check-strong" else check_weak
+    return _verdict_dict(name, checker(sys, phi), sys.var_names)
 
 
-def _cmd_search(args) -> int:
-    sys = load_system(args.system)
+def _search(sys: SdeSystem, args) -> dict:
     if args.dmin > args.dmax:
         raise InputFormatError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
-    basis = find_first_integrals(sys, args.mode, args.dmin, args.dmax)
-    _print_report(_basis_dict(basis, sys.var_names), _basis_text, args.output)
-    return 0
+    return _basis_dict(find_first_integrals(sys, args.mode, args.dmin, args.dmax), sys.var_names)
 
 
-def _cmd_resonance(args) -> int:
-    sys = load_system(args.system)
-    rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol,
-                                  include_z=args.lattice == "both")
-    _print_report(rep.to_dict(), _resonance_text, args.output)
-    return 0
+def _resonance(sys: SdeSystem, args) -> dict:
+    return nonintegrability_report(sys, K=args.kbound, tol=args.tol,
+                                   include_z=args.lattice == "both").to_dict()
 
 
-def _cmd_analyze(args) -> int:
-    sys = load_system(args.system)
+def _analyze(sys: SdeSystem, args) -> dict:
+    if args.simulate and args.seed is None:
+        raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
+    if args.seed is not None and not args.simulate:
+        raise InputFormatError("--seed needs --simulate (without it analyze simulates nothing)")
     names = sys.var_names
     report: dict = {"system": serialize_system(sys)}
 
@@ -461,7 +450,7 @@ def _cmd_analyze(args) -> int:
         basis = find_first_integrals(sys, mode, args.dmin, args.dmax)
         report["search"][mode] = _basis_dict(basis, names)
         if mode == "strong" and rep is not None and rep.s_min is not None:
-            report["count_bound"] = count_bound_check(sys, basis, rep).to_dict()
+            report["count_bound"] = count_bound_check(basis, rep).to_dict()
 
     if args.candidate:
         report["candidates"] = []
@@ -471,16 +460,11 @@ def _cmd_analyze(args) -> int:
                 report["candidates"].append(_verdict_dict(name, checker(sys, phi), names))
 
     if args.simulate:
-        if args.seed is None:
-            raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
-        report["simulation"] = _simulate(sys, args, "weak")
-
-    _print_report(report, _analyze_text, args.output)
-    return 0
+        report["simulation"] = _simulate(sys, args)
+    return report
 
 
-def _cmd_perturb(args) -> int:
-    sys = load_system(args.system)
+def _perturb(sys: SdeSystem, args) -> dict:
     try:
         u = Fraction(args.u)
         in_range = 0 < u < 1
@@ -490,11 +474,9 @@ def _cmd_perturb(args) -> int:
         raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)")
     plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
     verdict = verify_perturbation(sys.drift, plan, D=args.degree)
-    report = {"plan": plan.to_dict(),
-              "verification": {"passed": verdict.passed, "window": [verdict.dmin, verdict.dmax],
-                               "found": [to_text(p, sys.var_names) for p in verdict.found]}}
-    _print_report(report, _perturb_text, args.output)
-    return 0
+    return {"plan": plan.to_dict(),
+            "verification": {"passed": verdict.passed, "window": [verdict.dmin, verdict.dmax],
+                             "found": [to_text(p, sys.var_names) for p in verdict.found]}}
 
 
 def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
@@ -509,13 +491,15 @@ def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
     return vals
 
 
-def _simulate(sys: SdeSystem, args, mode: str) -> dict:
-    """Simulate the ensemble `args` describes; test each --candidate along it in `mode`."""
+def _simulate(sys: SdeSystem, args) -> dict:
+    """Simulate the ensemble `args` describes and test each --candidate along it, in
+    `simulate`'s --mode or, under `analyze --simulate`, weakly."""
     cfg = SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
                     N=args.paths, seed=args.seed, R=args.radius)
     ens = simulate_paths(sys, cfg)
     report = _ensemble_dict(ens)
     if args.candidate:
+        mode = getattr(args, "mode", "weak")
         report["candidates"] = []
         for spec in args.candidate:
             name, phi = parse_candidate(spec, sys.var_names)
@@ -524,18 +508,30 @@ def _simulate(sys: SdeSystem, args, mode: str) -> dict:
     return report
 
 
-def _cmd_simulate(args) -> int:
-    sys = load_system(args.system)
-    _print_report(_simulate(sys, args, args.mode), _ensemble_text, args.output)
-    return 0
+# -- argument parsing and the one pipeline -------------------------------------------
 
 
-# -- argument parsing ----------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(sub, name: str, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
     p.add_argument("system", help="system JSON file or builtin name")
     p.add_argument("--output", choices=("json", "text"), default="text")
+    return p
+
+
+def _add_scan(p: argparse.ArgumentParser):
+    """The resonance scan options of `resonance` and `analyze`."""
+    p.add_argument("--kbound", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-9)
+
+
+def _add_ensemble(p: argparse.ArgumentParser, paths: int, **seed):
+    """The ensemble options of `analyze` and `simulate`; they differ in --paths and --seed."""
+    p.add_argument("--paths", type=int, default=paths)
+    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--radius", type=float, default=1e6)
+    p.add_argument("--seed", type=int, **seed)
+    p.add_argument("--x0", default=None, help="comma-separated start point (default all 1s)")
 
 
 @functools.cache
@@ -551,47 +547,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     for mode in ("strong", "weak"):
-        p = sub.add_parser(f"check-{mode}",
-                           help=f"exact {mode}-conservation check of a candidate")
-        _add_common(p)
+        p = _add_common(sub, f"check-{mode}", f"exact {mode}-conservation check of a candidate")
         p.add_argument("--candidate", required=True,
                        help="polynomial text, NAME=POLY, or a file holding either")
 
-    p = sub.add_parser("search", help="all first integrals inside a degree window")
-    _add_common(p)
+    p = _add_common(sub, "search", "all first integrals inside a degree window")
     p.add_argument("--mode", choices=("strong", "weak"), required=True)
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
 
-    p = sub.add_parser("resonance", help="linearize and scan resonance lattices")
-    _add_common(p)
-    p.add_argument("--kbound", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = _add_common(sub, "resonance", "linearize and scan resonance lattices")
+    _add_scan(p)
     p.add_argument("--lattice", choices=("zplus", "both"), default="both",
                    help="'both' adds the signed-integer scan for rational/Laurent candidates")
 
-    p = sub.add_parser("analyze",
-                       help="combined report: linearization, resonance, bounded search, "
-                            "candidate checks, optional simulation")
-    _add_common(p)
-    p.add_argument("--kbound", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = _add_common(sub, "analyze", "combined report: linearization, resonance, bounded "
+                                    "search, candidate checks, optional simulation")
+    _add_scan(p)
     p.add_argument("--dmin", type=int, default=1)
     p.add_argument("--dmax", type=int, default=4)
     p.add_argument("--candidate", action="append", default=[],
                    help="NAME=POLY (repeatable)")
     p.add_argument("--simulate", action="store_true",
                    help="cross-check candidates by Monte Carlo (needs --seed)")
-    p.add_argument("--paths", type=int, default=2000)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1e6)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--x0", default=None, help="comma-separated start point (default all 1s)")
+    _add_ensemble(p, 2000, default=None)
 
-    p = sub.add_parser("perturb",
-                       help="construct a linear noise destroying all weak integrals")
-    _add_common(p)
+    p = _add_common(sub, "perturb", "construct a linear noise destroying all weak integrals")
     p.add_argument("--u", default="37/100", help="base ratio in (0,1), exact rational")
     p.add_argument("--lbound", type=int, default=8,
                    help="obstruction scan bound on |l|_1")
@@ -599,15 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verification window [1, degree] for the weak search")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("simulate", help="Euler-Maruyama ensemble with frozen exits")
-    _add_common(p)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1e6)
-    p.add_argument("--seed", type=int, required=True,
-                   help="required: runs must be reproducible, no wall-clock default")
-    p.add_argument("--x0", default=None, help="comma-separated start point (default all 1s)")
+    p = _add_common(sub, "simulate", "Euler-Maruyama ensemble with frozen exits")
+    _add_ensemble(p, 10000, required=True,
+                  help="required: runs must be reproducible, no wall-clock default")
     p.add_argument("--candidate", action="append", default=[],
                    help="NAME=POLY to test along the ensemble (repeatable)")
     p.add_argument("--mode", choices=("weak", "strong"), default="weak",
@@ -616,25 +591,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# command -> (builder: (system, args) -> report dict, renderer: report dict -> text lines)
 _DISPATCH = {
-    "check-strong": lambda a: _cmd_check(a, "strong"),
-    "check-weak": lambda a: _cmd_check(a, "weak"),
-    "search": _cmd_search,
-    "resonance": _cmd_resonance,
-    "analyze": _cmd_analyze,
-    "perturb": _cmd_perturb,
-    "simulate": _cmd_simulate,
+    "check-strong": (_check, _verdict_text),
+    "check-weak": (_check, _verdict_text),
+    "search": (_search, _basis_text),
+    "resonance": (_resonance, _resonance_text),
+    "analyze": (_analyze, _analyze_text),
+    "perturb": (_perturb, _perturb_text),
+    "simulate": (_simulate, _ensemble_text),
 }
 
 
 def main(argv=None) -> int:
+    """Parse, load the system, build the command's report and print it; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on bad flags; keep main() int-valued
         return int(e.code or 0)
+    build, render = _DISPATCH[args.command]
     try:
-        return _DISPATCH[args.command](args)
+        _print_report(build(load_system(args.system), args), render, args.output)
     except (ValueError, OSError, MemoryError) as e:  # every input error subclasses ValueError
         # MemoryError: an input too large for this machine, such as a huge ensemble
         print(f"error: {str(e) or 'out of memory'}", file=_sys.stderr)
@@ -642,6 +620,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, AssertionError, RuntimeError) as e:
         print(f"internal failure: {e}", file=_sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -347,13 +347,7 @@ class ConservationReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "passed": self.passed, "phi0": self.phi0,
-            "n_paths": self.n_paths, "n_used": self.n_used, "n_excluded": self.n_excluded,
-            "mean": self.mean, "stderr": self.stderr, "delta": self.delta,
-            "max_dev": self.max_dev, "threshold": self.threshold,
-            "c_bias": self.c_bias, "c_path": self.c_path, "h": self.h, "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
@@ -370,18 +364,13 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
         raise ValueError(f"candidate {phi} has a pole at x0={cfg.x0}")
     phi0 = float(phi.evaluate([complex(c) for c in cfg.x0]).real)
 
-    keep = ~ens.excluded
-    states = ens.final[keep]
-    # candidate's own poles along paths also drop the sample
-    if neg_axes and states.size:
-        pole_rows = np.zeros(states.shape[0], dtype=bool)
-        for j in neg_axes:
-            pole_rows |= states[:, j] == 0.0
-        states = states[~pole_rows]
+    states = ens.final[~ens.excluded]
+    # A final state on a pole of the candidate drops out with the non-finite values:
+    # a zero coordinate (either sign) to a negative power is +-inf, and every product
+    # or sum of coefficient x monomial rows holding it stays inf or NaN.
     with np.errstate(all="ignore"):
         vals = phi_fn(states.T)[0].get(0, np.zeros(len(states)))
-    finite = np.isfinite(vals)
-    vals = vals[finite]
+    vals = vals[np.isfinite(vals)]
     n_used = int(vals.size)
     n_excluded = cfg.N - n_used
     if n_used == 0:

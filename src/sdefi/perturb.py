@@ -87,13 +87,13 @@ class PerturbationPlan:
         return VField(tuple(comps))
 
     def to_dict(self) -> dict:
+        eig = self.eigenvalues.to_dict()
         return {
             "u": str(self.u),
             "exponents": list(self.exponents),
             "mu": [str(m) for m in self.mu],
-            "eigenvalues": [[v.real, v.imag] for v in self.eigenvalues.values],
-            "eigenvalues_exact": [str(e) if e is not None else None
-                                  for e in self.eigenvalues.exact],
+            "eigenvalues": eig["values"],
+            "eigenvalues_exact": eig["exact"],
             "Q": [[[z.real, z.imag] for z in row] for row in self.Q.tolist()],
             "P": [[[z.real, z.imag] for z in row] for row in self.P.tolist()],
             "P_exact": [[str(x) for x in row] for row in self.P_exact],

@@ -254,11 +254,12 @@ class ScanResult:
     tol: float
 
     def to_dict(self) -> dict:
+        eig = self.eigenvalues.to_dict()
         return {
             "label": self.label,
             "lattice": self.lattice,
-            "eigenvalues": [[v.real, v.imag] for v in self.eigenvalues.values],
-            "eigenvalues_exact": [str(e) if e is not None else None for e in self.eigenvalues.exact],
+            "eigenvalues": eig["values"],
+            "eigenvalues_exact": eig["exact"],
             "vectors": [list(k) for k in self.vectors],
             "rank": self.rank,
             "complete": self.complete,

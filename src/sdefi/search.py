@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -256,12 +256,10 @@ class CountBoundVerdict:
     note: str
 
     def to_dict(self) -> dict:
-        return {"rank": self.rank, "s_min": self.s_min, "consistent": self.consistent,
-                "certified": self.certified, "note": self.note}
+        return asdict(self)
 
 
-def count_bound_check(sys: SdeSystem, basis: IntegralBasis,
-                      report: ResonanceReport) -> CountBoundVerdict:
+def count_bound_check(basis: IntegralBasis, report: ResonanceReport) -> CountBoundVerdict:
     """Cross-check: found independent strong integrals must number <= s_min."""
     if report.s_min is None:
         raise ValueError("resonance report carries no strong-side lattice ranks")

@@ -54,6 +54,11 @@ class Eigenvalues:
     def all_exact(self) -> bool:
         return all(e is not None for e in self.exact)
 
+    def to_dict(self) -> dict:
+        """JSON form: each value as [re, im], each exact witness as its text or None."""
+        return {"values": [[v.real, v.imag] for v in self.values],
+                "exact": [str(e) if e is not None else None for e in self.exact]}
+
 
 @dataclass(frozen=True)
 class H1Status:

@@ -1,5 +1,6 @@
 """System JSON parsing/serialization, candidate parsing, CLI dispatch and exit codes."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -383,6 +384,83 @@ def test_analyze_survives_laurent_drift(capsys):
 def test_analyze_simulate_needs_seed(capsys):
     assert main(["analyze", "gbm", "--simulate"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [(["--simulate"], "--simulate needs --seed"),
+                                            (["--seed", "3"], "--seed needs --simulate")])
+def test_analyze_checks_simulation_flags_first(monkeypatch, flags, message, capsys):
+    # a flag mistake is refused before the linearization, the scans and the searches run;
+    # --seed alone used to print a report that silently ignored it
+    def never(*_args, **_kwargs):
+        raise AssertionError("analyze worked before checking its flags")
+
+    for name in ("linearization", "nonintegrability_report", "find_first_integrals"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(["analyze", "cyclic_exchange", *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
+    assert message in out.err
+
+
+# (subcommand, option strings or positional name, default, required), in declaration order
+OPTIONS = [
+    ("check-strong", "system", None, True),
+    ("check-strong", ("--output",), "text", False),
+    ("check-strong", ("--candidate",), None, True),
+    ("check-weak", "system", None, True),
+    ("check-weak", ("--output",), "text", False),
+    ("check-weak", ("--candidate",), None, True),
+    ("search", "system", None, True),
+    ("search", ("--output",), "text", False),
+    ("search", ("--mode",), None, True),
+    ("search", ("--dmin",), None, True),
+    ("search", ("--dmax",), None, True),
+    ("resonance", "system", None, True),
+    ("resonance", ("--output",), "text", False),
+    ("resonance", ("--kbound",), 10, False),
+    ("resonance", ("--tol",), 1e-09, False),
+    ("resonance", ("--lattice",), "both", False),
+    ("analyze", "system", None, True),
+    ("analyze", ("--output",), "text", False),
+    ("analyze", ("--kbound",), 10, False),
+    ("analyze", ("--tol",), 1e-09, False),
+    ("analyze", ("--dmin",), 1, False),
+    ("analyze", ("--dmax",), 4, False),
+    ("analyze", ("--candidate",), [], False),
+    ("analyze", ("--simulate",), False, False),
+    ("analyze", ("--paths",), 2000, False),
+    ("analyze", ("--step",), 0.001, False),
+    ("analyze", ("--horizon",), 1.0, False),
+    ("analyze", ("--radius",), 1000000.0, False),
+    ("analyze", ("--seed",), None, False),
+    ("analyze", ("--x0",), None, False),
+    ("perturb", "system", None, True),
+    ("perturb", ("--output",), "text", False),
+    ("perturb", ("--u",), "37/100", False),
+    ("perturb", ("--lbound",), 8, False),
+    ("perturb", ("--degree",), 4, False),
+    ("perturb", ("--seed",), 0, False),
+    ("simulate", "system", None, True),
+    ("simulate", ("--output",), "text", False),
+    ("simulate", ("--paths",), 10000, False),
+    ("simulate", ("--step",), 0.001, False),
+    ("simulate", ("--horizon",), 1.0, False),
+    ("simulate", ("--radius",), 1000000.0, False),
+    ("simulate", ("--seed",), None, True),
+    ("simulate", ("--x0",), None, False),
+    ("simulate", ("--candidate",), [], False),
+    ("simulate", ("--mode",), "weak", False),
+]
+
+
+def test_every_option_and_default_is_pinned():
+    # options shared by several subcommands are declared once; each keeps its default
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    seen = [(cmd, tuple(a.option_strings) or a.dest, a.default, a.required)
+            for cmd, p in sub.choices.items() for a in p._actions
+            if not isinstance(a, argparse._HelpAction)]
+    assert seen == OPTIONS
 
 
 def test_parser_reuse_does_not_leak_candidates(capsys):

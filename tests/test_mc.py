@@ -189,6 +189,25 @@ def test_candidate_pole_at_x0_is_an_input_error():
         conservation_test(ens, X_INV, "weak")
 
 
+def test_final_states_on_a_candidate_pole_are_dropped():
+    # phi = x1 + x1^-1 x2^2 + 3 x2^-1 is +-inf or NaN on every row with a zero coordinate
+    # (of either sign); only the finite rows enter the statistics
+    names = ("x1", "x2")
+    phi = parse_poly_text("x1 + x1^-1 x2^2 + 3 x2^-1", names)
+    final = np.array([[1.0, 2.0], [0.0, 1.0], [-0.0, 2.0], [0.5, -1.0],
+                      [2.0, 0.0], [0.0, 0.0], [np.nan, 1.0], [2.0, 4.0]])
+    excluded = np.isnan(final).any(axis=1)
+    cfg = SimConfig(x0=(1.0, 1.0), h=0.01, T=1.0, N=len(final), seed=0)
+    ens = mc.SimEnsemble(config=cfg, final=final, exit_time=np.ones(len(final)),
+                         exited=np.zeros(len(final), dtype=bool), excluded=excluded,
+                         n_pole=0, n_overflow=1)
+    rep = conservation_test(ens, phi, "weak")
+    kept = final[[0, 3, 7]]
+    want = kept[:, 0] + kept[:, 1] ** 2 / kept[:, 0] + 3 / kept[:, 1]
+    assert (rep.n_used, rep.n_excluded) == (3, 5)
+    assert rep.mean == np.mean(want) == (6.5 - 0.5 + 10.75) / 3
+
+
 def test_excluded_paths_leave_statistics():
     # mix one overflowing path family with a tame one via radius: kept paths only
     sys = systems.scalar_martingale()

@@ -326,7 +326,7 @@ def test_count_bound_lotka_volterra_certified():
     sys = systems.lotka_volterra()
     rep = nonintegrability_report(sys)
     basis = find_first_integrals(sys, "strong", 1, 4)
-    cb = count_bound_check(sys, basis, rep)
+    cb = count_bound_check(basis, rep)
     assert cb.rank == 0
     assert cb.s_min == 0
     assert cb.consistent and cb.certified
@@ -337,7 +337,7 @@ def test_count_bound_cyclic_bounded():
     sys = systems.cyclic_exchange()
     rep = nonintegrability_report(sys)
     basis = find_first_integrals(sys, "strong", 1, 1)
-    cb = count_bound_check(sys, basis, rep)
+    cb = count_bound_check(basis, rep)
     assert cb.rank == 1
     assert cb.s_min == 1
     assert cb.consistent
@@ -353,12 +353,12 @@ def test_count_bound_requires_strong_side_report():
     assert rep.s_min is None
     basis = find_first_integrals(systems.gbm(), "weak", -1, 1)
     with pytest.raises(ValueError):
-        count_bound_check(sys, basis, rep)
+        count_bound_check(basis, rep)
 
 
 def test_count_bound_dict_shape():
     sys = systems.lotka_volterra()
     rep = nonintegrability_report(sys)
-    cb = count_bound_check(sys, find_first_integrals(sys, "strong", 1, 2), rep)
+    cb = count_bound_check(find_first_integrals(sys, "strong", 1, 2), rep)
     d = cb.to_dict()
     assert set(d) == {"rank", "s_min", "consistent", "certified", "note"}
