@@ -26,8 +26,9 @@ everywhere is graded lexicographic: sort key ``(total_degree, exponents)``,
 ascending for storage and bases, descending for display.
 
 Floats are deliberately rejected as coefficients — everything in this
-module is exact.  Floating point appears only in :meth:`LaurentPoly.evaluate`
-and in float forms a caller passes to :func:`lattice_points`.
+module is exact.  Floating point appears only in :meth:`LaurentPoly.evaluate`.
+:func:`lattice_blocks` enumerates integer windows (resonance scans, monomial
+bases) as int64 numpy blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -250,39 +253,46 @@ def grlex_key(e: Sequence[int]) -> tuple:
     return (sum(e), tuple(e))
 
 
-def lattice_points(n: int, pos: int, neg: int, l1: int,
-                   forms: Sequence[Sequence] = ()) -> Iterator[tuple[tuple, tuple]]:
+_BLOCK = 1 << 13  # lattice points per block of lattice_blocks
+
+
+def lattice_blocks(n: int, pos: int, neg: int, l1: int) -> Iterator[np.ndarray]:
     """Every k in Z^n with sum max(k_i, 0) <= pos, sum max(-k_i, 0) <= neg and
-    |k|_1 <= l1 (bounds nonnegative), in ascending lexicographic order, as
-    pairs (k, values).
+    |k|_1 <= l1 (bounds nonnegative), in ascending lexicographic order, as int64
+    arrays of shape (b, n) with 0 < b <= _BLOCK (n == 0: the one empty vector).
 
-    ``values`` holds <v, k> for each form v in ``forms`` (length-n sequences of
-    numbers).  Each is accumulated down the recursion as ``partial + v[i] * k_i``,
-    left to right from the int 0, so a float form gives the same bits as
-    ``sum(v_i * k_i for ...)`` and an exact form its exact value.
+    The window is built one coordinate at a time: every prefix row expands to
+    its admissible next entries in ascending order, which keeps lexicographic
+    order.  A level expands a slice of rows at a time, at most _BLOCK new rows
+    per slice, and each slice is finished depth first before the next, so at
+    most n slices are alive: memory is O(n^2 _BLOCK) for any n and window.
     """
-    zero = (0,) * len(forms)
-    if n == 0:
-        yield (), zero
+    yield from _expand(np.zeros((1, 0), np.int64), np.array([pos]), np.array([neg]),
+                       np.array([l1]), n)
+
+
+def _expand(rows, pos, neg, l1, n):
+    i = rows.shape[1]
+    if i == n:
+        yield rows
         return
-    lo, hi = -min(neg, l1), min(pos, l1)
-    # v[i] * t for every coordinate i, step t and form v, computed once
-    steps = [{t: tuple([v[i] * t for v in forms]) for t in range(lo, hi + 1)}
-             for i in range(n)]
-
-    def rec(i: int, prefix: tuple, partial: tuple, pos: int, neg: int, l1: int):
-        step = steps[i]
-        last = i + 1 == n
-        for t in range(-min(neg, l1), min(pos, l1) + 1):
-            k = prefix + (t,)
-            values = tuple(map(operator.add, partial, step[t]))
-            if last:
-                yield k, values
-            else:
-                yield from rec(i + 1, k, values, pos - t if t > 0 else pos,
-                               neg + t if t < 0 else neg, l1 - abs(t))
-
-    yield from rec(0, (), zero, pos, neg, l1)
+    lo = -np.minimum(neg, l1)
+    count = np.minimum(pos, l1) - lo + 1
+    end = np.cumsum(count)
+    a = 0
+    while a < len(rows):
+        start = end[a] - count[a]
+        b = max(a + 1, int(np.searchsorted(end, start + _BLOCK, "right")))
+        c = count[a:b]
+        parent = np.repeat(np.arange(a, b), c)
+        t = lo[parent] + (np.arange(end[b - 1] - start) - np.repeat(end[a:b] - c - start, c))
+        child = np.concatenate((rows[parent], t[:, None]), axis=1)
+        if i + 1 == n:
+            yield child
+        else:
+            yield from _expand(child, pos[parent] - np.maximum(t, 0),
+                               neg[parent] - np.maximum(-t, 0), l1[parent] - np.abs(t), n)
+        a = b
 
 
 def _reduced(dim: int, num: dict, den: int) -> "LaurentPoly":

@@ -41,13 +41,14 @@ from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
-from .spectral import Eigenvalues, eigenbasis, jacobian_at_origin, roots, value_at_origin
+from .spectral import (Eigenvalues, NotApplicableError, eigenbasis, jacobian_at_origin, roots,
+                       value_at_origin)
 
 _MAX_RETRIES = 20  # seeded fresh u values tried after the requested one
 
 
 class PerturbationError(RuntimeError):
-    """No admissible construction (singular/defective Jacobian, or no good u)."""
+    """No admissible u: u outside (0, 1), or every tried u has a vanishing E(l)."""
 
 
 def recurrence_exponents(n: int) -> tuple[int, ...]:
@@ -123,15 +124,15 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
     n = drift.dim
     f0 = value_at_origin(drift)
     if any(not c.is_zero() for c in f0):
-        raise PerturbationError("drift does not vanish at the origin")
+        raise NotApplicableError("drift does not vanish at the origin")
     a = jacobian_at_origin(drift)
     det_a = exactla.det(a)
     if det_a.is_zero():
-        raise PerturbationError("drift Jacobian at the origin is singular")
+        raise NotApplicableError("drift Jacobian at the origin is singular")
     chi = exactla.char_poly(a)
     repeated = exactla.poly_gcd(chi, exactla.poly_deriv(chi))
     if len(repeated) > 1:  # its roots are exactly the repeated eigenvalues
-        raise PerturbationError(
+        raise NotApplicableError(
             f"repeated eigenvalue near {roots(repeated).values[0]:.6g}: "
             "defective/defect-prone Jacobians are not supported")
     eig = roots(chi)
@@ -146,26 +147,20 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
 
     chosen: Fraction | None = None
     chosen_mu: list[Fraction] | None = None
-    residual_min = float("inf")
     last_bad = None
     for cand in candidates:
         mu = [cand ** k for k in exponents]
         # P shifts the drift spectrum to the corrected lam_j - mu_j^2 / 2
-        exact, points = resonance_values(
+        scan = resonance_values(
             [v - float(m * m) / 2 if e is None else e - m * m / 2
              for v, e, m in zip(eig.values, eig.exact, mu)], [mu], L)
-        ok = True
-        worst = float("inf")
-        for l, q, scale in points:
-            e_val = q + q  # E(l) = 2 q(l)
-            worst = min(worst, abs(complex(e_val)))
-            if e_val.is_zero() if exact else abs(q) <= 1e-12 * scale:
-                ok = False
-                last_bad = (cand, l)
-                break
-        if ok:
-            chosen, chosen_mu, residual_min = cand, mu, worst
-            break
+        zeros = scan.zeros(1e-12)  # the l with E(l) = 2 q(l) = 0
+        if zeros:
+            last_bad = (cand, zeros[0])
+            continue
+        chosen, chosen_mu = cand, mu
+        residual_min = min((abs(complex(q + q)) for q in scan.near_min()), default=float("inf"))
+        break
     if chosen is None:
         raise PerturbationError(
             f"no admissible u in {len(candidates)} tries; last failure u={last_bad[0]} "

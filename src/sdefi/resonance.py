@@ -10,8 +10,24 @@ so x^k is a weak integral exactly when q(k) = 0; with no noise spectra q(k)
 is the resonance form <lam, k>.  `resonance_values` is the one scan of q over
 the window 0 < |k|_1 <= K of the nonnegative lattice (analytic integrals) or
 the full integer lattice (rational/Laurent integrals); resonance enumeration,
-the weak resonance test and `perturb`'s obstruction all read it.  The scan
-is exact whenever every eigenvalue is a certified complex rational.
+the weak resonance test and `perturb`'s obstruction all read it.
+
+The scan is vectorized: `algebra.lattice_blocks` yields the window as int64
+blocks of at most `algebra._BLOCK` points in lexicographic order, and q is
+accumulated column by column over a block, so memory stays bounded for any
+n and K.
+
+* Exact spectra (every eigenvalue a certified complex rational): lam and the
+  mu^i are scaled to Gaussian-integer numerators over one denominator, so
+  q(k) = 0 is an integer test on the real and imaginary parts.  The scan
+  runs in int64 when a bound computed in Python ints shows that no partial
+  sum, square or product can overflow, and in Python ints (object arrays)
+  otherwise: exact either way.
+* Float spectra: q is summed with the elementwise IEEE operations Python's
+  complex arithmetic performs, in the same order, so each q(k) has the bits
+  of the scalar sum.  The array test |q| <= tol * scale only preselects, with
+  a relative margin of 1e-9; each survivor is decided by the scalar test, so
+  no verdict depends on how numpy rounds |q|.
 
 Two genuine certificates exist:
 
@@ -36,12 +52,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import exactla
-from .algebra import CRational, lattice_points
+from .algebra import CRational, _ints, lattice_blocks
 from .ito import SdeSystem
 from .spectral import Eigenvalues, H1Status, SpectralData, aligned_spectra, h1_check, linearization
-
-HALF = Fraction(1, 2)
 
 NO_STRONG_ANALYTIC = "NO_STRONG_ANALYTIC"
 STRONG_COUNT_AT_MOST = "STRONG_COUNT_AT_MOST"
@@ -75,20 +91,118 @@ def _normalize_values(values) -> tuple[tuple[complex, ...], tuple[CRational | No
     return tuple(floats), tuple(exacts)
 
 
-# -- lattice enumeration -----------------------------------------------------------
+# -- the scan of q over the lattice window ---------------------------------------
 
 def _l1(k) -> int:
     return sum(map(abs, k))
 
 
-def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus"):
-    """(exact, points): points yields (k, q(k), scale) for each k != 0 with
-    |k|_1 <= K on the lattice ("zplus" or "z"), in lexicographic order.
+def _form(v, cols):
+    """(re, im) of <v, k> for the lattice rows whose coordinates are `cols`.
 
-    q(k) = <lam,k> + (1/2) sum_i <mu^i,k>^2, with lam and each mu^i aligned to
-    one eigenvector order.  exact: every value has an exact witness, q is a
-    CRational and scale is None.  Otherwise q is a complex float and
-    scale = 1 + |k|_1 max|lam_j| + (m/2) (|k|_1 max|mu^i_j|)^2.
+    It is summed from 0 as Python sums v_j * k_j with complex floats, one
+    elementwise IEEE operation for each scalar one, so floats give the same
+    bits; on integer numerators the same expression is exact.
+    """
+    re = im = 0
+    for (vr, vi), t in zip(v, cols):
+        re = re + (vr * t - vi * 0)
+        im = im + (vr * 0 + vi * t)
+    return re, im
+
+
+@dataclass(frozen=True)
+class ResonanceScan:
+    """q(k) = <lam,k> + weight * sum_i <mu^i,k>^2 over the window 0 < |k|_1 <= K,
+    a block of lattice points at a time; `resonance_values` builds it.
+
+    Each form is a tuple of (re, im) pairs: complex floats with weight 1/2, or
+    Gaussian-integer numerators, whose q is den times the true value.
+    """
+
+    K: int
+    lattice: str
+    exact: bool
+    forms: tuple          # lam, then each mu^i: one (re, im) pair per coordinate
+    weight: object        # 0.5, or the integer weight of the squares
+    den: int              # exact: q = (re + im i) / den
+    dtype: type           # of the lattice columns: int64, or object for Python ints
+    scale: np.ndarray | None  # float: tolerance scale for |k|_1 = 0..K
+
+    def _blocks(self):
+        """(k, |k|_1, re, im) per block of nonzero k, in lexicographic order."""
+        n, K = len(self.forms[0]), self.K
+        for k in lattice_blocks(n, K, 0 if self.lattice == "zplus" else K, K):
+            l1 = np.abs(k).sum(axis=1)
+            if not l1.all():  # the block holding k = 0
+                k, l1 = k[l1 > 0], l1[l1 > 0]
+                if not len(k):
+                    continue
+            cols = k.T.astype(self.dtype, copy=False)
+            re, im = _form(self.forms[0], cols)
+            h = self.weight
+            for mu in self.forms[1:]:
+                sr, si = _form(mu, cols)
+                wr, wi = sr * sr - si * si, sr * si + si * sr          # s * s
+                re, im = re + (h * wr - 0 * wi), im + (h * wi + 0 * wr)  # q + h * (s * s)
+            yield k, l1, re, im
+
+    def _scalar(self, re, im):
+        return _ints(int(re), int(im), self.den) if self.exact else complex(re, im)
+
+    def points(self):
+        """(k, q(k)) for every k of the window, in lexicographic order; q is a
+        CRational on exact spectra and a complex otherwise."""
+        for k, _, re, im in self._blocks():
+            for row, r, i in zip(k.tolist(), re.tolist(), im.tolist()):
+                yield tuple(row), self._scalar(r, i)
+
+    def zeros(self, tol: float) -> list[tuple]:
+        """The k with q(k) = 0 exactly, or |q(k)| <= tol * scale(|k|_1) on float
+        spectra, in lexicographic order.
+
+        The float test runs on arrays with a relative margin of 1e-9 as a
+        prefilter only; each survivor is decided by the scalar test, so no
+        decision depends on how numpy rounds |q|.
+        """
+        out = []
+        for k, l1, re, im in self._blocks():
+            if self.exact:
+                hit = (re == 0) & (im == 0)
+            else:
+                hit = np.hypot(re, im) <= tol * self.scale[l1] * (1 + 1e-9)
+            out += [tuple(k[j].tolist()) for j in np.flatnonzero(hit)
+                    if self.exact or abs(complex(re[j], im[j])) <= tol * self.scale[l1[j]]]
+        return out
+
+    def near_min(self) -> list:
+        """q(k), as `points` gives it, at every k whose |q(k)| is within a relative
+        2^-30 of the window's minimum (exact spectra: |den q|^2 in Python ints).
+        This holds every minimizer of a scalar |q| that rounds each component once."""
+        found = []
+        for _, _, re, im in self._blocks():
+            if self.exact:
+                re, im = re.astype(object), im.astype(object)
+                mag = re * re + im * im
+            else:
+                mag = np.hypot(re, im)
+            low = mag.min()
+            found += [(mag[j], self._scalar(re[j], im[j]))
+                      for j in np.flatnonzero(mag * 2 ** 30 <= low * (2 ** 30 + 1))]
+        best = min((m for m, _ in found), default=None)
+        return [q for m, q in found if m * 2 ** 30 <= best * (2 ** 30 + 1)]
+
+
+def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus") -> ResonanceScan:
+    """The scan of q(k) = <lam,k> + (1/2) sum_i <mu^i,k>^2 over every k != 0 with
+    |k|_1 <= K on the lattice ("zplus" or "z"), lam and each mu^i aligned to one
+    eigenvector order.
+
+    It is exact when every value has an exact witness.  Then lam = a / D and
+    mu^i = b^i / E with Gaussian integers a, b^i; with den = 2 lcm(D, E^2),
+    den q(k) = <(den / D) a, k> + (den / 2E^2) sum_i <b^i, k>^2 is a Gaussian
+    integer, so q(k) = 0 is an integer test.  Otherwise the tolerance scale is
+    1 + |k|_1 max|lam_j| + (m/2) (|k|_1 max|mu^i_j|)^2.
     """
     if K < 0:
         raise ValueError(f"window bound K must be nonnegative, got {K}")
@@ -99,24 +213,29 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus"):
     if any(len(fs) != n for fs, _ in norm):
         raise ValueError("mu tuple length differs from lam")
     exact = all(e is not None for _, es in norm for e in es)
-    forms = [es if exact else fs for fs, es in norm]
-    max_lam = max((abs(v) for v in norm[0][0]), default=0.0)
-    max_mu = max((abs(v) for fs, _ in norm[1:] for v in fs), default=0.0)
-    half = CRational(HALF) if exact else 0.5
-
-    def points():
-        for k, (q, *mu_dots) in lattice_points(n, K, 0 if lattice == "zplus" else K, K, forms):
-            if not any(k):
-                continue
-            for s in mu_dots:
-                q = q + half * (s * s)
-            if exact:
-                yield k, q, None
-            else:
-                l1 = _l1(k)
-                yield k, q, 1.0 + l1 * max_lam + 0.5 * m * (l1 * max_mu) ** 2
-
-    return exact, points()
+    scale = None
+    if exact:
+        lam_den = math.lcm(*(e._den for e in norm[0][1]))
+        mu_den = math.lcm(*(e._den for _, es in norm[1:] for e in es))
+        den = 2 * math.lcm(lam_den, mu_den * mu_den)
+        forms = [tuple((e._re * (den // e._den), e._im * (den // e._den)) for e in norm[0][1])]
+        forms += [tuple((e._re * (mu_den // e._den), e._im * (mu_den // e._den)) for e in es)
+                  for _, es in norm[1:]]
+        weight = den // (2 * mu_den * mu_den)
+        # no partial sum, square or product the scan forms exceeds, in absolute
+        # value, w max|lam numerator| + 2 m weight (w max|mu numerator|)^2, w = max(K, 1)
+        w = max(K, 1)
+        top = [max((abs(x) for v in f for x in v), default=0) for f in forms]
+        bound = w * top[0] + 2 * m * weight * (w * max(top[1:], default=0)) ** 2 + weight
+        dtype = np.int64 if bound < 2 ** 63 else object
+    else:
+        forms = [tuple((v.real, v.imag) for v in fs) for fs, _ in norm]
+        weight, den, dtype = 0.5, 1, np.int64  # float * int64 column: float64
+        max_lam = max((abs(v) for v in norm[0][0]), default=0.0)
+        max_mu = max((abs(v) for fs, _ in norm[1:] for v in fs), default=0.0)
+        scale = np.array([1.0 + l1 * max_lam + 0.5 * m * (l1 * max_mu) ** 2
+                          for l1 in range(K + 1)])
+    return ResonanceScan(K, lattice, exact, tuple(forms), weight, den, dtype, scale)
 
 
 def _check_tol(tol: float) -> None:
@@ -126,12 +245,8 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
 
 
-def _zeros(points, tol: float) -> list[tuple]:
-    """The k with q(k) = 0 exactly, or |q(k)| <= tol * scale on the float path."""
-    out = [k for k, q, scale in points
-           if (q.is_zero() if scale is None else abs(q) <= tol * scale)]
-    out.sort(key=lambda k: (_l1(k), k))
-    return out
+def _by_order(vectors: list[tuple]) -> list[tuple]:
+    return sorted(vectors, key=lambda k: (_l1(k), k))
 
 
 def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
@@ -143,8 +258,7 @@ def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
     otherwise |<lam,k>| <= tol * (1 + |k|_1 * max|lam_j|).
     """
     _check_tol(tol)
-    _, points = resonance_values(values, (), K, lattice)
-    return _zeros(points, tol)
+    return _by_order(resonance_values(values, (), K, lattice).zeros(tol))
 
 
 def lattice_rank(vectors) -> int:
@@ -210,11 +324,11 @@ def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonan
     """
     _check_tol(tol)
     mus = tuple(mus)
-    exact, points = resonance_values(lam, mus, K)
-    if exact and all(e.is_real() and e.re > 0 for e in _normalize_values(lam)[1]) \
+    scan = resonance_values(lam, mus, K)
+    if scan.exact and all(e.is_real() and e.re > 0 for e in _normalize_values(lam)[1]) \
             and all(e.is_real() for mu in mus for e in _normalize_values(mu)[1]):
-        return WeakResonanceResult((), "positive-definite", exact, K, tol)
-    return WeakResonanceResult(tuple(_zeros(points, tol)), "bounded", exact, K, tol)
+        return WeakResonanceResult((), "positive-definite", True, K, tol)
+    return WeakResonanceResult(tuple(_by_order(scan.zeros(tol))), "bounded", scan.exact, K, tol)
 
 
 # -- report -------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import LaurentPoly, _ints, grlex_key, lattice_points
+from .algebra import LaurentPoly, _ints, grlex_key, lattice_blocks
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 from .resonance import ResonanceReport
 
@@ -60,7 +60,10 @@ def monomial_basis(dim: int, dmin: int, dmax: int) -> MonomialBasis:
     if dmin > dmax:
         raise ValueError(f"empty window [{dmin}, {dmax}]")
     pos, neg = max(dmax, 0), -min(dmin, 0)
-    monos = [e for e, _ in lattice_points(dim, pos, neg, pos + neg) if dmin <= sum(e) <= dmax]
+    monos = []
+    for block in lattice_blocks(dim, pos, neg, pos + neg):
+        degree = block.sum(axis=1)
+        monos += map(tuple, block[(dmin <= degree) & (degree <= dmax)].tolist())
     monos.sort(key=grlex_key)
     return MonomialBasis(dim, dmin, dmax, tuple(monos))
 
@@ -260,10 +263,18 @@ class CountBoundVerdict:
 
 
 def count_bound_check(basis: IntegralBasis, report: ResonanceReport) -> CountBoundVerdict:
-    """Cross-check: found independent strong integrals must number <= s_min."""
+    """Cross-check: found independent strong polynomial integrals must number <= s_min.
+
+    s_min comes from the nonnegative lattice and bounds analytic integrals
+    only, so `rank` is the independence rank of the basis's polynomial
+    elements.  Laurent elements are rational integrals; the note says they
+    are not covered.
+    """
     if report.s_min is None:
         raise ValueError("resonance report carries no strong-side lattice ranks")
-    rank = basis.independence_rank
+    polys = [p for p in basis.basis if not p.has_negative_exponents()]
+    laurent = len(basis) - len(polys)
+    rank = independence_rank(polys) if laurent else basis.independence_rank
     consistent = rank <= report.s_min
     if not consistent:
         note = ("BOUND VIOLATED: more independent integrals than the lattice rank allows"
@@ -271,4 +282,7 @@ def count_bound_check(basis: IntegralBasis, report: ResonanceReport) -> CountBou
     else:
         note = "consistent" if report.s_min_certified else \
             "consistent (K-bounded report: s_min is a lower bound of the true rank)"
+    if laurent:
+        note += (f"; rank counts only the {len(polys)} polynomial of the {len(basis)} elements: "
+                 "Laurent ones are rational integrals, which the analytic bound does not cover")
     return CountBoundVerdict(rank, report.s_min, consistent, report.s_min_certified, note)

@@ -6,8 +6,10 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sdefi import algebra
 from sdefi.algebra import (
     CRational,
     DimensionMismatch,
@@ -18,7 +20,7 @@ from sdefi.algebra import (
     gradient,
     hessian,
     jacobian,
-    lattice_points,
+    lattice_blocks,
     parse_poly_text,
     to_text,
 )
@@ -507,21 +509,21 @@ def test_equal_values_hash_equal():
 # -- lattice enumeration -----------------------------------------------------------
 
 
-def test_lattice_points_matches_brute_force():
+def test_lattice_blocks_matches_brute_force(monkeypatch):
     rng = random.Random(2024)
     for _ in range(80):
         n = rng.randint(0, 4)
         pos, neg, l1 = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 6)
-        exact = [rand_coeff(rng) for _ in range(n)]
-        floats = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
         # product over an ascending range is already in lexicographic order
         want = [k for k in itertools.product(range(-neg, pos + 1), repeat=n)
                 if sum(t for t in k if t > 0) <= pos
                 and sum(-t for t in k if t < 0) <= neg
                 and sum(abs(t) for t in k) <= l1]
-        got = list(lattice_points(n, pos, neg, l1, (exact, floats)))
-        assert [k for k, _ in got] == want, (n, pos, neg, l1)
-        for k, (s_exact, s_float) in got:
-            assert s_exact == sum((c * t for c, t in zip(exact, k)), CRational(0))
-            assert s_float == sum(v * t for v, t in zip(floats, k))  # same float operations
-        assert all(values == () for _, values in lattice_points(n, pos, neg, l1))
+        # small blocks split every level of the expansion; order and content must not change
+        for block in (1, 3, 7, 1 << 16):
+            monkeypatch.setattr(algebra, "_BLOCK", block)
+            blocks = list(lattice_blocks(n, pos, neg, l1))
+            assert [tuple(k) for b in blocks for k in b.tolist()] == want, (n, pos, neg, l1, block)
+            for b in blocks:
+                assert b.dtype == np.int64 and b.shape[1] == n
+                assert 0 < len(b) <= max(block, 2 * l1 + 1)  # one prefix's children stay together

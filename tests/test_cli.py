@@ -212,17 +212,30 @@ def test_zero_denominator_candidate_is_input_error(argv, capsys):
     assert err.startswith("error:") and "zero denominator" in err, err
 
 
-def test_perturb_singular_jacobian_is_internal_failure(tmp_path, capsys):
+def test_perturb_inapplicable_drift_is_input_error(tmp_path, capsys, monkeypatch):
+    # perturb needs f(0) = 0 and distinct nonzero eigenvalues of Df(0); a drift
+    # without them is an inapplicable request (exit 2), while running out of
+    # admissible u stays an internal numeric failure (exit 3)
+    from sdefi import perturb
     from sdefi.algebra import VField, parse_poly_text
     from sdefi.ito import SdeSystem
 
-    names = ("x1", "x2")
-    sys = SdeSystem(VField((parse_poly_text("x2", names),
-                            parse_poly_text("0", names))), (), names)
-    p = tmp_path / "singular.json"
-    p.write_text(json.dumps(serialize_system(sys)), encoding="utf-8")
-    assert main(["perturb", str(p)]) == 3
-    assert "internal failure:" in capsys.readouterr().err
+    def write(*texts):
+        names = tuple(f"x{i + 1}" for i in range(len(texts)))
+        sys = SdeSystem(VField(tuple(parse_poly_text(t, names) for t in texts)), (), names)
+        p = tmp_path / "drift.json"
+        p.write_text(json.dumps(serialize_system(sys)), encoding="utf-8")
+        return str(p)
+
+    for texts, reason in [(("x2", "0"), "drift Jacobian at the origin is singular"),
+                          (("x1", "x2"), "repeated eigenvalue near 1"),
+                          (("1 + x1",), "drift does not vanish at the origin")]:
+        assert main(["perturb", write(*texts)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {reason}")
+    # lambda = -1, u = 1/2: E((9,)) = 0, and no retry is left
+    monkeypatch.setattr(perturb, "_MAX_RETRIES", 0)
+    assert main(["perturb", write("-1 * x1"), "--u", "1/2", "--lbound", "9"]) == 3
+    assert capsys.readouterr().err.startswith("internal failure: no admissible u in 1 tries")
 
 
 def test_simulate_requires_seed(capsys):
@@ -348,6 +361,22 @@ def test_analyze_json_schema(capsys):
                and v["epistemic_status"]["kind"] == "certified" for v in verdicts)
     assert rep["search"]["weak"]["count"] == 0
     assert rep["count_bound"]["consistent"]
+
+
+def test_analyze_laurent_window_respects_the_analytic_bound(tmp_path, capsys):
+    # x' = (x1, x2) has the rational integrals x1 x2^-1 and x1^-1 x2 but, by the
+    # half-plane test on {1, 1}, no analytic one: s_min = 0 is no violation
+    from sdefi.algebra import VField, parse_poly_text
+    from sdefi.ito import SdeSystem
+
+    names = ("x1", "x2")
+    node = SdeSystem(VField(tuple(parse_poly_text(t, names) for t in names)), (), names)
+    p = tmp_path / "node.json"
+    p.write_text(json.dumps(serialize_system(node)), encoding="utf-8")
+    assert main(["analyze", str(p), "--dmin", "-1", "--dmax", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "BOUND VIOLATED" not in out
+    assert "count bound: rank 0 <= s_min 0? yes (consistent; rank counts only the 0 polynomial" in out
 
 
 def test_analyze_linearizes_once(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from sdefi.perturb import (
     verify_perturbation,
 )
 from sdefi.resonance import resonance_values
+from sdefi.spectral import NotApplicableError
 
 
 def _drift(*texts, names=None):
@@ -48,17 +49,17 @@ def test_diagonal_drift_exact_route():
 
 
 def test_rejects_singular_jacobian():
-    with pytest.raises(PerturbationError, match="singular"):
+    with pytest.raises(NotApplicableError, match="singular"):
         build_perturbation(_drift("x2", "0"))
 
 
 def test_rejects_repeated_eigenvalues():
-    with pytest.raises(PerturbationError, match="repeated"):
+    with pytest.raises(NotApplicableError, match="repeated"):
         build_perturbation(_drift("x1", "x2"))
 
 
 def test_rejects_nonvanishing_drift():
-    with pytest.raises(PerturbationError, match="vanish"):
+    with pytest.raises(NotApplicableError, match="vanish"):
         build_perturbation(_drift("1 + x1"))
 
 
@@ -119,7 +120,7 @@ def test_near_repeated_eigenvalues_are_distinct():
     plan = build_perturbation(d)
     assert plan.u == Fraction(37, 100) and not plan.exact_route
     assert verify_perturbation(d, plan).passed
-    with pytest.raises(PerturbationError, match="repeated eigenvalue near 1"):
+    with pytest.raises(NotApplicableError, match="repeated eigenvalue near 1"):
         build_perturbation(_drift("x1 + x2", "x2"))  # Jordan block: truly repeated
 
 
@@ -137,16 +138,16 @@ def test_obstruction_values_match_double_sum():
     zeros = 0
     for lam, mu, L in cases:
         n = len(lam)
-        exact, points = resonance_values([e - m * m / 2 for e, m in zip(lam, mu)], [mu], L)
-        assert exact
-        got = list(points)
-        assert [l for l, *_ in got] == [l for l in itertools.product(range(L + 1), repeat=n)
-                                        if 0 < sum(l) <= L]
-        for l, q, scale in got:
+        scan = resonance_values([e - m * m / 2 for e, m in zip(lam, mu)], [mu], L)
+        assert scan.exact
+        got = list(scan.points())
+        assert [l for l, _ in got] == [l for l in itertools.product(range(L + 1), repeat=n)
+                                       if 0 < sum(l) <= L]
+        for l, q in got:
             e = sum((lam[i] * (2 * l[i]) for i in range(n)), CRational(0))
             e += sum(l[i] * (l[i] - 1) * mu[i] ** 2 for i in range(n))
             e += sum(l[i] * l[j] * mu[i] * mu[j] for i in range(n) for j in range(n) if i != j)
-            assert scale is None
+            assert isinstance(q, CRational)
             assert 2 * q == e
             zeros += e.is_zero()
     assert zeros >= 1

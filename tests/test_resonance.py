@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sdefi import systems
-from sdefi.algebra import CRational, LaurentPoly, VField
+from sdefi import algebra, systems
+from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
 from sdefi.ito import SdeSystem, check_weak, weak_generator_apply
+from sdefi.perturb import build_perturbation, recurrence_exponents
 from sdefi.resonance import (
     enumerate_resonances,
     halfplane_certificate,
@@ -182,10 +185,10 @@ def test_weak_resonance_function_is_the_generator_eigenvalue():
         sys = SdeSystem(diagonal(n, a), tuple(diagonal(n, bi) for bi in b),
                         tuple(f"x{j + 1}" for j in range(n)))
         lam = [a[j] - sum((bi[j] * bi[j] for bi in b), CRational(0)) / 2 for j in range(n)]
-        exact, points = resonance_values(lam, b, K=4)
-        assert exact
+        scan = resonance_values(lam, b, K=4)
+        assert scan.exact
         zeros = set()
-        for k, q, scale in points:
+        for k, q in scan.points():
             xk = LaurentPoly.monomial(n, k)
             assert weak_generator_apply(sys, xk) == xk.scale(q)
             if q.is_zero():
@@ -308,3 +311,160 @@ def test_k_zero_edge():
         enumerate_resonances(eig, K=-1)
     with pytest.raises(ValueError):
         enumerate_resonances([], lattice="bogus")
+
+
+# -- the vectorized scan against a scalar reference -------------------------------------
+
+
+def _reference_scan(lam, mus, K, lattice):
+    """(k, q(k)) for every 0 < |k|_1 <= K in lexicographic order, by scalar
+    arithmetic: CRational when every value is exact, otherwise complex floats
+    summed from 0 in coordinate order."""
+    exact = all(isinstance(v, CRational) for v in (*lam, *(v for mu in mus for v in mu)))
+    if not exact:
+        lam, mus = [complex(v) for v in lam], [[complex(v) for v in mu] for mu in mus]
+    zero, half = (CRational(0), CRational(Fraction(1, 2))) if exact else (0, 0.5)
+    out = []
+    for k in itertools.product(range(0 if lattice == "zplus" else -K, K + 1), repeat=len(lam)):
+        if not 0 < sum(map(abs, k)) <= K:
+            continue
+        q = zero
+        for v, t in zip(lam, k):
+            q = q + v * t
+        for mu in mus:
+            s = zero
+            for v, t in zip(mu, k):
+                s = s + v * t
+            q = q + half * (s * s)
+        out.append((k, q))
+    return exact, out
+
+
+def _reference_zeros(lam, mus, ref, exact, tol):
+    if exact:
+        return [k for k, q in ref if q == 0]
+    max_lam = max((abs(complex(v)) for v in lam), default=0.0)
+    max_mu = max((abs(complex(v)) for mu in mus for v in mu), default=0.0)
+    out = []
+    for k, q in ref:
+        l1 = sum(map(abs, k))
+        if abs(q) <= tol * (1.0 + l1 * max_lam + 0.5 * len(mus) * (l1 * max_mu) ** 2):
+            out.append(k)
+    return out
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _random_spectrum(rng, n, exact):
+    """Small rationals, so that resonances occur; float spectra round them,
+    sometimes with a near-miss shift."""
+    out = []
+    for _ in range(n):
+        v = CRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                      Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4 else 0)
+        out.append(v if exact else complex(v) + rng.choice([0, 0, 0, 1e-13, 3e-10, 1e-6]))
+    return out
+
+
+def _check_scan(lam, mus, K, lattice, tols=(1e-9,)):
+    exact, ref = _reference_scan(lam, mus, K, lattice)
+    scan = resonance_values(lam, mus, K, lattice)
+    assert scan.exact == exact
+    got = list(scan.points())
+    assert [k for k, _ in got] == [k for k, _ in ref]
+    if exact:
+        assert all(isinstance(q, CRational) and q == r for (_, q), (_, r) in zip(got, ref))
+    else:
+        assert [_bits(q) for _, q in got] == [_bits(r) for _, r in ref]
+        # a tolerance exactly at some |q(k)| / scale puts that k on the boundary
+        nonzero = [k for k, q in ref if q != 0]
+        if nonzero:
+            k0 = nonzero[len(nonzero) // 2]
+            l1 = sum(map(abs, k0))
+            max_lam = max(abs(complex(v)) for v in lam)
+            max_mu = max((abs(complex(v)) for mu in mus for v in mu), default=0.0)
+            scale = 1.0 + l1 * max_lam + 0.5 * len(mus) * (l1 * max_mu) ** 2
+            tols = (*tols, abs(dict(ref)[k0]) / scale)
+    for tol in tols:
+        want = _reference_zeros(lam, mus, ref, exact, tol)
+        assert scan.zeros(tol) == want, (lam, mus, K, lattice, tol)
+        by_order = sorted(want, key=lambda k: (sum(map(abs, k)), k))
+        if not mus:
+            assert enumerate_resonances(lam, K, tol, lattice) == by_order
+        elif lattice == "zplus":
+            wr = weak_resonance_test(lam, mus, K, tol)
+            assert wr.violations == (() if wr.certificate == "positive-definite" else tuple(by_order))
+    # perturb's residual: the scalar |2 q| at the points the array minimum selects
+    want_min = min((abs(complex(q + q)) for _, q in ref), default=None)
+    got_min = min((abs(complex(q + q)) for q in scan.near_min()), default=None)
+    assert got_min == want_min
+    return scan
+
+
+@pytest.mark.parametrize("block", [5, 1 << 13])
+def test_scan_matches_scalar_reference(block, monkeypatch):
+    # blocks of 5 points split every window, the default block holds most whole
+    monkeypatch.setattr(algebra, "_BLOCK", block)
+    rng = random.Random(16)
+    for n in range(5):
+        for K in sorted({0, 8, rng.randint(1, 7), rng.randint(1, 7)}):
+            if n == 4 and K > 5 and block == 5:
+                continue  # the largest windows once, with the default block
+            for exact in (True, False):
+                lam = _random_spectrum(rng, n, exact)
+                mus = [_random_spectrum(rng, n, exact) for _ in range(rng.randint(0, 2))]
+                for lattice in ("zplus", "z"):
+                    _check_scan(lam, [], K, lattice)
+                    _check_scan(lam, mus, K, lattice)
+
+
+def test_exact_scan_beyond_int64_stays_exact():
+    # u^18 on n = 4 and denominators near 10^30 cannot be scaled into int64
+    u = Fraction(37, 100)
+    mu = [CRational(u ** a) for a in recurrence_exponents(4)]
+    rng = random.Random(4)
+    for _ in range(3):
+        lam = [CRational(Fraction(rng.randint(-9, 9), 10 ** 30 + rng.randint(1, 99)),
+                         Fraction(rng.randint(-2, 2))) for _ in range(4)]
+        # plant a zero of q at k = (1, 1, 0, 0) by solving for lam_2
+        s = mu[0] + mu[1]
+        lam[1] = -lam[0] - CRational(Fraction(1, 2)) * (s * s)
+        for lattice in ("zplus", "z"):
+            scan = _check_scan(lam, [mu], 4, lattice)
+            assert scan.dtype is object
+            assert (1, 1, 0, 0) in scan.zeros(0.0)
+
+
+def test_perturb_residual_min_matches_scalar_scan():
+    # exact route on n = 4 (denominators ~10^72, object path) and numeric route on +-sqrt(2)
+    names = tuple(f"x{i + 1}" for i in range(4))
+    diag = VField(tuple(parse_poly_text(t, names) for t in
+                        ("-1 * x1", "-2 * x2", "3 * x3", "1/2 * x4")))
+    saddle = VField((parse_poly_text("x2", names[:2]), parse_poly_text("2 * x1", names[:2])))
+    for drift, L in ((diag, 6), (saddle, 8)):
+        plan = build_perturbation(drift, L=L)
+        lam = [v - float(m * m) / 2 if e is None else e - m * m / 2
+               for v, e, m in zip(plan.eigenvalues.values, plan.eigenvalues.exact, plan.mu)]
+        mu = [CRational(m) for m in plan.mu] if plan.exact_route else [float(m) for m in plan.mu]
+        _, ref = _reference_scan(lam, [mu], L, "zplus")
+        assert plan.residual_min == min(abs(complex(q + q)) for _, q in ref)
+    assert [build_perturbation(d).exact_route for d in (diag, saddle)] == [True, False]
+
+
+def test_scan_memory_is_bounded_by_its_blocks():
+    # n = 6, K = 14 on the signed lattice holds 880 685 points: materialized as
+    # int64 vectors alone they take 42 MB; the block scan stays a few MB
+    lam = [complex(1, 0.3), -1.1, 2.0, -0.7, 0.5j, 3.0]
+    tracemalloc.start()
+    try:
+        zeros = resonance_values(lam, (), 14, "z").zeros(1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    # 3 * 2 - 2 * 3 = 0, and every k found passes the scalar test
+    assert (0, 0, 3, 0, 0, -2) in zeros and zeros == sorted(zeros)
+    ref = [(k, sum((v * t for v, t in zip(lam, k)), 0)) for k in zeros]
+    assert _reference_zeros(lam, (), ref, False, 1e-9) == zeros

@@ -362,3 +362,25 @@ def test_count_bound_dict_shape():
     cb = count_bound_check(find_first_integrals(sys, "strong", 1, 2), rep)
     d = cb.to_dict()
     assert set(d) == {"rank", "s_min", "consistent", "certified", "note"}
+
+
+def test_count_bound_compares_only_polynomial_elements():
+    # s_min bounds analytic integrals; Laurent elements of a basis are rational ones
+    names = ("x1", "x2")
+
+    def ode(*texts):
+        return SdeSystem(VField(tuple(_poly(t, names) for t in texts)), (), names)
+
+    node = ode("x1", "x2")  # spectrum {1, 1}: no nonnegative resonance, s_min = 0 certified
+    basis = find_first_integrals(node, "strong", -1, 1)
+    assert [to_text(p, names) for p in basis.basis] == ["x1^-1 x2", "x1 x2^-1"]
+    assert basis.independence_rank == 1
+    cb = count_bound_check(basis, nonintegrability_report(node))
+    assert (cb.rank, cb.s_min, cb.consistent, cb.certified) == (0, 0, True, True)
+    assert cb.note.startswith("consistent; rank counts only the 0 polynomial of the 2 elements")
+    saddle = ode("x1", "-1 * x2")  # spectrum {1, -1}: x1 x2 and x1^-1 x2^-1
+    basis = find_first_integrals(saddle, "strong", -2, 2)
+    assert len(basis) == 2
+    cb = count_bound_check(basis, nonintegrability_report(saddle))
+    assert (cb.rank, cb.s_min, cb.consistent) == (1, 1, True)
+    assert "only the 1 polynomial of the 2 elements" in cb.note
