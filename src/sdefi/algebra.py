@@ -651,11 +651,17 @@ def default_var_names(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
+def _check_var_names(names: Sequence[str]):
+    if "i" in names:  # the text form reads i as the imaginary unit
+        raise ValueError("'i' is the imaginary unit and cannot be a variable name")
+
+
 def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
     """Canonical text form, graded-lex descending."""
     names = tuple(var_names) if var_names is not None else default_var_names(p.dim)
     if len(names) != p.dim:
         raise DimensionMismatch("var_names length != dim")
+    _check_var_names(names)
     if p.is_zero:
         return "0"
     chunks: list[str] = []
@@ -740,6 +746,7 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
     names (so e.g. a 4-dim system with names r, phi, v, w parses "r^2 w").
     """
     names = list(var_names)
+    _check_var_names(names)
     dim = len(names)
     index = {n: i for i, n in enumerate(names)}
     text = text.strip()

@@ -118,6 +118,8 @@ def parse_system_dict(d) -> SdeSystem:
         raise InputFormatError(f"var_names must be {dim} identifier strings")
     if len(set(names)) != dim:
         raise InputFormatError("var_names must be distinct")
+    if "i" in names:
+        raise InputFormatError("var_names: 'i' is the imaginary unit, not a variable name")
     drift = d["drift"]
     if not isinstance(drift, list) or len(drift) != dim:
         raise InputFormatError(f"drift must list {dim} components, got {len(drift) if isinstance(drift, list) else type(drift).__name__}")

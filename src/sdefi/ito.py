@@ -82,9 +82,10 @@ class IntegralVerdict:
         raise KeyError(name)
 
 
-def _require_candidate(sys: SdeSystem, phi: LaurentPoly):
-    if phi.dim != sys.dim:
-        raise DimensionMismatch(f"candidate dim {phi.dim} != system dim {sys.dim}")
+def require_candidate(phi: LaurentPoly, dim: int):
+    """Reject a candidate of another dimension or a constant one, exact or Monte Carlo."""
+    if phi.dim != dim:
+        raise DimensionMismatch(f"candidate dim {phi.dim} != system dim {dim}")
     if phi.is_constant:
         raise ConstantCandidateError("candidate is constant; conservation would be vacuous")
 
@@ -111,7 +112,7 @@ def weak_generator_apply(sys: SdeSystem, phi: LaurentPoly) -> LaurentPoly:
 
 def check_strong(sys: SdeSystem, phi: LaurentPoly) -> IntegralVerdict:
     """Pathwise conservation: corrected-drift residual plus one residual per noise."""
-    _require_candidate(sys, phi)
+    require_candidate(phi, sys.dim)
     grad = gradient(phi)
     residuals: list[tuple[str, LaurentPoly]] = [
         ("corrected_drift", dot(grad, stratonovich_drift(sys)))
@@ -124,7 +125,7 @@ def check_strong(sys: SdeSystem, phi: LaurentPoly) -> IntegralVerdict:
 
 def check_weak(sys: SdeSystem, phi: LaurentPoly) -> IntegralVerdict:
     """Conservation in expectation: the generator residual L phi."""
-    _require_candidate(sys, phi)
+    require_candidate(phi, sys.dim)
     res = weak_generator_apply(sys, phi)
     return IntegralVerdict("weak", res.is_zero, (("generator", res),))
 

@@ -3,10 +3,10 @@
 Paths are advanced as X_{k+1} = X_k + f(X_k) h + sum_i g_i(X_k) sqrt(h) xi_k^i
 with xi drawn per path from a Philox counter-based stream keyed by
 (seed, path_index), so ensembles are bit-reproducible for a fixed config and
-independent of chunking or worker count.  Paths stop at the first exit from
-a ball of radius R (origin- or x0-centered) and are frozen at the exit state;
-nonfinite states (overflow, or a pole hit exactly) drop the path from the
-statistics and are counted.  Only each path's end state is kept.
+independent of chunking.  Paths stop at the first exit from a ball of radius
+R (origin- or x0-centered) and are frozen at the exit state; nonfinite
+states (overflow, or a pole hit exactly) drop the path from the statistics
+and are counted.  Only each path's end state is kept.
 
 The drift and diffusions compile into one evaluator.  Each step forms each
 distinct monomial of all the fields once, as a row over the moving paths,
@@ -23,7 +23,7 @@ blocks of at most _BLOCK_BYTES, only for paths still moving, so memory is
 O(chunk x block) whatever h and T are; consecutive draws from one stream
 equal a single draw of the same length, so the blocking does not change a
 bit.  Building a Philox generator costs several times re-keying one, so
-serial runs re-key one pool of generators per thread, kept across calls.
+every run re-keys one module pool of generators, kept across calls.
 
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
@@ -35,18 +35,17 @@ authority on exactness — this module exists to cross-check it statistically:
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .algebra import LaurentPoly, PoleError, VField
-from .ito import SdeSystem
+from .ito import SdeSystem, require_candidate
 
 _CHUNK = 4096
 _BLOCK_BYTES = 4 << 20  # noise held per chunk and step block, whatever n_steps is
+_POOL: list[np.random.Generator] = []  # Philox generators, re-keyed by every run
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class SimConfig:
     seed: int
     R: float = 1e6
     center: str = "origin"  # or "x0"
-    max_workers: int = 1
+    max_workers: int = 1  # must be 1; goes with the next benchmark change (ROADMAP item 2)
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check below
@@ -74,6 +73,8 @@ class SimConfig:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if self.center not in ("origin", "x0"):
             raise ValueError("center must be 'origin' or 'x0'")
+        if self.max_workers != 1:
+            raise ValueError(f"max_workers must be 1 (one thread), not {self.max_workers!r}")
 
     @property
     def n_steps(self) -> int:
@@ -169,7 +170,7 @@ def _negative_axes(fields: Sequence[VField]) -> list[int]:
 
 
 def _path_generators(seed: int, path_indices: np.ndarray,
-                     pool: list[np.random.Generator] | None = None) -> list[np.random.Generator]:
+                     pool: list[np.random.Generator] = _POOL) -> list[np.random.Generator]:
     """One Philox stream per path, keyed by (seed, path index).
 
     Building a Philox also builds and discards an OS-entropy SeedSequence,
@@ -178,7 +179,6 @@ def _path_generators(seed: int, path_indices: np.ndarray,
     empty buffer) gives the same stream.  The pool grows to the number of
     paths; its first generators are returned.
     """
-    pool = [] if pool is None else pool
     keys = np.empty((len(path_indices), 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = path_indices
@@ -214,16 +214,6 @@ def _distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-class _GeneratorPool(threading.local):
-    """Each thread's Philox generators, re-keyed by every serial simulate_paths call."""
-
-    def __init__(self):
-        self.generators: list[np.random.Generator] = []
-
-
-_POOL = _GeneratorPool()
-
-
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     """Run the full ensemble; deterministic for a fixed config."""
     n = sys.dim
@@ -244,14 +234,14 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
               np.zeros(cfg.N, dtype=bool), np.zeros(cfg.N, dtype=bool),
               np.zeros(cfg.N, dtype=bool))
 
-    def run_chunk(lo: int, gens: list | None = None):
+    def run_chunk(lo: int):
         x, exit_time, exited, excluded, pole = (a[lo:lo + _CHUNK] for a in arrays)
         k = len(x)
         live = np.arange(k)  # chunk rows of the paths still moving, ascending
         xl = x.T.copy()      # their states, state-major: one row per coordinate
         if m:
             normals = [g.standard_normal
-                       for g in _path_generators(cfg.seed, np.arange(lo, lo + k), gens)]
+                       for g in _path_generators(cfg.seed, np.arange(lo, lo + k))]
             block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
             drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
             noise = np.empty((block, m, k))  # sqrt(h) times the same, contiguous over paths
@@ -313,13 +303,8 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                     xl = drop(out | ~finite, xl)
         x[live] = xl.T
 
-    starts = range(0, cfg.N, _CHUNK)
-    if cfg.max_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            list(pool.map(run_chunk, starts))  # list() re-raises a chunk's exception
-    else:
-        for lo in starts:
-            run_chunk(lo, _POOL.generators)
+    for lo in range(0, cfg.N, _CHUNK):
+        run_chunk(lo)
 
     final, exit_time, exited, excluded, pole = arrays
     n_pole = int(pole.sum())
@@ -357,6 +342,7 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = ens.config
+    require_candidate(phi, len(cfg.x0))
     fields = (VField((phi,)),)
     phi_fn = _compile_fields(fields)
     neg_axes = _negative_axes(fields)

@@ -41,8 +41,7 @@ from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
-from .spectral import (Eigenvalues, NotApplicableError, eigenbasis, jacobian_at_origin, roots,
-                       value_at_origin)
+from .spectral import Eigenvalues, NotApplicableError, eigenbasis, linearization
 
 _MAX_RETRIES = 20  # seeded fresh u values tried after the requested one
 
@@ -122,20 +121,17 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
                        seed: int = 0) -> PerturbationPlan:
     """Construct P for the drift, retrying fresh u values until E(l) != 0 through L."""
     n = drift.dim
-    f0 = value_at_origin(drift)
-    if any(not c.is_zero() for c in f0):
-        raise NotApplicableError("drift does not vanish at the origin")
-    a = jacobian_at_origin(drift)
-    det_a = exactla.det(a)
-    if det_a.is_zero():
+    lin = linearization(SdeSystem(drift, (), default_var_names(n)))  # raises unless f(0) = 0
+    a, chi, eig = lin.A_f, lin.char_polys["Df"], lin.mu0
+    if chi[0].is_zero():  # chi(0) = det(A - 0 I)
         raise NotApplicableError("drift Jacobian at the origin is singular")
-    chi = exactla.char_poly(a)
-    repeated = exactla.poly_gcd(chi, exactla.poly_deriv(chi))
-    if len(repeated) > 1:  # its roots are exactly the repeated eigenvalues
+    if len(exactla.poly_gcd(chi, exactla.poly_deriv(chi))) > 1:  # a repeated root, exactly
+        # the closest pair of the spectrum is the repeated eigenvalue, twice
+        near = min(((v, w) for i, v in enumerate(eig.values) for w in eig.values[i + 1:]),
+                   key=lambda vw: abs(vw[0] - vw[1]))[0]
         raise NotApplicableError(
-            f"repeated eigenvalue near {roots(repeated).values[0]:.6g}: "
+            f"repeated eigenvalue near {near:.6g}: "
             "defective/defect-prone Jacobians are not supported")
-    eig = roots(chi)
 
     exponents = recurrence_exponents(n)
     rng = random.Random(seed)
@@ -180,7 +176,7 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
     return PerturbationPlan(u=chosen, exponents=exponents, mu=tuple(chosen_mu),
                             eigenvalues=eig, Q=qmat, P=p_float, P_exact=p_exact,
                             exact_route=exact_route, residual_min=residual_min,
-                            L=L, det_Df=det_a)
+                            L=L, det_Df=chi[0])
 
 
 @dataclass(frozen=True)

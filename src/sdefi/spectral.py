@@ -9,7 +9,7 @@ rationals), and their eigenvalues.  Zero roots are stripped exactly and
 repeated roots split off by exact gcds; `numpy.roots` finds the rest, and a
 float root is certified exact when a nearby small complex rational is an
 exact root.  Hence an eigenvalue is either `exact` (a CRational witness) or
-honest floating point.
+honest floating point.  An A0 equal to A_f (no linear noise) reuses A_f's spectrum.
 
 Also here: the exact simultaneous-diagonalizability check (commutators plus
 a square-free-part test per matrix) and `eigenbasis`, the one place that
@@ -163,7 +163,10 @@ def linearization(sys: SdeSystem) -> SpectralData:
 
     mu0 = spectrum("Df", A_f)
     mu = [None if m is None else spectrum(f"Dg_{i + 1}", m) for i, m in enumerate(A_g)]
-    lam = None if A0 is None else spectrum("A0", A0)
+    if A0 == A_f:  # no noise, or noise without a linear part: Df(0)'s spectrum again
+        char_polys["A0"], lam = char_polys["Df"], mu0
+    else:
+        lam = None if A0 is None else spectrum("A0", A0)
 
     return SpectralData(A_f=A_f, A_g=tuple(A_g), A0=A0, mu0=mu0, mu=tuple(mu), lam=lam,
                         char_polys=char_polys, g_zero_at_origin=tuple(zero_flags),

@@ -271,6 +271,17 @@ def test_parse_zero_denominator_names_the_token(text, token):
         parse_poly_text(text, ["x1"])
 
 
+def test_parse_rejects_the_imaginary_unit_as_a_variable():
+    # otherwise "i" would read as the constant 1i, not as the variable
+    with pytest.raises(ValueError, match="imaginary unit"):
+        parse_poly_text("i", ["i"])
+
+
+def test_to_text_rejects_the_imaginary_unit_as_a_variable():
+    with pytest.raises(ValueError, match="imaginary unit"):
+        to_text(LaurentPoly(1, {(1,): 1}), ["i"])
+
+
 def test_parse_merges_repeated_terms():
     assert parse_poly_text("x1 + x1", ["x1"]) == LaurentPoly(1, {(1,): 2})
 

@@ -127,6 +127,16 @@ def test_var_names_must_be_distinct_identifiers():
         parse_system_dict(d)
 
 
+def test_imaginary_unit_is_not_a_variable_name(tmp_path, capsys):
+    # `i` would print as a variable and parse back as the constant 1i
+    d = gbm_dict()
+    d["var_names"] = ["i"]
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["check-weak", str(p), "--candidate", "i"]) == 2
+    assert capsys.readouterr().err.startswith("error: var_names: 'i' is the imaginary unit")
+
+
 def test_bool_is_not_a_valid_dim():
     d = gbm_dict()
     d["dim"] = True
@@ -255,6 +265,15 @@ def test_simulate_nonfinite_or_pole_inputs_are_input_errors(flags, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_simulate_rejects_a_constant_candidate(mode, capsys):
+    # a constant is conserved vacuously, as the exact checks say
+    argv = ["simulate", "gbm", "--seed", "1", "--paths", "100", "--candidate", "c=3",
+            "--mode", mode]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: candidate is constant")
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB for an array", ""])

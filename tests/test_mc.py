@@ -1,17 +1,15 @@
 """Euler-Maruyama ensembles: reproducibility, exits, exclusions, conservation tests."""
 
 import math
-import threading
 import tracemalloc
 from fractions import Fraction
-from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 
 from sdefi import mc, systems
-from sdefi.algebra import LaurentPoly, PoleError, VField, parse_poly_text
-from sdefi.ito import SdeSystem
+from sdefi.algebra import DimensionMismatch, LaurentPoly, PoleError, VField, parse_poly_text
+from sdefi.ito import ConstantCandidateError, SdeSystem
 from sdefi.mc import SimConfig, conservation_test, simulate_paths
 
 
@@ -37,7 +35,7 @@ def test_config_validation():
     for bad in (dict(h=0.0), dict(T=-1.0), dict(N=0), dict(seed=-1), dict(seed=2 ** 64),
                 dict(center="there"), dict(h=inf), dict(h=nan), dict(T=inf), dict(T=nan),
                 dict(h=1e-320), dict(x0=(nan,)), dict(x0=(-inf,)), dict(R=0.0), dict(R=-1.0),
-                dict(R=nan)):
+                dict(R=nan), dict(max_workers=0), dict(max_workers=3)):
         with pytest.raises(ValueError):
             SimConfig(**{**good, **bad})
 
@@ -78,16 +76,12 @@ def test_frozen_system_conserves_exactly():
 
 def test_bit_reproducibility_and_seed_sensitivity():
     sys = systems.scalar_martingale()
-    cfg = lambda seed, workers=1: SimConfig(x0=(1.0,), h=1e-2, T=0.2, N=9000,
-                                            seed=seed, max_workers=workers)
+    cfg = lambda seed: SimConfig(x0=(1.0,), h=1e-2, T=0.2, N=9000, seed=seed)
     a = simulate_paths(sys, cfg(7))
     b = simulate_paths(sys, cfg(7))
     assert np.array_equal(a.final, b.final)
     c = simulate_paths(sys, cfg(8))
     assert not np.array_equal(a.final, c.final)
-    # per-path keyed streams: worker count and chunking cannot change the draw
-    d = simulate_paths(sys, cfg(7, workers=3))
-    assert np.array_equal(a.final, d.final)
 
 
 # -- statistical conservation checks ---------------------------------------------------
@@ -187,6 +181,14 @@ def test_candidate_pole_at_x0_is_an_input_error():
     ens = simulate_paths(systems.gbm(), SimConfig(x0=(0.0,), h=0.1, T=0.5, N=4, seed=0))
     with pytest.raises(ValueError, match=r"candidate x1\^-1 has a pole at x0=\(0\.0,\)"):
         conservation_test(ens, X_INV, "weak")
+
+
+def test_constant_or_misdimensioned_candidate_is_an_input_error():
+    ens = simulate_paths(systems.gbm(), SimConfig(x0=(1.0,), h=0.1, T=0.5, N=4, seed=0))
+    with pytest.raises(ConstantCandidateError):
+        conservation_test(ens, parse_poly_text("3", ("x1",)), "strong")
+    with pytest.raises(DimensionMismatch):
+        conservation_test(ens, parse_poly_text("x2", ("x1", "x2")), "weak")
 
 
 def test_final_states_on_a_candidate_pole_are_dropped():
@@ -397,7 +399,8 @@ def test_simulate_paths_equals_one_path_reference(case):
         assert 0 < ens.n_overflow < cfg.N and ens.exited.any()
 
 
-@pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "overflow"])
+@pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "pole-midway",
+                                  "overflow"])
 @pytest.mark.parametrize("block_steps", [1, 3])
 def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps):
     make, kw = REFERENCE_CASES[case]
@@ -407,25 +410,6 @@ def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps
     # a 7-path chunk gets `block_steps` steps per block; the last, smaller chunk gets more
     monkeypatch.setattr(mc, "_BLOCK_BYTES", block_steps * 8 * sys.noise_dim * 7)
     _assert_bits_equal(_fields(simulate_paths(sys, cfg)), want)
-
-
-@pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "pole-midway",
-                                  "overflow"])
-def test_threads_write_the_serial_bits(monkeypatch, case):
-    # each worker advances views of its own rows of the shared ensemble arrays; a short
-    # switch interval interleaves the three workers (more than the cores) step by step
-    make, kw = REFERENCE_CASES[case]
-    sys = make()
-    want = _fields(simulate_paths(sys, SimConfig(**kw)))
-    monkeypatch.setattr(mc, "_CHUNK", 7)
-    assert kw["N"] > 7  # more than one chunk, so the thread pool runs
-    interval = getswitchinterval()
-    setswitchinterval(1e-6)
-    try:
-        got = _fields(simulate_paths(sys, SimConfig(**kw, max_workers=3)))
-    finally:
-        setswitchinterval(interval)
-    _assert_bits_equal(got, want)
 
 
 def test_rekeyed_generators_equal_new_ones():
@@ -449,21 +433,15 @@ def test_rekeyed_generators_equal_new_ones():
 
 
 def test_generator_pool_kept_across_calls_gives_reference_bits():
-    # a serial call re-keys its thread's pool, which a larger call with another seed
-    # grew first; another thread starts from its own empty pool
+    # a call re-keys the module pool, which a larger call with another seed grew first
     make, kw = REFERENCE_CASES["m2-exit-origin"]
     sys, cfg = make(), SimConfig(**kw)
     simulate_paths(sys, SimConfig(**{**kw, "N": 3 * kw["N"], "seed": kw["seed"] + 1}))
-    pool = list(mc._POOL.generators)
+    pool = list(mc._POOL)
     assert len(pool) >= 3 * kw["N"]
     ens = simulate_paths(sys, cfg)
-    assert all(a is b for a, b in zip(mc._POOL.generators, pool))
+    assert all(a is b for a, b in zip(mc._POOL, pool))
     _assert_bits_equal(_fields(ens), _reference_paths(sys, cfg))
-    sizes = []
-    worker = threading.Thread(target=lambda: sizes.append(len(mc._POOL.generators)))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive() and sizes == [0]
 
 
 def test_memory_does_not_grow_with_n_steps():

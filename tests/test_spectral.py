@@ -416,3 +416,7 @@ def test_each_characteristic_polynomial_is_computed_once(monkeypatch):
     calls.clear()
     h1_check(data)
     assert calls == []
+    # without linear noise A0 is Df(0): its polynomial and spectrum are reused
+    data = linearization(systems.harmonic_oscillator())
+    assert len(calls) == 1 and data.lam is data.mu0
+    assert list(data.char_polys) == ["Df", "A0"]
