@@ -38,7 +38,7 @@ from .algebra import CRational, LaurentPoly, VField, to_text, parse_poly_text
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak
 from .mc import SimConfig, conservation_test, simulate_paths
 from .perturb import build_perturbation, verify_perturbation
-from .resonance import nonintegrability_report
+from .resonance import check_scan_options, nonintegrability_report
 from .search import count_bound_check, find_first_integrals
 from .spectral import NotApplicableError, h1_check, linearization
 from . import systems as _builtin
@@ -420,8 +420,7 @@ def _search(sys: SdeSystem, args) -> dict:
 
 
 def _resonance(sys: SdeSystem, args) -> dict:
-    return nonintegrability_report(sys, K=args.kbound, tol=args.tol,
-                                   include_z=args.lattice == "both").to_dict()
+    return nonintegrability_report(sys, K=args.kbound, tol=args.tol).to_dict()
 
 
 def _analyze(sys: SdeSystem, args) -> dict:
@@ -429,6 +428,7 @@ def _analyze(sys: SdeSystem, args) -> dict:
         raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
     if args.seed is not None and not args.simulate:
         raise InputFormatError("--seed needs --simulate (without it analyze simulates nothing)")
+    check_scan_options(args.kbound, args.tol)  # also where the linearization does not apply
     names = sys.var_names
     report: dict = {"system": serialize_system(sys)}
 
@@ -560,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(sub, "resonance", "linearize and scan resonance lattices")
     _add_scan(p)
-    p.add_argument("--lattice", choices=("zplus", "both"), default="both",
-                   help="'both' adds the signed-integer scan for rational/Laurent candidates")
 
     p = _add_common(sub, "analyze", "combined report: linearization, resonance, bounded "
                                     "search, candidate checks, optional simulation")

@@ -75,16 +75,8 @@ class PerturbationPlan:
     def noise_field(self) -> VField:
         """The linear diffusion x -> P x as an exact vector field."""
         n = len(self.P_exact)
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if not self.P_exact[i][j].is_zero():
-                    e = [0] * n
-                    e[j] = 1
-                    terms[tuple(e)] = self.P_exact[i][j]
-            comps.append(LaurentPoly(n, terms))
-        return VField(tuple(comps))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return VField(tuple(LaurentPoly(n, zip(units, row)) for row in self.P_exact))
 
     def to_dict(self) -> dict:
         eig = self.eigenvalues.to_dict()

@@ -204,8 +204,7 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus") -> Resona
     integer, so q(k) = 0 is an integer test.  Otherwise the tolerance scale is
     1 + |k|_1 max|lam_j| + (m/2) (|k|_1 max|mu^i_j|)^2.
     """
-    if K < 0:
-        raise ValueError(f"window bound K must be nonnegative, got {K}")
+    check_scan_options(K)
     if lattice not in ("zplus", "z"):
         raise ValueError(f"unknown lattice {lattice!r}")
     norm = [_normalize_values(v) for v in (lam, *mus)]
@@ -238,11 +237,14 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus") -> Resona
     return ResonanceScan(K, lattice, exact, tuple(forms), weight, den, dtype, scale)
 
 
-def _check_tol(tol: float) -> None:
-    """A negative or NaN tolerance would let no float q(k) count as zero,
-    an infinite one every q(k)."""
+def check_scan_options(K: int, tol: float = 0.0) -> None:
+    """Raise ValueError on a window bound K < 0, or on a tolerance that is
+    negative or NaN (no float q(k) would count as zero) or infinite (every one
+    would).  Every scan entry point runs it first, before any other work."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
+    if K < 0:
+        raise ValueError(f"window bound K must be nonnegative, got {K}")
 
 
 def _by_order(vectors: list[tuple]) -> list[tuple]:
@@ -257,7 +259,7 @@ def enumerate_resonances(values, K: int = 10, tol: float = 1e-9,
     The test is exact whenever every value carries an exact witness;
     otherwise |<lam,k>| <= tol * (1 + |k|_1 * max|lam_j|).
     """
-    _check_tol(tol)
+    check_scan_options(K, tol)
     return _by_order(resonance_values(values, (), K, lattice).zeros(tol))
 
 
@@ -322,7 +324,7 @@ def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonan
     real, q > 0 everywhere and the scan is skipped (certificate
     "positive-definite").
     """
-    _check_tol(tol)
+    check_scan_options(K, tol)
     mus = tuple(mus)
     scan = resonance_values(lam, mus, K)
     if scan.exact and all(e.is_real() and e.re > 0 for e in _normalize_values(lam)[1]) \
@@ -482,7 +484,6 @@ def _exclusion(code: str, theorem: str, hyp: tuple[str, ...],
 
 
 def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
-                            include_z: bool = True,
                             linearized: tuple[SpectralData, H1Status] | None = None
                             ) -> ResonanceReport:
     """Scan all linearization spectra and emit every verdict whose hypotheses verify.
@@ -490,9 +491,10 @@ def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
     `linearized` is the pair `(linearization(sys), h1_check(...))` when the
     caller has already computed it; otherwise it is computed here.
     Raises NotApplicableError (via linearization) when the drift is not
-    analytic-and-vanishing at the origin, and ValueError on a negative or NaN tol.
+    analytic-and-vanishing at the origin, and ValueError on the options
+    `check_scan_options` refuses.
     """
-    _check_tol(tol)
+    check_scan_options(K, tol)
     if linearized is None:
         data = linearization(sys)
         h1 = h1_check(data)
@@ -530,10 +532,8 @@ def nonintegrability_report(sys: SdeSystem, K: int = 10, tol: float = 1e-9,
     # weak side, quadratic-noise route: spectrum of Df over both lattices
     if g_h2:
         quad_hyp = ("f(0) = 0", "g_i = O(|x|^2) for every i")
-        routes = [("zplus", NO_WEAK_ANALYTIC, THM_QUADRATIC_NOISE)]
-        if include_z:
-            routes.append(("z", NO_WEAK_RATIONAL, THM_QUADRATIC_NOISE_Z))
-        for lattice, code, theorem in routes:
+        for lattice, code, theorem in (("zplus", NO_WEAK_ANALYTIC, THM_QUADRATIC_NOISE),
+                                       ("z", NO_WEAK_RATIONAL, THM_QUADRATIC_NOISE_Z)):
             scan = _scan("Df", data.mu0, lattice, K, tol)
             report.scans.append(scan)
             if v := _exclusion(code, theorem, quad_hyp, [scan]):

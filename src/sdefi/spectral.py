@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, VField
+from .algebra import CRational, VField
 from .exactla import Matrix
 from .ito import SdeSystem
 
@@ -92,30 +92,16 @@ class SpectralData:
 
 # -- Jacobians at the origin (coefficient extraction, exact) ---------------------
 
-def value_at_origin(v: VField) -> list[CRational]:
-    """Constant terms; raises if a component has a pole at the origin."""
-    for i, p in enumerate(v):
-        if p.has_negative_exponents():
-            raise NotApplicableError(f"component {i + 1} has a pole at the origin")
-    return [p.constant_term() for p in v]
-
-
 def jacobian_at_origin(v: VField) -> Matrix:
     """Linear-term coefficient matrix; exact, requires analyticity at 0."""
     n = v.dim
-    out = exactla.zeros(len(v), n)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out = []
     for i, p in enumerate(v):
         if p.has_negative_exponents():
             raise NotApplicableError(f"component {i + 1} has a pole at the origin")
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            out[i][j] = p.coeff(e)
+        out.append([p.coeff(e) for e in units])
     return out
-
-
-def _is_analytic(v: VField) -> bool:
-    return not any(p.has_negative_exponents() for p in v)
 
 
 def _char_det_form(monic: list[CRational], n: int) -> list[CRational]:
@@ -127,26 +113,23 @@ def _char_det_form(monic: list[CRational], n: int) -> list[CRational]:
 
 def linearization(sys: SdeSystem) -> SpectralData:
     """Exact local data at the origin; requires f analytic with f(0) = 0."""
-    f0 = value_at_origin(sys.drift)  # raises on drift poles
-    if any(not c.is_zero() for c in f0):
+    A_f = jacobian_at_origin(sys.drift)  # raises on drift poles
+    if any(not p.constant_term().is_zero() for p in sys.drift):
         raise NotApplicableError("drift does not vanish at the origin (f(0) != 0)")
     n = sys.dim
-    A_f = jacobian_at_origin(sys.drift)
 
     A_g: list[Matrix | None] = []
     zero_flags: list[bool] = []
     h2_flags: list[bool] = []
     for g in sys.diffusions:
-        if _is_analytic(g):
-            g0 = value_at_origin(g)
-            A_g.append(jacobian_at_origin(g))
-            zero_flags.append(all(c.is_zero() for c in g0))
-            mindeg = min((p.min_total_degree() for p in g if not p.is_zero), default=None)
-            h2_flags.append(mindeg is None or mindeg >= 2)
-        else:
-            A_g.append(None)
-            zero_flags.append(False)
-            h2_flags.append(False)
+        try:
+            a = jacobian_at_origin(g)
+            low = min((p.min_total_degree() for p in g if not p.is_zero), default=2)
+        except NotApplicableError:  # a pole at 0: no Dg_i, and g is neither O(|x|) nor O(|x|^2)
+            a, low = None, 0
+        A_g.append(a)
+        zero_flags.append(low >= 1)
+        h2_flags.append(low >= 2)
 
     A0: Matrix | None = None
     if all(m is not None for m in A_g):

@@ -1,5 +1,8 @@
 """Ready-made example systems used by the test-suite, docs and CLI demos.
 
+Each field is written as polynomial text (`parse_poly_text`) scaled by its
+exact parameters; `lotka_volterra`, whose terms are indexed by a parameter
+matrix, is built by `LaurentPoly` arithmetic on the variables instead.
 All coefficients are exact rationals.  Builders accept ints, Fractions or
 strings like "1/2" for their parameters.
 """
@@ -8,43 +11,42 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CRational, LaurentPoly, VField, parse_poly_text
+from .algebra import LaurentPoly, VField, parse_poly_text
 from .ito import SdeSystem
 
 
-def _p(text: str, names) -> LaurentPoly:
-    return parse_poly_text(text, names)
+def _field(names, *texts: str) -> VField:
+    """The vector field whose components are the polynomial texts, in order."""
+    return VField(tuple(parse_poly_text(t, names) for t in texts))
 
 
 def gbm(a=1, sigma=1) -> SdeSystem:
     """Geometric Brownian motion dX = a X dt + sigma X dB."""
     names = ("x1",)
-    drift = VField((LaurentPoly(1, {(1,): Fraction(a)}),))
-    noise = VField((LaurentPoly(1, {(1,): Fraction(sigma)}),))
-    return SdeSystem(drift, (noise,), names)
+    x = _field(names, "x1")
+    return SdeSystem(x.scale(Fraction(a)), (x.scale(Fraction(sigma)),), names)
 
 
 def gbm_twin_noise(a=1) -> SdeSystem:
     """dX = a X dt + X dB^1 + X dB^2: effective squared volatility 2."""
     names = ("x1",)
-    drift = VField((LaurentPoly(1, {(1,): Fraction(a)}),))
-    g = VField((LaurentPoly(1, {(1,): 1}),))
-    return SdeSystem(drift, (g, g), names)
+    x = _field(names, "x1")
+    return SdeSystem(x.scale(Fraction(a)), (x, x), names)
 
 
 def scalar_martingale(sigma=2) -> SdeSystem:
     """Driftless dX = sigma X dB; X itself is conserved in expectation."""
     names = ("x1",)
-    drift = VField((LaurentPoly.zero(1),))
-    noise = VField((LaurentPoly(1, {(1,): Fraction(sigma)}),))
-    return SdeSystem(drift, (noise,), names)
+    return SdeSystem(_field(names, "0"), (_field(names, "x1").scale(Fraction(sigma)),), names)
 
 
 def harmonic_oscillator() -> SdeSystem:
     """Deterministic rotation (x2, -x1); conserves x1^2 + x2^2."""
     names = ("x1", "x2")
-    drift = VField((LaurentPoly(2, {(0, 1): 1}), LaurentPoly(2, {(1, 0): -1})))
-    return SdeSystem(drift, (), names)
+    return SdeSystem(_field(names, "x2", "-x1"), (), names)
+
+
+_TWO_BODY = ("r", "phi", "v", "w")
 
 
 def two_body(m=1, k=1, sigma_r=1, sigma_phi=1) -> SdeSystem:
@@ -59,31 +61,23 @@ def two_body(m=1, k=1, sigma_r=1, sigma_phi=1) -> SdeSystem:
     The angular momentum m r^2 w survives in expectation but not pathwise;
     the energy m(v^2 + r^2 w^2)/2 - k/r survives in neither sense.
     """
-    names = ("r", "phi", "v", "w")
-    m, k = Fraction(m), Fraction(k)
-    sigma_r, sigma_phi = Fraction(sigma_r), Fraction(sigma_phi)
-    drift = VField((
-        LaurentPoly(4, {(0, 0, 1, 0): 1}),
-        LaurentPoly(4, {(0, 0, 0, 1): 1}),
-        LaurentPoly(4, {(1, 0, 0, 2): 1, (-2, 0, 0, 0): -k / m}),
-        LaurentPoly(4, {(-1, 0, 1, 1): -2}),
-    ))
-    g_r = VField((LaurentPoly.zero(4), LaurentPoly.zero(4),
-                  LaurentPoly(4, {(1, 0, 0, 0): sigma_r}), LaurentPoly.zero(4)))
-    g_phi = VField((LaurentPoly.zero(4), LaurentPoly.zero(4), LaurentPoly.zero(4),
-                    LaurentPoly(4, {(-1, 0, 0, 0): sigma_phi})))
+    names = _TWO_BODY
+    drift = (_field(names, "v", "w", "r w^2", "-2 r^-1 v w")
+             - _field(names, "0", "0", "r^-2", "0").scale(Fraction(k) / Fraction(m)))
+    g_r = _field(names, "0", "0", "r", "0").scale(Fraction(sigma_r))
+    g_phi = _field(names, "0", "0", "0", "r^-1").scale(Fraction(sigma_phi))
     return SdeSystem(drift, (g_r, g_phi), names)
 
 
 def two_body_momentum(m=1) -> LaurentPoly:
     """m r^2 w."""
-    return LaurentPoly(4, {(2, 0, 0, 1): Fraction(m)})
+    return parse_poly_text("r^2 w", _TWO_BODY).scale(Fraction(m))
 
 
 def two_body_energy(m=1, k=1) -> LaurentPoly:
     """m (v^2 + r^2 w^2)/2 - k/r."""
-    m, k = Fraction(m), Fraction(k)
-    return LaurentPoly(4, {(0, 0, 2, 0): m / 2, (2, 0, 0, 2): m / 2, (-1, 0, 0, 0): -k})
+    kinetic = parse_poly_text("v^2 + r^2 w^2", _TWO_BODY).scale(Fraction(m) / 2)
+    return kinetic - parse_poly_text("r^-1", _TWO_BODY).scale(Fraction(k))
 
 
 def cyclic_exchange(a=2, b=3, conservative: bool = True) -> SdeSystem:
@@ -96,19 +90,14 @@ def cyclic_exchange(a=2, b=3, conservative: bool = True) -> SdeSystem:
     the conservation law.
     """
     names = ("x1", "x2", "x3")
-    a, b = Fraction(a), Fraction(b)
-    f1 = LaurentPoly(3, {(1, 0, 0): a, (0, 1, 1): 1})
-    f2 = LaurentPoly(3, {(0, 1, 0): b, (1, 1, 0): 1, (0, 1, 1): -1})
-    if conservative:
-        f3 = LaurentPoly(3, {(1, 0, 0): -a, (0, 1, 0): -b, (1, 1, 0): -1})
-    else:
-        f3 = LaurentPoly(3, {(1, 0, 0): -a, (0, 1, 0): -b, (0, 1, 1): 1})
-    g = VField((
-        _p("x1 - 2 x2 + x1 x2 - x1 x3", names),
-        _p("2 x2 - x3 + x2 x3 - x1 x2", names),
-        _p("x3 - x1 + x1 x3 - x2 x3", names),
-    ))
-    return SdeSystem(VField((f1, f2, f3)), (g,), names)
+    ax1 = parse_poly_text("x1", names).scale(Fraction(a))
+    bx2 = parse_poly_text("x2", names).scale(Fraction(b))
+    f1, f2, f3 = _field(names, "x2 x3", "x1 x2 - x2 x3",
+                        "-x1 x2" if conservative else "x2 x3")
+    g = _field(names, "x1 - 2 x2 + x1 x2 - x1 x3",
+               "2 x2 - x3 + x2 x3 - x1 x2",
+               "x3 - x1 + x1 x3 - x2 x3")
+    return SdeSystem(VField((ax1 + f1, bx2 + f2, f3 - ax1 - bx2)), (g,), names)
 
 
 def lotka_volterra(b=(1, 2), a=((-2, 1), (3, -5)),
@@ -121,36 +110,22 @@ def lotka_volterra(b=(1, 2), a=((-2, 1), (3, -5)),
     """
     n = len(b)
     names = tuple(f"x{i + 1}" for i in range(n))
-    drift = []
-    for i in range(n):
-        terms = {}
-        e = [0] * n
-        e[i] = 1
-        terms[tuple(e)] = Fraction(b[i])
-        for j in range(n):
-            e2 = [0] * n
-            e2[i] += 1
-            e2[j] += 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + Fraction(a[i][j])
-        drift.append(LaurentPoly(n, terms))
-    noises = []
-    for i in range(n):
-        comps = [LaurentPoly.zero(n)] * n
-        terms = {}
-        for j in range(n):
-            e2 = [0] * n
-            e2[i] += 1
-            e2[j] += 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + Fraction(sigma[i][j])
-        comps[i] = LaurentPoly(n, terms)
-        noises.append(VField(tuple(comps)))
-    return SdeSystem(VField(tuple(drift)), tuple(noises), names)
+    x = [LaurentPoly.variable(n, i) for i in range(n)]
+    zero = LaurentPoly.zero(n)
+
+    def linear(row) -> LaurentPoly:  # sum_j row_j x_j
+        return sum((xj.scale(Fraction(c)) for c, xj in zip(row, x)), zero)
+
+    drift = VField(tuple(xi * (linear(ai) + Fraction(bi)) for xi, ai, bi in zip(x, a, b)))
+    noises = tuple(VField(tuple(x[i] * linear(sigma[i]) if k == i else zero for k in range(n)))
+                   for i in range(n))
+    return SdeSystem(drift, noises, names)
 
 
 def coupled_exchange_linear() -> SdeSystem:
     """dX = A x dt + A x dB with A = [[0,1],[1,0]]: commuting, non-diagonal pair."""
     names = ("x1", "x2")
-    a_field = VField((LaurentPoly(2, {(0, 1): 1}), LaurentPoly(2, {(1, 0): 1})))
+    a_field = _field(names, "x2", "x1")
     return SdeSystem(a_field, (a_field,), names)
 
 

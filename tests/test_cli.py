@@ -305,7 +305,18 @@ def test_resonance_negative_or_nan_tol_is_input_error(tol, capsys):
     argv = ["resonance", "cyclic_exchange", "--kbound", "4", "--tol", tol]
     assert main(argv) == 2
     assert "tolerance" in capsys.readouterr().err
-    assert main(["analyze", "gbm", "--dmax", "1", "--tol", tol]) == 2
+    # two_body's drift has a pole at the origin: analyze checks the scan options anyway
+    for name in ("gbm", "two_body"):
+        assert main(["analyze", name, "--dmax", "1", "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resonance", "analyze"])
+@pytest.mark.parametrize("name", ["gbm", "two_body"])
+def test_negative_kbound_is_input_error(command, name, capsys):
+    assert main([command, name, "--kbound", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "window bound K" in err
 
 
 def _strict_json(text):
@@ -467,7 +478,6 @@ OPTIONS = [
     ("resonance", ("--output",), "text", False),
     ("resonance", ("--kbound",), 10, False),
     ("resonance", ("--tol",), 1e-09, False),
-    ("resonance", ("--lattice",), "both", False),
     ("analyze", "system", None, True),
     ("analyze", ("--output",), "text", False),
     ("analyze", ("--kbound",), 10, False),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdefi import resonance, spectral, systems
-from sdefi.algebra import CRational, LaurentPoly, VField
+from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
 from sdefi import exactla
 from sdefi.exactla import as_matrix, char_poly, det, nullspace, poly_eval, rank, rref
 from sdefi.ito import SdeSystem, stratonovich_drift
@@ -211,6 +211,30 @@ def test_linearization_requires_vanishing_analytic_drift():
     affine = SdeSystem(VField((LaurentPoly(1, {(0,): 1, (1,): 1}),)), (), names)
     with pytest.raises(NotApplicableError):
         linearization(affine)  # f(0) != 0
+
+
+@pytest.mark.parametrize("g, has_dg, g_zero, g_h2, h1", [
+    (("x1^-1 x2", "0"), False, False, False, "unknown"),  # Laurent: a pole at the origin
+    (("1", "0"), True, False, False, "holds"),           # constant
+    (("x2", "0"), True, True, False, "fails"),           # linear, not commuting with Df
+    (("x1 x2", "x2^2"), True, True, True, "holds"),      # quadratic
+    (("0", "0"), True, True, True, "holds"),             # zero
+])
+def test_linearization_flags_each_diffusion_shape(g, has_dg, g_zero, g_h2, h1):
+    names = ("x1", "x2")
+    drift = VField(tuple(parse_poly_text(t, names) for t in ("x1 + x1 x2", "2 x2 - x1^2")))
+    noise = VField(tuple(parse_poly_text(t, names) for t in g))
+    data = linearization(SdeSystem(drift, (noise,), names))
+    assert data.A_f == as_matrix([[1, 0], [0, 2]])
+    # Dg, its spectrum, A0 and lam exist exactly when g is analytic at 0
+    assert [x is not None for x in (data.A_g[0], data.mu[0], data.A0, data.lam)] == [has_dg] * 4
+    assert data.g_zero_at_origin == (g_zero,) and data.g_higher_order == (g_h2,)
+    assert h1_check(data).verdict == h1
+
+
+def test_linearization_error_names_the_first_drift_pole():
+    with pytest.raises(NotApplicableError, match="^component 3 has a pole at the origin$"):
+        linearization(systems.two_body())
 
 
 # -- simultaneous diagonalizability ----------------------------------------------------
