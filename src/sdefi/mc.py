@@ -15,15 +15,20 @@ monomial row; components without terms are skipped.  The moving paths'
 states are held state-major, one contiguous row per coordinate, and each
 step adds the component rows into them in place: h f_j, then sqrt(h) xi^i
 g_ij for each noise i in turn.  Only elementwise operations are used, so a
-path's bits do not depend on the chunk size, the block size or its position
+path's bits do not depend on the chunk, block or tile size or its position
 in a chunk.  The ensemble arrays are allocated once, and paths run in chunks
 of at most _CHUNK, each writing its own rows; a path is written back when it
-stops.  Each chunk keeps its paths' generators and draws the noise in step
-blocks of at most _BLOCK_BYTES, only for paths still moving, so memory is
-O(chunk x block) whatever h and T are; consecutive draws from one stream
-equal a single draw of the same length, so the blocking does not change a
-bit.  Building a Philox generator costs several times re-keying one, so
-every run re-keys one module pool of generators, kept across calls.
+stops.  Each chunk keeps its paths' generators and at most _NOISE_BYTES of
+noise, whatever h and T are: a draw buffer, into which one standard_normal
+call per path still moving fills a block of steps, and a tile buffer, which
+takes _TILE steps of the block at a time, times sqrt(h), transposed to be
+contiguous over paths.  Consecutive draws from one stream equal a single
+draw of the same length, so neither the blocks nor the tiles change a bit.
+Building a Philox generator costs several times re-keying one, so every run
+re-keys one module pool of generators, kept across calls.  A path exits
+when its squared distance from the center reaches the least double whose
+square root is at least R: exactly the test distance >= R, without a square
+root per step.
 
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
@@ -44,7 +49,8 @@ from .algebra import LaurentPoly, PoleError, VField
 from .ito import SdeSystem, require_candidate
 
 _CHUNK = 4096
-_BLOCK_BYTES = 4 << 20  # noise held per chunk and step block, whatever n_steps is
+_NOISE_BYTES = 8 << 20  # draw buffer plus tile buffer per chunk, whatever n_steps is
+_TILE = 16  # steps per transposed tile: 16 * m * k doubles, small enough to stay in cache
 _POOL: list[np.random.Generator] = []  # Philox generators, re-keyed by every run
 
 
@@ -193,17 +199,48 @@ def _path_generators(seed: int, path_indices: np.ndarray,
     return pool[:len(keys)]
 
 
-def _distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Distances of the state-major x (n, k) from center, one per state.
+def _noise_blocks(k: int, m: int, n_steps: int) -> tuple[int, int]:
+    """Steps per draw block and per tile for a chunk of k paths with m noises.
 
-    Equal bit for bit to np.linalg.norm(x.T - center, axis=1): numpy adds
-    fewer than 8 numbers left to right (its pairwise summation starts at 8),
-    so narrow states sum their squares row by row in that order instead of
-    paying for an axis reduction; wider ones call norm.
+    The draw buffer (k, block, m) and the tile buffer (tile, m, k) share
+    _NOISE_BYTES.  The tile takes at most half of it, so a block is never
+    shorter than half the budget's steps, and a tile is never longer than a
+    block.  Both are at least one step, even when one step overruns the budget.
+    """
+    steps = _NOISE_BYTES // (8 * m * k)
+    tile = max(1, min(_TILE, steps // 2))
+    block = max(1, min(n_steps, steps - tile))
+    return block, min(tile, block)
+
+
+def _exit_threshold(R: float) -> float:
+    """The least double r2 with sqrt(r2) >= R; inf when no finite double has a root >= R.
+
+    sqrt is correctly rounded and monotone, so for every double sq, NaN and inf
+    included, sq >= r2 exactly when sqrt(sq) >= R.  R * R lands within a few
+    steps of r2.
+    """
+    r2 = R * R
+    while math.sqrt(r2) < R:
+        r2 = math.nextafter(r2, math.inf)
+    while math.sqrt(below := math.nextafter(r2, 0.0)) >= R:
+        r2 = below
+    return r2
+
+
+def _sq_distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances of the state-major x (n, k) from center, one per state.
+
+    Their square roots equal np.linalg.norm(x.T - center, axis=1) bit for bit:
+    norm takes the root of np.add.reduce of the squares along each row.  numpy
+    adds fewer than 8 numbers left to right (its pairwise summation starts at
+    8), so narrow states sum their squares row by row in that order instead of
+    paying for an axis reduction.
     """
     n = x.shape[0]
     if n >= 8:
-        return np.linalg.norm(x.T - center, axis=1)
+        d = x.T - center
+        return np.add.reduce(d * d, axis=1)
     sq = None
     for j in range(n):
         d = x[j] - center[j] if center[j] else x[j]  # (x - 0) ** 2 is x ** 2, bit for bit
@@ -211,7 +248,7 @@ def _distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
             sq = d * d
         else:
             sq += d * d
-    return np.sqrt(sq)
+    return sq
 
 
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
@@ -228,6 +265,7 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     n_steps = cfg.n_steps
     h = cfg.h
     sqh = math.sqrt(h)
+    r2 = _exit_threshold(cfg.R)
     # final state (a path's state lands here when it stops), exit time, exited,
     # excluded, pole: the ensemble arrays, which each chunk fills in its own rows
     arrays = (np.tile(x0, (cfg.N, 1)), np.full(cfg.N, cfg.t_end),
@@ -242,10 +280,10 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
         if m:
             normals = [g.standard_normal
                        for g in _path_generators(cfg.seed, np.arange(lo, lo + k))]
-            block = max(1, min(n_steps, _BLOCK_BYTES // (8 * m * k)))
-            drawn = np.empty((k, block, m))  # a live path's next draws, in stream order
-            noise = np.empty((block, m, k))  # sqrt(h) times the same, contiguous over paths
-        zcol = None  # z_block columns of the live paths, once one stopped inside the block
+            block, tile = _noise_blocks(k, m, n_steps)
+            drawn = np.empty((k, block, m))  # the block's draws, a row per path live at its start
+            tiles = np.empty((tile, m, k))   # sqrt(h) times a tile of them, contiguous over paths
+        zcol = None  # drawn rows of the live paths, once one stopped inside the block
 
         def drop(stop: np.ndarray, states: np.ndarray):
             """Write the stopping columns of `states` back to x; compact the rest."""
@@ -283,19 +321,23 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                         b = min(block, n_steps - step)
                         for r, path in enumerate(live.tolist()):
                             normals[path](out=drawn[r, :b])
-                        z_block = noise[:b, :, :live.size]
-                        np.multiply(drawn[:live.size, :b].transpose(1, 2, 0), sqh, out=z_block)
+                        nb = live.size
                         zcol = None
-                    z = z_block[s] if zcol is None else z_block[s][:, zcol]
+                    t = s % tile
+                    if t == 0:
+                        tb = min(tile, b - s)
+                        np.multiply(drawn[:nb, s:s + tb].transpose(1, 2, 0), sqh,
+                                    out=tiles[:tb, :, :nb])
+                    z = tiles[t, :, :nb] if zcol is None else tiles[t][:, zcol]
                     for zi, g in zip(z, diffs):
                         for j, row in g.items():
                             row *= zi
                             xl[j] += row
-                dist = _distance(xl, center)
-                # a nonfinite state has distance nan or inf, so it fails this test too
-                if not (dist < cfg.R).all():
+                sq = _sq_distance(xl, center)
+                # a nonfinite state has sq nan or inf, so it fails this test too
+                if not sq.max() < r2:
                     finite = np.isfinite(xl).all(axis=0)
-                    out = finite & (dist >= cfg.R)
+                    out = finite & (sq >= r2)
                     excluded[live[~finite]] = True
                     rows = live[out]
                     exited[rows] = True

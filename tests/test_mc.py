@@ -401,15 +401,33 @@ def test_simulate_paths_equals_one_path_reference(case):
 
 @pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "pole-midway",
                                   "overflow"])
-@pytest.mark.parametrize("block_steps", [1, 3])
-def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps):
+@pytest.mark.parametrize("block_steps, tile_steps",
+                         [pytest.param(b, t, id=f"{b}" if t == mc._TILE else f"{b}-tile{t}")
+                          for t in (mc._TILE, 1, 2) for b in (1, 3)])
+def test_chunk_and_block_sizes_do_not_change_bits(monkeypatch, case, block_steps, tile_steps):
     make, kw = REFERENCE_CASES[case]
     sys, cfg = make(), SimConfig(**kw)
     want = _fields(simulate_paths(sys, cfg))
     monkeypatch.setattr(mc, "_CHUNK", 7)
-    # a 7-path chunk gets `block_steps` steps per block; the last, smaller chunk gets more
-    monkeypatch.setattr(mc, "_BLOCK_BYTES", block_steps * 8 * sys.noise_dim * 7)
+    monkeypatch.setattr(mc, "_TILE", tile_steps)
+    # a 7-path chunk gets `block_steps` steps per block, in tiles of at most `tile_steps`
+    # (2 does not divide 3); the last, smaller chunk gets more
+    tile = min(tile_steps, block_steps)
+    monkeypatch.setattr(mc, "_NOISE_BYTES", (block_steps + tile) * 8 * sys.noise_dim * 7)
+    assert mc._noise_blocks(7, sys.noise_dim, cfg.n_steps) == (block_steps, tile)
     _assert_bits_equal(_fields(simulate_paths(sys, cfg)), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 64, 128])
+def test_noise_buffers_fit_the_budget(m):
+    # the draw buffer (k, block, m) plus the tile buffer (tile, m, k) hold at most
+    # _NOISE_BYTES, and a block is never shorter than the one two equal halves gave
+    for k in (1, 2, 7, 100, 1000, 2000, 4095, mc._CHUNK):
+        for n_steps in (1, 2, 3, 15, 16, 17, 100, 10 ** 4, 10 ** 6):
+            block, tile = mc._noise_blocks(k, m, n_steps)
+            assert 1 <= tile <= block <= n_steps
+            assert 8 * k * m * (block + tile) <= mc._NOISE_BYTES
+            assert block >= min(n_steps, max(1, (4 << 20) // (8 * m * k)))
 
 
 def test_rekeyed_generators_equal_new_ones():
@@ -445,20 +463,21 @@ def test_generator_pool_kept_across_calls_gives_reference_bits():
 
 
 def test_memory_does_not_grow_with_n_steps():
-    # Noise is drawn in step blocks of at most mc._BLOCK_BYTES per chunk, so going
-    # from 1000 to 4000 steps, both past one block, leaves the peak where it was; a
-    # (N, n_steps, m) noise tensor would make it grow about fourfold.
+    # Noise is held in at most mc._NOISE_BYTES per chunk, so going from 1000 to 4000
+    # steps, both past one block, leaves the peak where it was; a (N, n_steps, m)
+    # noise tensor would make it grow about fourfold.
     sys = systems.gbm()
     peaks = []
     for T in (1.0, 4.0):
+        cfg = SimConfig(x0=(1.0,), h=1e-3, T=T, N=2000, seed=1)
+        assert mc._noise_blocks(cfg.N, sys.noise_dim, cfg.n_steps)[0] < cfg.n_steps
         tracemalloc.start()
         try:
-            simulate_paths(sys, SimConfig(x0=(1.0,), h=1e-3, T=T, N=1000, seed=1))
+            simulate_paths(sys, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
-    assert mc._BLOCK_BYTES // (8 * sys.noise_dim * 1000) < 1000
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -468,7 +487,8 @@ def test_distance_equals_norm(n):
     x[:4, 0] = [np.nan, np.inf, -np.inf, 1e300]
     center = rng.standard_normal(n)
     with np.errstate(all="ignore"):
-        assert mc._distance(x.T, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
+        assert np.sqrt(mc._sq_distance(x.T, center)).tobytes() == \
+            np.linalg.norm(x - center, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -480,4 +500,21 @@ def test_distance_from_origin_equals_norm(n):
     center = np.zeros(n)
     center[1::2] = -0.0
     with np.errstate(all="ignore"):
-        assert mc._distance(x.T, center).tobytes() == np.linalg.norm(x - center, axis=1).tobytes()
+        assert np.sqrt(mc._sq_distance(x.T, center)).tobytes() == \
+            np.linalg.norm(x - center, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("R", [1e-300, 0.3, 1.02, 3.0, 1e6, 1e200, math.inf])
+def test_squared_exit_test_equals_the_root_test(R):
+    r2 = mc._exit_threshold(R)
+    sq = [r2, 0.0, math.inf, math.nan, R * R]
+    for direction in (0.0, math.inf):
+        x = r2
+        for _ in range(40):
+            x = math.nextafter(x, direction)
+            sq.append(x)
+    sq = np.array(sq)
+    with np.errstate(all="ignore"):
+        assert ((sq >= r2) == (np.sqrt(sq) >= R)).all()
+    assert math.sqrt(r2) >= R
+    assert r2 == math.inf or math.sqrt(math.nextafter(r2, 0.0)) < R
