@@ -8,19 +8,24 @@ R (origin- or x0-centered) and are frozen at the exit state; nonfinite
 states (overflow, or a pole hit exactly) drop the path from the statistics
 and are counted.  Only each path's end state is kept.
 
-The drift and diffusions compile into one evaluator.  Each step forms each
-distinct monomial of all the fields once, as a row over the moving paths,
-and each field component with terms as a fixed-order sum of coefficient x
-monomial row; components without terms are skipped.  The moving paths'
-states are held state-major, one contiguous row per coordinate, and each
-step adds the component rows into them in place: h f_j, then sqrt(h) xi^i
-g_ij for each noise i in turn.  Only elementwise operations are used, so a
-path's bits do not depend on the chunk, block or tile size or its position
-in a chunk.  The ensemble arrays are allocated once, and paths run in chunks
-of at most _CHUNK, each writing its own rows; a path is written back when it
-stops.  Each chunk keeps its paths' generators and at most _NOISE_BYTES of
-noise, whatever h and T are: a draw buffer, into which one standard_normal
-call per path still moving fills a block of steps, and a tile buffer, which
+Each system's Euler-Maruyama step is generated once per run as one
+straight-line Python function, called once per step as sq = step(x, z).  It
+forms each coordinate power and each distinct monomial of all the fields
+once, as a row over the moving paths, and each field component with terms
+as a fixed-order sum of coefficient x monomial row; components without
+terms are skipped.  It then releases the monomial rows, adds the component
+rows in place into the moving paths' states, which are held state-major,
+one contiguous row per coordinate: h f_j, then sqrt(h) xi^i g_ij for each
+noise i in turn; and it returns each path's squared distance from the
+center.  Coefficients are bound constants of the generated function, never
+source text; conservation_test evaluates a candidate with a function from
+the same generator.  Only elementwise operations are used, so a path's bits
+do not depend on the chunk, block or tile size or its position in a chunk.
+The ensemble arrays are allocated once, and paths run in chunks of at most
+_CHUNK, each writing its own rows; a path is written back when it stops.
+Each chunk keeps its paths' generators and at most _NOISE_BYTES of noise,
+whatever h and T are: a draw buffer, into which one standard_normal call
+per path still moving fills a block of steps, and a tile buffer, which
 takes _TILE steps of the block at a time, times sqrt(h), transposed to be
 contiguous over paths.  Consecutive draws from one stream equal a single
 draw of the same length, so neither the blocks nor the tiles change a bit.
@@ -28,7 +33,8 @@ Building a Philox generator costs several times re-keying one, so every run
 re-keys one module pool of generators, kept across calls.  A path exits
 when its squared distance from the center reaches the least double whose
 square root is at least R: exactly the test distance >= R, without a square
-root per step.
+root per step.  A step where some path stops looks only at the stopping
+columns: it tells overflow from exit on them and records both.
 
 Only real-coefficient systems are simulatable; the symbolic layer is the
 authority on exactness — this module exists to cross-check it statistically:
@@ -106,67 +112,126 @@ class SimEnsemble:
         return int(np.sum(~self.excluded))
 
 
-def _compile_fields(fields: Sequence[VField]):
-    """One vectorized evaluator of real fields at k states held state-major.
+def _source(fields: Sequence[VField], h: float | None = None,
+            center: np.ndarray | None = None) -> tuple[str, dict[str, object]]:
+    """Source of one straight-line function of the real `fields`, and its bound constants.
 
-    `evaluate(x)` takes x of shape (n, k), one row per coordinate, and returns
-    for each field a dict {component: (k,) row} of the components that have
-    terms; a component without terms is absent, not a row of zeros.  Each call
-    forms each distinct nonconstant monomial of all the fields once, as a
-    product of coordinate powers, and each component as a fixed-order sum of
-    coefficient x monomial row.  Every returned row is a new array, which the
-    caller may update in place.  Only elementwise operations are used, so a
-    state's value does not depend on k or on its position.
+    The function takes x of shape (n, k), one row per coordinate.  It forms
+    each coordinate power (x_j itself for exponent 1) and each distinct
+    nonconstant monomial of all the fields once, and each component with
+    terms as a fixed-order sum of coefficient x monomial row, the constant
+    term last; components without terms are skipped.  Only elementwise
+    operations are used, so a state's value does not depend on k or on its
+    position.
+
+    Without a center it is `evaluate(x)`, which returns for each field a
+    dict {component: new (k,) row}.  With one it is `step(x, z)`, one
+    Euler-Maruyama step for the drift fields[0] and the diffusions
+    fields[1:], z holding sqrt(h) xi as one row per noise: it releases the
+    monomial rows, adds h f_j and then z[i] g_ij for each noise i in turn
+    into x in place, and returns each state's squared distance from the
+    center.  Its square root equals np.linalg.norm(x.T - center, axis=1) bit
+    for bit: norm takes the root of np.add.reduce of the squares along each
+    row, and numpy adds fewer than 8 numbers left to right (its pairwise
+    summation starts at 8), so narrow states sum their squares row by row in
+    that order instead of paying for an axis reduction.
+
+    Coefficients, h and the center are bound constants, never source text:
+    the source holds only names made here and integer exponents.
     """
     if not all(c.is_real() for v in fields for p in v for _, c in p.terms()):
         raise ValueError("simulation requires real coefficients")
-    monomials: dict[tuple, int] = {}  # exponent vector -> index in the monomial table
+    n = len(center) if center is not None else fields[0].dim
+    consts: dict[str, object] = {}
+    body = [f"{''.join(f'x{j}, ' for j in range(n))}= x"]  # views of the coordinate rows
+    powers: dict[tuple[int, int], str] = {}  # (coordinate, exponent other than 0, 1) -> row
+    monomials: dict[tuple, str] = {}  # exponent vector -> row
+    released: list[str] = []  # the power and monomial rows the function makes
 
-    def term(e, c):  # (coefficient, monomial index, or None for the constant term)
-        return float(c.re), monomials.setdefault(e, len(monomials)) if any(e) else None
+    def monomial(e) -> str:
+        if e not in monomials:
+            factors = []
+            for j, ej in enumerate(e):
+                if ej == 1:  # x ** 1 is x, bit for bit
+                    factors.append(f"x{j}")
+                elif ej:
+                    if (j, ej) not in powers:
+                        powers[j, ej] = f"p{j}_{ej}" if ej > 0 else f"p{j}_n{-ej}"
+                        body.append(f"{powers[j, ej]} = x{j} ** {int(ej)}")
+                        released.append(powers[j, ej])
+                    factors.append(powers[j, ej])
+            if len(factors) > 1:
+                name = f"m{len(monomials)}"
+                body.append(f"{name} = {' * '.join(factors)}")
+                released.append(name)
+                factors = [name]
+            monomials[e] = factors[0]
+        return monomials[e]
 
-    # per field, {component: (first term, later terms)}, the constant term last
-    plan = []
-    for v in fields:
+    def const(value: float) -> str:
+        consts[name := f"c{len(consts)}"] = value
+        return name
+
+    rows = []  # per field, {component: its row}
+    for f, v in enumerate(fields):
         comps = {}
         for i, p in enumerate(v):
-            terms = [term(e, c) for e, c in sorted(p.terms(), key=lambda t: not any(t[0]))]
-            if terms:
-                comps[i] = terms[0], terms[1:]
-        plan.append(comps)
-    factors = [[(j, ej) for j, ej in enumerate(e) if ej] for e in monomials]
+            # the constant term last
+            terms = sorted(p.terms(), key=lambda t: not any(t[0]))
+            if not terms:
+                continue
+            r = comps[i] = f"r{f}_{i}"
+            for t, (e, c) in enumerate(terms):
+                c = float(c.re)
+                if not any(e):
+                    body.append(f"{r} = np.full(x.shape[1], {const(c)})" if t == 0
+                                else f"{r} += {const(c)}")
+                    continue
+                mon = monomial(e)
+                if t == 0:
+                    body.append(f"{r} = {const(c)} * {mon}")
+                elif c == 1.0:  # r + 1 * m is r + m, bit for bit
+                    body.append(f"{r} += {mon}")
+                elif c == -1.0:  # and r + (-1 * m) is r - m
+                    body.append(f"{r} -= {mon}")
+                else:
+                    body.append(f"{r} += {const(c)} * {mon}")
+        rows.append(comps)
 
-    def evaluate(x: np.ndarray) -> list[dict[int, np.ndarray]]:
-        powers: dict = {}
-        table = []
-        for fs in factors:
-            mon = None
-            for j, ej in fs:
-                pw = powers.get((j, ej))
-                if pw is None:
-                    # x ** 1 is x, bit for bit
-                    pw = powers[j, ej] = x[j] if ej == 1 else x[j] ** ej
-                mon = pw if mon is None else mon * pw
-            table.append(mon)
-        outs = []
-        for comps in plan:
-            rows = {}
-            for i, ((c0, t0), rest) in comps.items():
-                acc = np.full(x.shape[1], c0) if t0 is None else c0 * table[t0]
-                for c, t in rest:
-                    if t is None:
-                        acc += c
-                    elif c == 1.0:  # acc + 1 * m is acc + m, bit for bit
-                        acc += table[t]
-                    elif c == -1.0:  # and acc + (-1 * m) is acc - m
-                        acc -= table[t]
-                    else:
-                        acc += c * table[t]
-                rows[i] = acc
-            outs.append(rows)
-        return outs
+    if center is None:
+        dicts = ("{" + ", ".join(f"{i}: {r}" for i, r in comps.items()) + "}" for comps in rows)
+        body.append(f"return [{', '.join(dicts)}]")
+        return "def evaluate(x):\n" + "".join(f"    {line}\n" for line in body), consts
 
-    return evaluate
+    if released:
+        body.append(f"del {', '.join(released)}")
+    consts["h"] = h
+    if len(fields) > 1:
+        body.append(f"{''.join(f'z{i}, ' for i in range(len(fields) - 1))}= z")
+    for f, comps in enumerate(rows):
+        for j, r in comps.items():
+            body += [f"{r} *= {'h' if f == 0 else f'z{f - 1}'}", f"x{j} += {r}"]
+    if n >= 8:
+        consts["center"] = center
+        body += ["d = x.T - center", "return np.add.reduce(d * d, axis=1)"]
+    else:
+        for j in range(n):
+            d = f"x{j}"
+            if center[j]:  # (x - 0) ** 2 is x ** 2, bit for bit
+                consts[f"o{j}"] = float(center[j])
+                body.append(f"d = x{j} - o{j}")
+                d = "d"
+            body.append(f"sq {'+=' if j else '='} {d} * {d}")
+        body.append("return sq")
+    return "def step(x, z):\n" + "".join(f"    {line}\n" for line in body), consts
+
+
+def _compile(fields: Sequence[VField], h: float | None = None, center: np.ndarray | None = None):
+    """The function `_source` writes for these arguments, compiled with its constants bound."""
+    src, consts = _source(fields, h, center)
+    namespace = {"np": np, **consts}
+    exec(compile(src, "<sdefi.mc generated>", "exec"), namespace)
+    return namespace["evaluate" if center is None else "step"]
 
 
 def _negative_axes(fields: Sequence[VField]) -> list[int]:
@@ -228,42 +293,18 @@ def _exit_threshold(R: float) -> float:
     return r2
 
 
-def _sq_distance(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distances of the state-major x (n, k) from center, one per state.
-
-    Their square roots equal np.linalg.norm(x.T - center, axis=1) bit for bit:
-    norm takes the root of np.add.reduce of the squares along each row.  numpy
-    adds fewer than 8 numbers left to right (its pairwise summation starts at
-    8), so narrow states sum their squares row by row in that order instead of
-    paying for an axis reduction.
-    """
-    n = x.shape[0]
-    if n >= 8:
-        d = x.T - center
-        return np.add.reduce(d * d, axis=1)
-    sq = None
-    for j in range(n):
-        d = x[j] - center[j] if center[j] else x[j]  # (x - 0) ** 2 is x ** 2, bit for bit
-        if sq is None:
-            sq = d * d
-        else:
-            sq += d * d
-    return sq
-
-
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     """Run the full ensemble; deterministic for a fixed config."""
     n = sys.dim
     if len(cfg.x0) != n:
         raise ValueError(f"x0 has {len(cfg.x0)} coords for a dim-{n} system")
     fields = (sys.drift, *sys.diffusions)
-    evaluate = _compile_fields(fields)
     neg_axes = _negative_axes(fields)
     m = sys.noise_dim
     x0 = np.asarray(cfg.x0, dtype=float)
-    center = np.zeros(n) if cfg.center == "origin" else x0.copy()
     n_steps = cfg.n_steps
     h = cfg.h
+    step = _compile(fields, h, np.zeros(n) if cfg.center == "origin" else x0)
     sqh = math.sqrt(h)
     r2 = _exit_threshold(cfg.R)
     # final state (a path's state lands here when it stops), exit time, exited,
@@ -284,19 +325,21 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
             drawn = np.empty((k, block, m))  # the block's draws, a row per path live at its start
             tiles = np.empty((tile, m, k))   # sqrt(h) times a tile of them, contiguous over paths
         zcol = None  # drawn rows of the live paths, once one stopped inside the block
+        z = None
 
         def drop(stop: np.ndarray, states: np.ndarray):
-            """Write the stopping columns of `states` back to x; compact the rest."""
+            """Write the columns `stop` (indices) of `states` back to x; compact the rest."""
             nonlocal live, zcol
             x[live[stop]] = states[:, stop].T
-            keep = ~stop
+            keep = np.ones(live.size, dtype=bool)
+            keep[stop] = False
             live = live[keep]
             if m:
                 zcol = np.flatnonzero(keep) if zcol is None else zcol[keep]
-            return states[:, keep]
+            return states.compress(keep, axis=1)  # a quarter of the time states[:, keep] takes
 
         with np.errstate(all="ignore"):
-            for step in range(n_steps):
+            for i in range(n_steps):
                 if not live.size:
                     break
                 if neg_axes:
@@ -304,21 +347,17 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                     for j in neg_axes[1:]:
                         at_pole |= xl[j] == 0.0
                     if at_pole.any():
-                        rows = live[at_pole]
+                        stop = np.flatnonzero(at_pole)
+                        rows = live[stop]
                         excluded[rows] = True
                         pole[rows] = True
-                        xl = drop(at_pole, xl)
+                        xl = drop(stop, xl)
                         if not live.size:
                             break
-                # every row is evaluated before xl is advanced in place
-                drift, *diffs = evaluate(xl)
-                for j, row in drift.items():
-                    row *= h
-                    xl[j] += row
                 if m:
-                    s = step % block
+                    s = i % block
                     if s == 0:
-                        b = min(block, n_steps - step)
+                        b = min(block, n_steps - i)
                         for r, path in enumerate(live.tolist()):
                             normals[path](out=drawn[r, :b])
                         nb = live.size
@@ -328,21 +367,18 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                         tb = min(tile, b - s)
                         np.multiply(drawn[:nb, s:s + tb].transpose(1, 2, 0), sqh,
                                     out=tiles[:tb, :, :nb])
-                    z = tiles[t, :, :nb] if zcol is None else tiles[t][:, zcol]
-                    for zi, g in zip(z, diffs):
-                        for j, row in g.items():
-                            row *= zi
-                            xl[j] += row
-                sq = _sq_distance(xl, center)
-                # a nonfinite state has sq nan or inf, so it fails this test too
+                    z = tiles[t, :, :nb] if zcol is None else tiles[t].take(zcol, axis=1)
+                sq = step(xl, z)  # advances xl in place
+                # a nonfinite state has sq nan or inf, so it stops here too
                 if not sq.max() < r2:
-                    finite = np.isfinite(xl).all(axis=0)
-                    out = finite & (sq >= r2)
-                    excluded[live[~finite]] = True
-                    rows = live[out]
+                    stop = np.flatnonzero(~(sq < r2))
+                    rows = live[stop]
+                    finite = np.isfinite(xl[:, stop]).all(axis=0)
+                    excluded[rows[~finite]] = True
+                    rows = rows[finite]
                     exited[rows] = True
-                    exit_time[rows] = (step + 1) * h
-                    xl = drop(out | ~finite, xl)
+                    exit_time[rows] = (i + 1) * h
+                    xl = drop(stop, xl)
         x[live] = xl.T
 
     for lo in range(0, cfg.N, _CHUNK):
@@ -386,7 +422,7 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
     cfg = ens.config
     require_candidate(phi, len(cfg.x0))
     fields = (VField((phi,)),)
-    phi_fn = _compile_fields(fields)
+    phi_fn = _compile(fields)
     neg_axes = _negative_axes(fields)
     if any(cfg.x0[j] == 0.0 for j in neg_axes):
         raise ValueError(f"candidate {phi} has a pole at x0={cfg.x0}")
@@ -397,7 +433,7 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
     # a zero coordinate (either sign) to a negative power is +-inf, and every product
     # or sum of coefficient x monomial rows holding it stays inf or NaN.
     with np.errstate(all="ignore"):
-        vals = phi_fn(states.T)[0].get(0, np.zeros(len(states)))
+        vals = phi_fn(states.T)[0][0]  # a candidate is not constant, so it has terms
     vals = vals[np.isfinite(vals)]
     n_used = int(vals.size)
     n_excluded = cfg.N - n_used

@@ -1,5 +1,6 @@
 """Euler-Maruyama ensembles: reproducibility, exits, exclusions, conservation tests."""
 
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
@@ -228,6 +229,63 @@ def test_report_dict_shape():
 # -- the monomial evaluator --------------------------------------------------------------
 
 
+def _interpreted_fields(fields):
+    """The oracle for `mc._compile`: the same arithmetic, interpreted term by term.
+
+    `evaluate(x)` takes x of shape (n, k), one row per coordinate, and returns
+    for each field a dict {component: new (k,) row} of the components that
+    have terms.  Each call forms each distinct nonconstant monomial once, as
+    a left-to-right product of coordinate powers, and each component as a
+    fixed-order sum of coefficient x monomial row, the constant term last.
+    """
+    monomials: dict[tuple, int] = {}  # exponent vector -> index in the monomial table
+
+    def term(e, c):  # (coefficient, monomial index, or None for the constant term)
+        return float(c.re), monomials.setdefault(e, len(monomials)) if any(e) else None
+
+    # per field, {component: (first term, later terms)}, the constant term last
+    plan = []
+    for v in fields:
+        comps = {}
+        for i, p in enumerate(v):
+            terms = [term(e, c) for e, c in sorted(p.terms(), key=lambda t: not any(t[0]))]
+            if terms:
+                comps[i] = terms[0], terms[1:]
+        plan.append(comps)
+    factors = [[(j, ej) for j, ej in enumerate(e) if ej] for e in monomials]
+
+    def evaluate(x):
+        powers: dict = {}
+        table = []
+        for fs in factors:
+            mon = None
+            for j, ej in fs:
+                pw = powers.get((j, ej))
+                if pw is None:
+                    pw = powers[j, ej] = x[j] if ej == 1 else x[j] ** ej
+                mon = pw if mon is None else mon * pw
+            table.append(mon)
+        outs = []
+        for comps in plan:
+            rows = {}
+            for i, ((c0, t0), rest) in comps.items():
+                acc = np.full(x.shape[1], c0) if t0 is None else c0 * table[t0]
+                for c, t in rest:
+                    if t is None:
+                        acc += c
+                    elif c == 1.0:
+                        acc += table[t]
+                    elif c == -1.0:
+                        acc -= table[t]
+                    else:
+                        acc += c * table[t]
+                rows[i] = acc
+            outs.append(rows)
+        return outs
+
+    return evaluate
+
+
 def _random_fields(rng, dim=3, n_fields=3):
     """Real Laurent fields drawn from a small exponent pool, so fields share monomials."""
     pool = [tuple(int(e) for e in rng.integers(-2, 4, dim)) for _ in range(6)]
@@ -251,18 +309,20 @@ def _random_fields(rng, dim=3, n_fields=3):
 @pytest.mark.parametrize("seed", range(6))
 def test_compiled_fields_match_laurent_evaluate(seed):
     # Each component equals LaurentPoly.evaluate to 1e-12 of the sum of its terms'
-    # magnitudes (the relative error of a sum without cancellation); an empty component
-    # is absent, and every row is a new array that the step loop may update in place.
+    # magnitudes (the relative error of a sum without cancellation) and the interpreted
+    # oracle byte for byte; an empty component is absent, and every row is a new array.
     rng = np.random.default_rng(seed)
     fields = _random_fields(rng)
     x = rng.uniform(0.3, 3.0, (3, 50)) * rng.choice((-1.0, 1.0), (3, 50))
-    outs = mc._compile_fields(fields)(x)
+    outs = mc._compile(fields)(x)
+    oracle = _interpreted_fields(fields)(x)
     assert len(outs) == len(fields)
     seen = []
-    for v, rows in zip(fields, outs):
-        assert set(rows) == {i for i, p in enumerate(v) if p.terms()}
+    for v, rows, ref in zip(fields, outs, oracle):
+        assert set(rows) == {i for i, p in enumerate(v) if p.terms()} == set(ref)
         for i, row in rows.items():
-            assert row.shape == (50,)
+            assert row.shape == (50,) and row.dtype == np.float64
+            assert row.tobytes() == ref[i].tobytes()
             assert not np.shares_memory(row, x) and not any(np.shares_memory(row, r)
                                                             for r in seen)
             seen.append(row)
@@ -279,8 +339,8 @@ def test_overflowing_monomial_leaves_other_components_finite():
     g = VField((LaurentPoly.zero(2), parse_poly_text("x2", names)))
     sys = SdeSystem(drift, (g,), names)
     with np.errstate(over="ignore"):
-        drift_rows, g_rows = mc._compile_fields((drift, g))(np.array([[10.0, 0.5],
-                                                                      [1.0, 2.0]]))
+        drift_rows, g_rows = mc._compile((drift, g))(np.array([[10.0, 0.5],
+                                                               [1.0, 2.0]]))
     assert drift_rows[0][0] == math.inf and drift_rows[0][1] == 0.5 ** 400 + 2.0
     assert drift_rows[1].tolist() == [2.0, 3.0] and g_rows[1].tolist() == [1.0, 2.0]
     assert set(g_rows) == {1}
@@ -291,19 +351,49 @@ def test_overflowing_monomial_leaves_other_components_finite():
     _assert_bits_equal(_fields(ens), _reference_paths(sys, cfg))
 
 
+def test_generated_step_binds_coefficients_not_source_text():
+    # Coefficients, h and the center reach the generated step as bound floats equal to
+    # float(c.re); the source holds only the emitter's names and int exponents.
+    third, tiny, huge = Fraction(1, 3), Fraction(1, 10 ** 300), Fraction(2 ** 1000, 3)
+    drift = VField((LaurentPoly(2, {(1, 0): third, (0, 2): tiny}),
+                    LaurentPoly(2, {(0, 0): huge, (-1, 1): -third})))
+    g = VField((LaurentPoly(2, {(2, -3): huge}), LaurentPoly.zero(2)))
+    h, center = 1e-3 / 3, np.array([1 / 3, 0.0])
+    src, consts = mc._source((drift, g), h, center)
+    coeffs = [float(c.re) for v in (drift, g) for p in v for _, c in p.terms()]
+    assert sorted(consts.values()) == sorted(coeffs + [h, center[0]])
+    assert all(type(v) is float for v in consts.values())
+    for text in ("3333", "e-300", "e+300", "1/3", "/"):
+        assert text not in src
+    tree = ast.parse(src)
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert all(type(v) is int for v in literals)
+    exponents = [ast.literal_eval(node.right) for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert sorted(exponents) == [-3, -1, 2, 2] and all(type(e) is int for e in exponents)
+    (func,) = tree.body
+    made = {a.arg for a in func.args.args} | {node.id for node in ast.walk(tree)
+                                              if isinstance(node, ast.Name)
+                                              and isinstance(node.ctx, ast.Store)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert used <= made | set(consts) | {"np"}
+    step = mc._compile((drift, g), h, center)
+    assert all(step.__globals__[name] == value for name, value in consts.items())
+
+
 # -- one path at a time: the reference the vectorised step loop must equal bit for bit --
 
 
 def _reference_paths(sys, cfg):
     """Euler-Maruyama one path at a time, drawing each step's noise from the path's stream.
 
-    Same Philox key (seed, path), same compiled fields and in-place row adds,
-    same pole, overflow and exit rules as `simulate_paths`, but no chunks,
-    blocks or compaction.
+    Same Philox key (seed, path), same field arithmetic (the interpreted oracle)
+    and in-place row adds, same pole, overflow and exit rules as `simulate_paths`,
+    but no generated code, chunks, blocks or compaction.
     """
     n, m = sys.dim, sys.noise_dim
     fields = (sys.drift, *sys.diffusions)
-    evaluate = mc._compile_fields(fields)
+    evaluate = _interpreted_fields(fields)
     neg_axes = mc._negative_axes(fields)
     x0 = np.asarray(cfg.x0, dtype=float)[:, None]
     center = np.zeros(n) if cfg.center == "origin" else x0[:, 0].copy()
@@ -364,6 +454,19 @@ def _pole_midway():
     return SdeSystem(drift, (g,), names)
 
 
+def _ring8():
+    # eight coordinates coupled in a ring, one noise on the odd ones, one on all
+    names = tuple(f"x{j}" for j in range(1, 9))
+    nxt = [names[j % 8] for j in range(1, 9)]
+    drift = VField(tuple(parse_poly_text(f"{nxt[j]} - {x} + 1/4 {x} {nxt[j]}", names)
+                         for j, x in enumerate(names)))
+    g1 = VField(tuple(parse_poly_text(f"1/2 {x}" if j % 2 == 0 else "0", names)
+                      for j, x in enumerate(names)))
+    g2 = VField(tuple(parse_poly_text(f"1/3 {x}^2 - 1/5 {nxt[j]}", names)
+                      for j, x in enumerate(names)))
+    return SdeSystem(drift, (g1, g2), names)
+
+
 REFERENCE_CASES = {
     # m = 0: Euler spirals outward and leaves a ball slightly wider than the circle
     "m0-exit-origin": (systems.harmonic_oscillator,
@@ -380,6 +483,12 @@ REFERENCE_CASES = {
                                        R=1.2, center="x0")),
     "overflow": (lambda: _scalar("x1^3", ("x1^2",)),
                  dict(x0=(1.0,), h=0.05, T=3.0, N=40, seed=1, R=math.inf)),
+    # n = 8: the step's distance is np.add.reduce over each state, not a row-by-row sum
+    "m2-dim8-exit-x0": (_ring8, dict(x0=tuple(0.1 * j for j in range(1, 9)), h=0.01, T=2,
+                                     N=21, seed=8, R=1.0, center="x0")),
+    # most paths exit, several in one step, at many different steps
+    "exit-heavy": (systems.cyclic_exchange, dict(x0=(1.0, 1.0, 1.0), h=0.01, T=0.3, N=60,
+                                                 seed=9, R=4.0)),
 }
 
 
@@ -397,10 +506,15 @@ def test_simulate_paths_equals_one_path_reference(case):
         assert 0 < ens.exited.sum() < cfg.N
     if case == "overflow":
         assert 0 < ens.n_overflow < cfg.N and ens.exited.any()
+    if case == "m2-dim8-exit-x0":
+        assert 0 < ens.exited.sum() < cfg.N
+    if case == "exit-heavy":
+        times, counts = np.unique(ens.exit_time[ens.exited], return_counts=True)
+        assert cfg.N // 2 < ens.exited.sum() < cfg.N and len(times) > 10 and counts.max() > 1
 
 
 @pytest.mark.parametrize("case", ["m1-exit-x0", "m2-exit-origin", "m2-dim4-exit", "pole-midway",
-                                  "overflow"])
+                                  "overflow", "m2-dim8-exit-x0", "exit-heavy"])
 @pytest.mark.parametrize("block_steps, tile_steps",
                          [pytest.param(b, t, id=f"{b}" if t == mc._TILE else f"{b}-tile{t}")
                           for t in (mc._TILE, 1, 2) for b in (1, 3)])
@@ -480,6 +594,11 @@ def test_memory_does_not_grow_with_n_steps():
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def _sq_distance(x, center):
+    """The squared distances a generated step returns; with no fields it leaves x as it is."""
+    return mc._compile((), 1.0, center)(x, None)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_distance_equals_norm(n):
     rng = np.random.default_rng(n)
@@ -487,7 +606,7 @@ def test_distance_equals_norm(n):
     x[:4, 0] = [np.nan, np.inf, -np.inf, 1e300]
     center = rng.standard_normal(n)
     with np.errstate(all="ignore"):
-        assert np.sqrt(mc._sq_distance(x.T, center)).tobytes() == \
+        assert np.sqrt(_sq_distance(x.T, center)).tobytes() == \
             np.linalg.norm(x - center, axis=1).tobytes()
 
 
@@ -500,7 +619,7 @@ def test_distance_from_origin_equals_norm(n):
     center = np.zeros(n)
     center[1::2] = -0.0
     with np.errstate(all="ignore"):
-        assert np.sqrt(mc._sq_distance(x.T, center)).tobytes() == \
+        assert np.sqrt(_sq_distance(x.T, center)).tobytes() == \
             np.linalg.norm(x - center, axis=1).tobytes()
 
 
