@@ -644,16 +644,30 @@ _COEFF_RE = re.compile(
     rf"|(?P<real>{_RAT})"
     rf"|(?P<unit_i>[+-]?i))$"
 )
-_FACTOR_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*?)(?:\^(?P<exp>-?\d+))?$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
+_FACTOR_RE = re.compile(rf"^(?P<name>{_NAME}?)(?:\^(?P<exp>-?\d+))?$")
+# a token that reads as a number but not as an exact coefficient: 0.5, 1e3, 1/-2, (0.5+1i)
+_NUMBER_LIKE = r"[+-]?\.?\d[\d.eE+\-/i]*"
+_NUMBER_LIKE_RE = re.compile(rf"^(?:{_NUMBER_LIKE}|\({_NUMBER_LIKE}\))$")
 
 
 def default_var_names(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _check_var_names(names: Sequence[str]):
-    if "i" in names:  # the text form reads i as the imaginary unit
-        raise ValueError("'i' is the imaginary unit and cannot be a variable name")
+def check_var_names(names: Sequence[str]):
+    """The one variable-name rule: distinct ASCII identifiers other than `i`.
+
+    These are exactly the names the text form can read back as factors.
+    """
+    for n in names:
+        if not (isinstance(n, str) and _NAME_RE.fullmatch(n)):
+            raise ValueError(f"variable name {n!r} is not an ASCII identifier ({_NAME})")
+        if n == "i":  # the text form reads i as the imaginary unit
+            raise ValueError("'i' is the imaginary unit and cannot be a variable name")
+    if len(set(names)) != len(names):
+        raise ValueError(f"variable names must be distinct, got {list(names)}")
 
 
 def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
@@ -661,7 +675,7 @@ def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
     names = tuple(var_names) if var_names is not None else default_var_names(p.dim)
     if len(names) != p.dim:
         raise DimensionMismatch("var_names length != dim")
-    _check_var_names(names)
+    check_var_names(names)
     if p.is_zero:
         return "0"
     chunks: list[str] = []
@@ -720,10 +734,8 @@ def _split_top_level_terms(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_coeff(tok: str) -> CRational:
-    m = _COEFF_RE.match(tok)
-    if not m:
-        raise ValueError(f"bad coefficient {tok!r}")
+def _parse_coeff(m: re.Match) -> CRational:
+    """The coefficient a `_COEFF_RE` match reads."""
     try:
         if m.group("cplx"):
             im = Fraction(m.group("im"))
@@ -735,7 +747,7 @@ def _parse_coeff(tok: str) -> CRational:
         if m.group("real") is not None:
             return CRational(Fraction(m.group("real")))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+        raise ValueError(f"zero denominator in coefficient {m.group()!r}") from None
     return CRational(0, -1 if m.group("unit_i").startswith("-") else 1)
 
 
@@ -746,7 +758,7 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
     names (so e.g. a 4-dim system with names r, phi, v, w parses "r^2 w").
     """
     names = list(var_names)
-    _check_var_names(names)
+    check_var_names(names)
     dim = len(names)
     index = {n: i for i, n in enumerate(names)}
     text = text.strip()
@@ -759,15 +771,15 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
         toks = [t for t in chunk.replace("*", " ").split() if t]
         if not toks:
             raise ValueError(f"empty term in {text!r}")
-        coeff = CRational(1)
         exps = [0] * dim
-        start = 0
-        if _COEFF_RE.match(toks[0]):
-            coeff = _parse_coeff(toks[0])
-            start = 1
+        cm = _COEFF_RE.match(toks[0])
+        coeff, start = (_parse_coeff(cm), 1) if cm else (CRational(1), 0)
         for tok in toks[start:]:
             fm = _FACTOR_RE.match(tok)
             if not fm or fm.group("name") not in index:
+                if _NUMBER_LIKE_RE.match(tok) and not _COEFF_RE.match(tok):
+                    raise ValueError(f"coefficient {tok!r} is not an exact rational "
+                                     f"(write 1/2, not 0.5)")
                 raise ValueError(f"unknown factor {tok!r} (variables: {', '.join(names)})")
             k = int(fm.group("exp")) if fm.group("exp") is not None else 1
             exps[index[fm.group("name")]] += k

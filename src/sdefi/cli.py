@@ -5,18 +5,17 @@ subcommand's builder for one JSON-able report dict, and prints that dict.
 `--output json` prints it; `--output text` renders it line by line, reading
 nothing but that dict, so the two modes cannot state different verdicts.
 
-System files are JSON with exact rational coefficients:
+System files are JSON objects whose components are polynomial text, the
+form `parse_poly_text` reads and `to_text` prints:
 
-    {
-      "dim": 1, "noise_dim": 1, "var_names": ["x1"],
-      "drift":     [ [ {"c": ["1/1", "0/1"], "e": [1]} ] ],
-      "diffusion": [ [ [ {"c": ["1/1", "0/1"], "e": [1]} ] ] ]
-    }
+    {"var_names": ["x1"], "drift": ["x1"], "diffusion": [["x1"]]}
 
-Each scalar component is a list of terms {c: [re, im], e: exponent vector};
-coefficients must be integer-or-fraction strings ("1", "-3/2"); decimals are
-rejected so every downstream identity test stays exact.  A builtin name from
-`sdefi.systems` (e.g. "gbm") is accepted wherever a system file is expected.
+`drift` lists one component per variable and `diffusion` one such list per
+noise channel, so the dimension and the noise count are the list lengths.
+Coefficients are exact Gaussian rationals ("-3/2", "1/2i", "(1+2i)"); a
+decimal is rejected, so every downstream identity test stays exact.  A
+builtin name from `sdefi.systems` (e.g. "gbm") is accepted wherever a system
+file is expected.
 
 Exit codes: 0 = analysis completed (verdicts live inside the report),
 2 = input error (also an input too large for memory), 3 = internal numeric
@@ -29,12 +28,11 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys as _sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import CRational, LaurentPoly, VField, to_text, parse_poly_text
+from .algebra import LaurentPoly, VField, check_var_names, parse_poly_text, to_text
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak
 from .mc import SimConfig, conservation_test, simulate_paths
 from .perturb import build_perturbation, verify_perturbation
@@ -43,7 +41,10 @@ from .search import count_bound_check, find_first_integrals
 from .spectral import NotApplicableError, h1_check, linearization
 from . import systems as _builtin
 
-_COEFF_STR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_SYSTEM_KEYS = ("var_names", "drift", "diffusion")
+_SYSTEM_FORMAT = ('a system file is {"var_names": [names], "drift": [one component per '
+                  'variable], "diffusion": [[one component per variable] per noise]}, '
+                  'each component polynomial text such as "1/2 * x1^2 x2"')
 
 
 class InputFormatError(ValueError):
@@ -53,88 +54,45 @@ class InputFormatError(ValueError):
 # -- system (de)serialization ----------------------------------------------------
 
 
-def _parse_coeff_pair(c, where: str) -> CRational:
-    if (not isinstance(c, list)) or len(c) != 2 or not all(isinstance(s, str) for s in c):
-        raise InputFormatError(f"{where}: c must be a [re, im] pair of strings, got {c!r}")
-    parts = []
-    for s in c:
-        m = _COEFF_STR_RE.match(s.strip())
-        if not m:
-            raise InputFormatError(
-                f"{where}: coefficient {s!r} is not an exact rational "
-                f"(write 1/2, not 0.5)")
-        num, den = m.groups()
-        try:
-            parts.append(Fraction(int(num), int(den or 1)))
-        except ZeroDivisionError:
-            raise InputFormatError(f"{where}: zero denominator in {s!r}") from None
-    return CRational(parts[0], parts[1])
-
-
-def _parse_component(terms, dim: int, where: str) -> LaurentPoly:
-    if not isinstance(terms, list):
-        raise InputFormatError(f"{where}: expected a list of terms")
-    seen: dict[tuple, str] = {}
-    parsed = []
-    for t_idx, t in enumerate(terms):
-        here = f"{where}, term {t_idx + 1}"
-        if not isinstance(t, dict) or set(t) != {"c", "e"}:
-            raise InputFormatError(f"{here}: each term is an object with exactly c and e")
-        e = t["e"]
-        if (not isinstance(e, list)) or len(e) != dim or \
-                not all(isinstance(k, int) and not isinstance(k, bool) for k in e):
-            raise InputFormatError(f"{here}: e must be a list of {dim} integers")
-        key = tuple(e)
-        if key in seen:
-            raise InputFormatError(
-                f"{here}: duplicate exponent vector {list(key)} (first at {seen[key]}); "
-                f"merge the coefficients instead")
-        seen[key] = here
-        parsed.append((key, _parse_coeff_pair(t["c"], here)))
-    return LaurentPoly(dim, parsed)
+def _read_poly(text, var_names, where: str) -> LaurentPoly:
+    """`parse_poly_text`, with any error prefixed by `where` the text stands."""
+    if not isinstance(text, str):
+        raise InputFormatError(f"{where}: expected polynomial text, got "
+                               f"{type(text).__name__}; {_SYSTEM_FORMAT}")
+    try:
+        return parse_poly_text(text, var_names)
+    except ValueError as e:
+        raise InputFormatError(f"{where}: {e}") from None
 
 
 def parse_system_dict(d) -> SdeSystem:
     if not isinstance(d, dict):
-        raise InputFormatError("top level must be a JSON object")
-    required = {"dim", "noise_dim", "var_names", "drift", "diffusion"}
-    if set(d) != required:
-        missing = required - set(d)
-        extra = set(d) - required
-        bits = []
-        if missing:
-            bits.append(f"missing {sorted(missing)}")
-        if extra:
-            bits.append(f"unknown {sorted(extra)}")
-        raise InputFormatError("system file keys: " + "; ".join(bits))
-    dim, m = d["dim"], d["noise_dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputFormatError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InputFormatError(f"noise_dim must be a nonnegative integer, got {m!r}")
+        raise InputFormatError(f"top level must be a JSON object; {_SYSTEM_FORMAT}")
+    if set(d) != set(_SYSTEM_KEYS):
+        raise InputFormatError(f"system file keys: expected {list(_SYSTEM_KEYS)}, "
+                               f"got {sorted(d)}; {_SYSTEM_FORMAT}")
     names = d["var_names"]
-    if (not isinstance(names, list)) or len(names) != dim or \
-            not all(isinstance(s, str) and s.isidentifier() for s in names):
-        raise InputFormatError(f"var_names must be {dim} identifier strings")
-    if len(set(names)) != dim:
-        raise InputFormatError("var_names must be distinct")
-    if "i" in names:
-        raise InputFormatError("var_names: 'i' is the imaginary unit, not a variable name")
-    drift = d["drift"]
+    if not isinstance(names, list) or not names:
+        raise InputFormatError("var_names must be a nonempty list of variable names")
+    try:
+        check_var_names(names)
+    except ValueError as e:
+        raise InputFormatError(f"var_names: {e}") from None
+    dim = len(names)
+    drift, diffusion = d["drift"], d["diffusion"]
     if not isinstance(drift, list) or len(drift) != dim:
-        raise InputFormatError(f"drift must list {dim} components, got {len(drift) if isinstance(drift, list) else type(drift).__name__}")
-    f = VField(tuple(_parse_component(c, dim, f"drift component {i + 1}")
-                     for i, c in enumerate(drift)))
-    diffusion = d["diffusion"]
-    if not isinstance(diffusion, list) or len(diffusion) != m:
-        raise InputFormatError(f"diffusion must list {m} noise fields")
-    gs = []
+        raise InputFormatError(f"drift must list {dim} components, one per variable")
+    if not isinstance(diffusion, list):
+        raise InputFormatError("diffusion must list the noise fields")
     for gi, field in enumerate(diffusion):
         if not isinstance(field, list) or len(field) != dim:
             raise InputFormatError(f"diffusion field {gi + 1} must list {dim} components")
-        gs.append(VField(tuple(_parse_component(c, dim, f"diffusion {gi + 1} component {i + 1}")
-                               for i, c in enumerate(field))))
-    return SdeSystem(f, tuple(gs), tuple(names))
+    f = VField(tuple(_read_poly(c, names, f"drift component {i + 1}")
+                     for i, c in enumerate(drift)))
+    gs = tuple(VField(tuple(_read_poly(c, names, f"diffusion {gi + 1} component {i + 1}")
+                            for i, c in enumerate(field)))
+               for gi, field in enumerate(diffusion))
+    return SdeSystem(f, gs, tuple(names))
 
 
 def parse_system(path: str | Path) -> SdeSystem:
@@ -146,25 +104,13 @@ def parse_system(path: str | Path) -> SdeSystem:
     return parse_system_dict(d)
 
 
-def _coeff_pair(c: CRational) -> list[str]:
-    def s(q: Fraction) -> str:
-        return f"{q.numerator}/{q.denominator}"
-
-    return [s(c.re), s(c.im)]
-
-
-def _component_terms(p: LaurentPoly) -> list[dict]:
-    return [{"c": _coeff_pair(c), "e": list(e)} for e, c in p.terms()]
-
-
 def serialize_system(sys: SdeSystem) -> dict:
-    """Canonical dict form: terms ascending graded-lex, explicit denominators."""
+    """The system file of `sys`: each component in canonical polynomial text."""
+    names = sys.var_names
     return {
-        "dim": sys.dim,
-        "noise_dim": sys.noise_dim,
-        "var_names": list(sys.var_names),
-        "drift": [_component_terms(p) for p in sys.drift],
-        "diffusion": [[_component_terms(p) for p in g] for g in sys.diffusions],
+        "var_names": list(names),
+        "drift": [to_text(p, names) for p in sys.drift],
+        "diffusion": [[to_text(p, names) for p in g] for g in sys.diffusions],
     }
 
 
@@ -189,11 +135,7 @@ def parse_candidate(spec: str, var_names) -> tuple[str, LaurentPoly]:
         name, text = (part.strip() for part in text.split("=", 1))
         if not name.isidentifier():
             raise InputFormatError(f"candidate name {name!r} is not an identifier")
-    try:
-        poly = parse_poly_text(text, var_names)
-    except ValueError as e:
-        raise InputFormatError(f"candidate {spec!r}: {e}") from None
-    return name, poly
+    return name, _read_poly(text, var_names, f"candidate {spec!r}")
 
 
 # -- reports: `_*_dict` builds from domain objects, `_*_text` renders a dict --------
@@ -303,7 +245,7 @@ def _linearization_dict(data, h1) -> dict:
 
 def _analyze_text(report: dict) -> list[str]:
     system = report["system"]
-    lines = [f"system: dim={system['dim']} noise={system['noise_dim']} "
+    lines = [f"system: dim={len(system['var_names'])} noise={len(system['diffusion'])} "
              f"vars={', '.join(system['var_names'])}"]
     lin = report["linearization"]
     if lin["applicable"]:

@@ -282,6 +282,31 @@ def test_to_text_rejects_the_imaginary_unit_as_a_variable():
         to_text(LaurentPoly(1, {(1,): 1}), ["i"])
 
 
+@pytest.mark.parametrize("text, token", [("0.5 * x1", "0.5"), ("1e3 x1", "1e3"),
+                                         ("x1 - 1.5e-3", "1.5e-3"), (".5i x1", ".5i"),
+                                         ("(0.5+1i) x1", "(0.5+1i)")])
+def test_parse_names_a_decimal_as_an_inexact_coefficient(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {token!r} is not an exact "
+                                                   f"rational (write 1/2, not 0.5)")):
+        parse_poly_text(text, ["x1"])
+    # a misplaced exact coefficient and a split complex one are still unknown factors
+    for text, token in (("x1 2", "2"), ("(1/2 + 1i) x1", "(1/2")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown factor {token!r}")):
+            parse_poly_text(text, ["x1"])
+
+
+@pytest.mark.parametrize("names, message", [
+    (["x1", "x1"], "must be distinct"), (["α"], "'α' is not an ASCII identifier"),
+    (["x-1"], "'x-1' is not an ASCII identifier"), ([1], "1 is not an ASCII identifier"),
+    (["i"], "imaginary unit")])
+def test_one_variable_name_rule_for_parse_and_print(names, message):
+    # the names the text form can print are exactly the names it can read back
+    p = LaurentPoly.zero(len(names))
+    for call in (lambda: parse_poly_text("0", names), lambda: to_text(p, names)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_parse_merges_repeated_terms():
     assert parse_poly_text("x1 + x1", ["x1"]) == LaurentPoly(1, {(1,): 2})
 

@@ -2,13 +2,15 @@
 
 import argparse
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sdefi import cli, systems
-from sdefi.algebra import CRational
+from sdefi.algebra import CRational, LaurentPoly, VField
+from sdefi.ito import SdeSystem
 from sdefi.cli import (
     InputFormatError,
     _parse_x0,
@@ -24,13 +26,13 @@ SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
 
 def gbm_dict():
-    return {
-        "dim": 1,
-        "noise_dim": 1,
-        "var_names": ["x1"],
-        "drift": [[{"c": ["1", "0"], "e": [1]}]],
-        "diffusion": [[[{"c": ["1/1", "0/1"], "e": [1]}]]],
-    }
+    return {"var_names": ["x1"], "drift": ["x1"], "diffusion": [["x1"]]}
+
+
+def _write(tmp_path, d) -> str:
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    return str(p)
 
 
 # -- parsing ---------------------------------------------------------------------------
@@ -52,6 +54,7 @@ def test_committed_system_files_match_builders():
     for path in files:
         builder = systems.REGISTRY[path.stem]
         assert json.loads(path.read_text()) == serialize_system(builder()), path.stem
+        assert parse_system(path) == builder(), path.stem
 
 
 def test_system_files_roundtrip_through_the_parser():
@@ -59,23 +62,55 @@ def test_system_files_roundtrip_through_the_parser():
         assert serialize_system(parse_system(path)) == json.loads(path.read_text()), path.stem
 
 
+def test_random_systems_roundtrip_through_json():
+    # Laurent exponents, Gaussian-rational coefficients, zero components, dims 1-4 and
+    # 0-2 noise fields, under assorted variable names
+    rng = random.Random(24)
+
+    def coeff():
+        real, imag = (Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2))
+        return CRational(real, imag if rng.random() < 0.5 else 0)
+
+    def component(dim):
+        if rng.random() < 0.2:
+            return LaurentPoly.zero(dim)
+        return LaurentPoly(dim, {tuple(rng.randint(-3, 3) for _ in range(dim)): coeff()
+                                 for _ in range(rng.randint(1, 4))})
+
+    seen = set()
+    for _ in range(200):
+        dim, m = rng.randint(1, 4), rng.randint(0, 2)
+        names = rng.sample(["x1", "x2", "r", "phi", "_t", "y9", "ii", "W"], dim)
+        sys = SdeSystem(VField(tuple(component(dim) for _ in range(dim))),
+                        tuple(VField(tuple(component(dim) for _ in range(dim)))
+                              for _ in range(m)), names)
+        assert parse_system_dict(json.loads(json.dumps(serialize_system(sys)))) == sys
+        comps = [p for field in (sys.drift, *sys.diffusions) for p in field]
+        seen.add((dim, m))
+        seen |= {"zero" for p in comps if p.is_zero}
+        seen |= {"laurent" for p in comps for e, _ in p.terms() if min(e) < 0}
+        seen |= {"gaussian" for p in comps for _, c in p.terms() if c.im}
+    assert seen >= {(d, m) for d in range(1, 5) for m in range(3)} | {"zero", "laurent",
+                                                                       "gaussian"}
+
+
 @pytest.mark.parametrize("text, want", [
     (" 3/4 ", Fraction(3, 4)), ("+2", Fraction(2)), ("-0/7", Fraction(0)),
     ("-6/4", Fraction(-3, 2)), ("10/5", Fraction(2)),
-    ("1/0", "zero denominator in '1/0'"),
+    ("1/0", "zero denominator in coefficient '1/0'"),
     ("0.5", "coefficient '0.5' is not an exact rational (write 1/2, not 0.5)"),
     ("1/-2", "coefficient '1/-2' is not an exact rational (write 1/2, not 0.5)"),
-    ("", "coefficient '' is not an exact rational (write 1/2, not 0.5)"),
+    ("", "empty polynomial text"),
 ])
 def test_coefficient_strings(text, want):
     d = gbm_dict()
-    d["drift"][0][0]["c"] = ["0", text]
+    d["drift"] = [text]
     if isinstance(want, Fraction):
-        assert parse_system_dict(d).drift[0].coeff((1,)) == CRational(0, want)
+        assert parse_system_dict(d).drift[0].coeff((0,)) == CRational(want)
     else:
         with pytest.raises(InputFormatError) as err:
             parse_system_dict(d)
-        assert str(err.value) == f"drift component 1, term 1: {want}"
+        assert str(err.value) == f"drift component 1: {want}"
 
 
 def test_drift_length_mismatch():
@@ -87,61 +122,85 @@ def test_drift_length_mismatch():
 
 def test_decimal_coefficient_rejected():
     d = gbm_dict()
-    d["drift"][0][0]["c"] = ["0.5", "0"]
+    d["drift"] = ["0.5 * x1"]
     with pytest.raises(InputFormatError, match="exact rational"):
         parse_system_dict(d)
 
 
+@pytest.mark.parametrize("candidate, token", [("0.5*x1", "0.5"), ("1e3 x1", "1e3")])
+def test_decimal_coefficient_gets_the_exact_rational_hint(candidate, token, capsys):
+    # a decimal is named as an inexact coefficient, not as an unknown variable; in a
+    # system file it reads the same (test_coefficient_strings)
+    assert main(["check-weak", "gbm", "--candidate", candidate]) == 2
+    assert capsys.readouterr().err == (f"error: candidate {candidate!r}: coefficient "
+                                       f"{token!r} is not an exact rational (write 1/2, "
+                                       f"not 0.5)\n")
+
+
 def test_zero_denominator_rejected():
     d = gbm_dict()
-    d["drift"][0][0]["c"] = ["1/0", "0"]
+    d["drift"] = ["1/0 * x1"]
     with pytest.raises(InputFormatError, match="zero denominator"):
-        parse_system_dict(d)
-
-
-def test_duplicate_exponent_vector_rejected():
-    d = gbm_dict()
-    d["drift"][0].append({"c": ["2", "0"], "e": [1]})
-    with pytest.raises(InputFormatError, match="duplicate exponent"):
         parse_system_dict(d)
 
 
 def test_missing_and_unknown_keys_reported():
     d = gbm_dict()
-    del d["noise_dim"]
+    del d["diffusion"]
     d["extra"] = 1
     with pytest.raises(InputFormatError, match="system file keys"):
         parse_system_dict(d)
 
 
+def test_exponent_list_file_is_input_error(tmp_path, capsys):
+    # the term-list format of earlier versions names the keys and the text form it needs
+    old = {"dim": 1, "noise_dim": 1, "var_names": ["x1"],
+           "drift": [[{"c": ["1/1", "0/1"], "e": [1]}]],
+           "diffusion": [[[{"c": ["1/1", "0/1"], "e": [1]}]]]}
+    assert main(["check-weak", _write(tmp_path, old), "--candidate", "x1^-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: system file keys: expected ['var_names', 'drift', "
+                          "'diffusion'], got ['diffusion', 'dim', 'drift', 'noise_dim', "
+                          "'var_names']") and "polynomial text" in err, err
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("drift", [[{"c": ["1", "0"], "e": [1]}]], "drift component 1: expected polynomial text, "
+                                               "got list"),
+    ("drift", [3], "drift component 1: expected polynomial text, got int"),
+    ("diffusion", [[2.5]], "diffusion 1 component 1: expected polynomial text, got float"),
+    ("diffusion", [[""]], "diffusion 1 component 1: empty polynomial text"),
+])
+def test_bad_component_is_input_error_at_its_location(key, value, where, tmp_path, capsys):
+    d = dict(gbm_dict(), **{key: value})
+    assert main(["check-weak", _write(tmp_path, d), "--candidate", "x1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 def test_var_names_must_be_distinct_identifiers():
-    d = gbm_dict()
-    d["dim"] = 2
-    d["var_names"] = ["x", "x"]
-    d["drift"] = [[], []]
-    d["diffusion"] = [[[], []]]
+    d = {"var_names": ["x", "x"], "drift": ["0", "0"], "diffusion": [["0", "0"]]}
     with pytest.raises(InputFormatError, match="distinct"):
         parse_system_dict(d)
-    d["var_names"] = ["x", "2y"]
-    with pytest.raises(InputFormatError, match="identifier"):
-        parse_system_dict(d)
+    for bad in (["x", "2y"], ["x", True]):
+        d["var_names"] = bad
+        with pytest.raises(InputFormatError, match="identifier"):
+            parse_system_dict(d)
+
+
+def test_non_ascii_variable_name_is_input_error(tmp_path, capsys):
+    # the text form reads only ASCII names: such a file could load, yet no candidate
+    # over its variables could be read
+    d = {"var_names": ["α"], "drift": ["α"], "diffusion": []}
+    assert main(["check-weak", _write(tmp_path, d), "--candidate", "α"]) == 2
+    assert capsys.readouterr().err == ("error: var_names: variable name 'α' is not an ASCII "
+                                       "identifier ([A-Za-z_][A-Za-z_0-9]*)\n")
 
 
 def test_imaginary_unit_is_not_a_variable_name(tmp_path, capsys):
     # `i` would print as a variable and parse back as the constant 1i
-    d = gbm_dict()
-    d["var_names"] = ["i"]
-    p = tmp_path / "i.json"
-    p.write_text(json.dumps(d), encoding="utf-8")
-    assert main(["check-weak", str(p), "--candidate", "i"]) == 2
+    d = {"var_names": ["i"], "drift": ["i"], "diffusion": [["i"]]}
+    assert main(["check-weak", _write(tmp_path, d), "--candidate", "i"]) == 2
     assert capsys.readouterr().err.startswith("error: var_names: 'i' is the imaginary unit")
-
-
-def test_bool_is_not_a_valid_dim():
-    d = gbm_dict()
-    d["dim"] = True
-    with pytest.raises(InputFormatError, match="dim must be"):
-        parse_system_dict(d)
 
 
 def test_malformed_json_file(tmp_path):
@@ -335,8 +394,7 @@ def test_json_output_prints_nonfinite_floats_as_null(tmp_path, capsys):
     cand = _strict_json(capsys.readouterr().out)["candidates"][0]
     assert cand["stderr"] is None and cand["threshold"] is None
     # dx = x^3 dt from x0 = 10 overflows on every path: no mean final state
-    d = {"dim": 1, "noise_dim": 0, "var_names": ["x1"],
-         "drift": [[{"c": ["1", "0"], "e": [3]}]], "diffusion": []}
+    d = {"var_names": ["x1"], "drift": ["x1^3"], "diffusion": []}
     p = tmp_path / "cube.json"
     p.write_text(json.dumps(d), encoding="utf-8")
     assert main(["simulate", str(p), "--seed", "0", "--x0", "10", "--step", "0.1",
@@ -391,6 +449,7 @@ def test_analyze_json_schema(capsys):
                and v["epistemic_status"]["kind"] == "certified" for v in verdicts)
     assert rep["search"]["weak"]["count"] == 0
     assert rep["count_bound"]["consistent"]
+    assert rep["system"] == serialize_system(systems.lotka_volterra())
 
 
 def test_analyze_laurent_window_respects_the_analytic_bound(tmp_path, capsys):
@@ -532,10 +591,7 @@ def test_parser_reuse_does_not_leak_candidates(capsys):
 
 def test_perturb_survivors_use_the_system_variable_names(tmp_path, capsys):
     # y^2 survives the weak search; JSON and text must both name it y^2
-    d = {"dim": 2, "noise_dim": 0, "var_names": ["y", "z"],
-         "drift": [[{"c": ["-1369/20000", "0"], "e": [1, 0]}],
-                   [{"c": ["1", "0"], "e": [0, 1]}]],
-         "diffusion": []}
+    d = {"var_names": ["y", "z"], "drift": ["-1369/20000 * y", "z"], "diffusion": []}
     p = tmp_path / "yz.json"
     p.write_text(json.dumps(d), encoding="utf-8")
     argv = ["perturb", str(p), "--lbound", "1", "--degree", "3"]

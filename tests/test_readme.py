@@ -1,8 +1,12 @@
 """README examples: every fenced Python block runs, and the values it quotes are real."""
 
 import ast
+import json
 import re
 from pathlib import Path
+
+from sdefi import systems
+from sdefi.cli import parse_system_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -26,3 +30,8 @@ def test_readme_python_blocks_run_and_quote_their_results():
     assert want == [("NO_STRONG_ANALYTIC", "certified"), ("STRONG_COUNT_AT_MOST", "certified"),
                     ("NO_WEAK_ANALYTIC", "certified"), ("NO_WEAK_ANALYTIC", "certified")]
     assert eval(expr, ns) == want
+
+
+def test_readme_system_file_example_is_gbm():
+    (block,) = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert parse_system_dict(json.loads(block)) == systems.gbm()
