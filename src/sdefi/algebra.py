@@ -633,23 +633,31 @@ def mat_vec_apply(mat: Sequence[Sequence[LaurentPoly]], v: VField) -> VField:
 # -- canonical text form -------------------------------------------------------
 #
 # Polynomials print as a sum of `coeff * x1^e1 x2^e2 ...` with rational
-# coefficients `p/q`, an optional imaginary unit `i`, and `^1` omitted.
-# Parsing is lenient (optional `*`, optional unit coefficient); printing is
-# canonical, so parse(to_text(p)) == p.
+# coefficients `p/q`, an optional imaginary unit `i`, and `^1` omitted;
+# printing is canonical, so parse(to_text(p)) == p.  The reader scans ASCII
+# tokens with one regex: a coefficient `N` or `N/N` with an optional trailing
+# `i`; `(a ± bi)` with optional spaces inside; `i`; a variable name with an
+# optional exponent `^N` or `^-N`; and `+`, `-`, `*`.  Whitespace and `*`
+# between tokens are optional.  A coefficient or `i` may stand only first in
+# a term.  A `+` or `-` after a factor starts the next term, signs before a
+# term's first factor combine, and a sign must be followed by a term.  A
+# number-like run with a `.`, an `e` exponent or a signed denominator (0.5,
+# 1e3, 1/-2, (0.5+1i)) is named as an inexact coefficient.
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_COEFF_RE = re.compile(
-    rf"^(?:(?P<cplx>\((?P<re>{_RAT})\s*(?P<sgn>[+-])\s*(?P<im>\d+(?:/\d+)?)i\))"
-    rf"|(?P<imag>{_RAT})i"
-    rf"|(?P<real>{_RAT})"
-    rf"|(?P<unit_i>[+-]?i))$"
-)
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _NAME_RE = re.compile(_NAME)
-_FACTOR_RE = re.compile(rf"^(?P<name>{_NAME}?)(?:\^(?P<exp>-?\d+))?$")
-# a token that reads as a number but not as an exact coefficient: 0.5, 1e3, 1/-2, (0.5+1i)
-_NUMBER_LIKE = r"[+-]?\.?\d[\d.eE+\-/i]*"
-_NUMBER_LIKE_RE = re.compile(rf"^(?:{_NUMBER_LIKE}|\({_NUMBER_LIKE}\))$")
+_FRAC = r"[0-9]+(?:/[0-9]+)?"
+_DEC = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_INEXACT = rf"{_DEC}(?:/[+-]?{_DEC})*"
+# `coeff` refuses to stop where `inexact` would read on, so 1.5 is not 1 then .5
+_TOKEN_RE = re.compile(rf"""
+    (?P<cplx>\(\s*(?P<re>[+-]?{_FRAC})\s*(?P<sgn>[+-])\s*(?P<im>{_FRAC})i\s*\))
+  | (?P<coeff>{_FRAC}i?|i\b)(?![0-9.]|[eE][+-]?[0-9]|/[+-]?\.?[0-9])
+  | (?P<inexact>{_INEXACT}i?|\(\s*[+-]?{_INEXACT}\s*[+-]\s*{_INEXACT}i\s*\))
+  | (?P<factor>(?P<name>{_NAME})(?:\^(?P<exp>-?[0-9]+))?)
+  | (?P<op>[-+*])
+  | (?P<other>[^\s*+-]+)
+""", re.ASCII | re.VERBOSE)
 
 
 def default_var_names(dim: int) -> tuple[str, ...]:
@@ -704,55 +712,8 @@ def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
     return " ".join(chunks)
 
 
-def _split_top_level_terms(text: str) -> list[tuple[int, str]]:
-    """Split on +/- outside parentheses; returns (sign, chunk) pairs."""
-    out: list[tuple[int, str]] = []
-    depth, sign, buf = 0, 1, []
-    started = False
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if ch in "+-" and depth == 0 and not started:
-            # sign prefix of the upcoming term
-            if ch == "-":
-                sign = -sign
-            continue
-        if ch in "+-" and depth == 0 and started and (buf and buf[-1] in " \t"):
-            out.append((sign, "".join(buf).strip()))
-            buf, sign, started = [], 1 if ch == "+" else -1, False
-            continue
-        buf.append(ch)
-        if ch not in " \t":
-            started = True
-    tail = "".join(buf).strip()
-    if tail:
-        out.append((sign, tail))
-    return out
-
-
-def _parse_coeff(m: re.Match) -> CRational:
-    """The coefficient a `_COEFF_RE` match reads."""
-    try:
-        if m.group("cplx"):
-            im = Fraction(m.group("im"))
-            if m.group("sgn") == "-":
-                im = -im
-            return CRational(Fraction(m.group("re")), im)
-        if m.group("imag") is not None:
-            return CRational(0, Fraction(m.group("imag")))
-        if m.group("real") is not None:
-            return CRational(Fraction(m.group("real")))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in coefficient {m.group()!r}") from None
-    return CRational(0, -1 if m.group("unit_i").startswith("-") else 1)
-
-
 def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
-    """Parse the canonical text form back into a polynomial.
+    """Parse the text form back into a polynomial.
 
     ``var_names`` fixes both the dimension and the admissible variable
     names (so e.g. a 4-dim system with names r, phi, v, w parses "r^2 w").
@@ -761,27 +722,36 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
     check_var_names(names)
     dim = len(names)
     index = {n: i for i, n in enumerate(names)}
-    text = text.strip()
-    if not text:
+    terms: list[tuple[list[int], CRational]] = []
+    sign, exps = 0, None  # the product of the signs read since the last term (0: none)
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "op":
+            if tok != "*":  # a sign closes the open term
+                exps, sign = None, (sign or 1) * (-1 if tok == "-" else 1)
+            continue
+        if kind == "inexact":
+            raise ValueError(f"coefficient {tok!r} is not an exact rational "
+                             f"(write 1/2, not 0.5)")
+        lead = exps is None and kind in ("cplx", "coeff")
+        if exps is None:  # this token opens a term
+            exps, c = [0] * dim, CRational(1)
+            try:
+                if kind == "cplx":
+                    c = CRational(m["re"], m["sgn"] + m["im"])
+                elif lead:
+                    c = CRational(0, tok[:-1] or 1) if tok.endswith("i") else CRational(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            terms.append((exps, -c if sign < 0 else c))
+            sign = 0
+        if lead:
+            continue
+        if m["name"] not in index:
+            raise ValueError(f"unknown factor {tok!r} (variables: {', '.join(names)})")
+        exps[index[m["name"]]] += int(m["exp"] or 1)
+    if sign:
+        raise ValueError(f"sign with no term after it in {text!r}")
+    if not terms:
         raise ValueError("empty polynomial text")
-    if text == "0":
-        return LaurentPoly.zero(dim)
-    terms: list[tuple[tuple, CRational]] = []
-    for sign, chunk in _split_top_level_terms(text):
-        toks = [t for t in chunk.replace("*", " ").split() if t]
-        if not toks:
-            raise ValueError(f"empty term in {text!r}")
-        exps = [0] * dim
-        cm = _COEFF_RE.match(toks[0])
-        coeff, start = (_parse_coeff(cm), 1) if cm else (CRational(1), 0)
-        for tok in toks[start:]:
-            fm = _FACTOR_RE.match(tok)
-            if not fm or fm.group("name") not in index:
-                if _NUMBER_LIKE_RE.match(tok) and not _COEFF_RE.match(tok):
-                    raise ValueError(f"coefficient {tok!r} is not an exact rational "
-                                     f"(write 1/2, not 0.5)")
-                raise ValueError(f"unknown factor {tok!r} (variables: {', '.join(names)})")
-            k = int(fm.group("exp")) if fm.group("exp") is not None else 1
-            exps[index[fm.group("name")]] += k
-        terms.append((tuple(exps), coeff * sign))
-    return LaurentPoly(dim, terms)
+    return LaurentPoly(dim, [(tuple(e), c) for e, c in terms])

@@ -355,9 +355,14 @@ def _check(sys: SdeSystem, args) -> dict:
     return _verdict_dict(name, checker(sys, phi), sys.var_names)
 
 
-def _search(sys: SdeSystem, args) -> dict:
+def _check_window(args):
+    """Refuse an empty --dmin/--dmax window before any search work."""
     if args.dmin > args.dmax:
         raise InputFormatError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
+
+
+def _search(sys: SdeSystem, args) -> dict:
+    _check_window(args)
     return _basis_dict(find_first_integrals(sys, args.mode, args.dmin, args.dmax), sys.var_names)
 
 
@@ -371,6 +376,7 @@ def _analyze(sys: SdeSystem, args) -> dict:
     if args.seed is not None and not args.simulate:
         raise InputFormatError("--seed needs --simulate (without it analyze simulates nothing)")
     check_scan_options(args.kbound, args.tol)  # also where the linearization does not apply
+    _check_window(args)
     names = sys.var_names
     report: dict = {"system": serialize_system(sys)}
 
@@ -416,6 +422,9 @@ def _perturb(sys: SdeSystem, args) -> dict:
         in_range = False
     if not in_range:
         raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)")
+    if args.degree < 1:
+        raise InputFormatError(f"--degree {args.degree} is below 1: the verification "
+                               f"window [1, degree] is empty")
     plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
     verdict = verify_perturbation(sys.drift, plan, D=args.degree)
     return {"plan": plan.to_dict(),

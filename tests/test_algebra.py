@@ -289,10 +289,41 @@ def test_parse_names_a_decimal_as_an_inexact_coefficient(text, token):
     with pytest.raises(ValueError, match=re.escape(f"coefficient {token!r} is not an exact "
                                                    f"rational (write 1/2, not 0.5)")):
         parse_poly_text(text, ["x1"])
-    # a misplaced exact coefficient and a split complex one are still unknown factors
-    for text, token in (("x1 2", "2"), ("(1/2 + 1i) x1", "(1/2")):
+    # a misplaced exact coefficient and an unclosed complex one are still unknown factors
+    for text, token in (("x1 2", "2"), ("x1 i", "i"), ("(1/2 x1", "(1/2")):
         with pytest.raises(ValueError, match=re.escape(f"unknown factor {token!r}")):
             parse_poly_text(text, ["x1"])
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x1+x2", "x1 + x2"), ("x1^-1-x1", "-x1 + x1^-1"), ("(1/2 + 1i) x1", "(1/2+1i) * x1"),
+    ("( -1/3-2i )*x2", "(-1/3-2i) * x2"), ("2x1 x2^2", "2 * x1 x2^2"), ("- -i x1", "i * x1"),
+    ("0", "0")])
+def test_parse_needs_no_spaces_around_signs(text, want):
+    assert to_text(parse_poly_text(text, ["x1", "x2"])) == want
+
+
+def test_respaced_text_round_trip_random():
+    # to_text spaces every top-level sign and `*` and no complex coefficient; the
+    # reader takes the opposite spacing just as well
+    rng = random.Random(2025)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        p = rand_poly(rng, dim)
+        names = tuple(f"x{i+1}" for i in range(dim))
+        text = to_text(p, names).replace(" + ", "+").replace(" - ", "-").replace(" * ", "*")
+        text = re.sub(r"\(([^()+-]+|[+-][^()+-]+)([+-])([^()]+)\)", r"( \1 \2 \3 )", text)
+        assert parse_poly_text(text, names) == p, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("٣ x1", "unknown factor '٣'"), ("３ x1", "unknown factor '３'"),
+    ("x1^٣", "unknown factor '^٣'"), ("x1 +", "sign with no term after it"),
+    ("x1 -", "sign with no term after it"), ("-", "sign with no term after it"),
+    ("+", "sign with no term after it")])
+def test_parse_rejects_non_ascii_digits_and_dangling_signs(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_poly_text(text, ["x1"])
 
 
 @pytest.mark.parametrize("names, message", [

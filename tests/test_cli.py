@@ -177,6 +177,13 @@ def test_bad_component_is_input_error_at_its_location(key, value, where, tmp_pat
     assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
+def test_truncated_component_is_input_error(tmp_path, capsys):
+    # a component cut off after its sign used to load as the terms before it
+    d = dict(gbm_dict(), drift=["x1 +"])
+    assert main(["check-weak", _write(tmp_path, d), "--candidate", "x1"]) == 2
+    assert capsys.readouterr().err.startswith("error: drift component 1: sign with no term")
+
+
 def test_var_names_must_be_distinct_identifiers():
     d = {"var_names": ["x", "x"], "drift": ["0", "0"], "diffusion": [["0", "0"]]}
     with pytest.raises(InputFormatError, match="distinct"):
@@ -424,6 +431,24 @@ def test_search_json(capsys):
 
 def test_search_bad_window(capsys):
     assert main(["search", "gbm", "--mode", "weak", "--dmin", "3", "--dmax", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "gbm", "--mode", "weak", "--dmin", "3", "--dmax", "1"],
+     "--dmin 3 exceeds --dmax 1"),
+    (["analyze", "harmonic_oscillator", "--dmin", "3", "--dmax", "1"],
+     "--dmin 3 exceeds --dmax 1"),
+    (["perturb", "harmonic_oscillator", "--degree", "0"],
+     "--degree 0 is below 1: the verification window [1, degree] is empty"),
+])
+def test_empty_window_is_refused_before_any_work(argv, message, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("ran before the window check")
+
+    for name in ("find_first_integrals", "linearization", "build_perturbation"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_resonance_text_output(capsys):
