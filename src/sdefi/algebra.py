@@ -40,8 +40,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
-
 
 class DimensionMismatch(ValueError):
     """Operands live in different variable spaces."""
@@ -267,11 +265,15 @@ def lattice_blocks(n: int, pos: int, neg: int, l1: int) -> Iterator[np.ndarray]:
     per slice, and each slice is finished depth first before the next, so at
     most n slices are alive: memory is O(n^2 _BLOCK) for any n and window.
     """
+    import numpy as np
+
     yield from _expand(np.zeros((1, 0), np.int64), np.array([pos]), np.array([neg]),
                        np.array([l1]), n)
 
 
 def _expand(rows, pos, neg, l1, n):
+    import numpy as np
+
     i = rows.shape[1]
     if i == n:
         yield rows
@@ -636,25 +638,29 @@ def mat_vec_apply(mat: Sequence[Sequence[LaurentPoly]], v: VField) -> VField:
 # coefficients `p/q`, an optional imaginary unit `i`, and `^1` omitted;
 # printing is canonical, so parse(to_text(p)) == p.  The reader scans ASCII
 # tokens with one regex: a coefficient `N` or `N/N` with an optional trailing
-# `i`; `(a ± bi)` with optional spaces inside; `i`; a variable name with an
-# optional exponent `^N` or `^-N`; and `+`, `-`, `*`.  Whitespace and `*`
-# between tokens are optional.  A coefficient or `i` may stand only first in
-# a term.  A `+` or `-` after a factor starts the next term, signs before a
-# term's first factor combine, and a sign must be followed by a term.  A
-# number-like run with a `.`, an `e` exponent or a signed denominator (0.5,
-# 1e3, 1/-2, (0.5+1i)) is named as an inexact coefficient.
+# `i`; `(a ± bi)` or `(a ± i)` with optional spaces inside; `i`; a variable
+# name with an optional exponent `^N` or `^-N`; and `+`, `-`, `*`.
+# Whitespace and `*` between tokens are optional.  A coefficient or `i` may
+# stand only first in a term.  A `+` or `-` after a factor starts the next
+# term, signs before a term's first factor combine, and a sign must be
+# followed by a term.  A number-like run with a `.`, an `e` exponent or a
+# signed denominator (0.5, 1e3, 1/-2, (0.5+1i)) is named as an inexact
+# coefficient, and an exponent with a `.` or a `/` (x1^0.5, x1^1/2) as an
+# exponent that is not an integer.
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _NAME_RE = re.compile(_NAME)
 _FRAC = r"[0-9]+(?:/[0-9]+)?"
 _DEC = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _INEXACT = rf"{_DEC}(?:/[+-]?{_DEC})*"
-# `coeff` refuses to stop where `inexact` would read on, so 1.5 is not 1 then .5
+# `coeff` refuses to stop where `inexact` would read on, so 1.5 is not 1 then .5;
+# likewise `exp` where `badexp` would, so x1^0.5 is not x1^0 then .5
 _TOKEN_RE = re.compile(rf"""
-    (?P<cplx>\(\s*(?P<re>[+-]?{_FRAC})\s*(?P<sgn>[+-])\s*(?P<im>{_FRAC})i\s*\))
+    (?P<cplx>\(\s*(?P<re>[+-]?{_FRAC})\s*(?P<sgn>[+-])\s*(?P<im>{_FRAC})?i\s*\))
   | (?P<coeff>{_FRAC}i?|i\b)(?![0-9.]|[eE][+-]?[0-9]|/[+-]?\.?[0-9])
-  | (?P<inexact>{_INEXACT}i?|\(\s*[+-]?{_INEXACT}\s*[+-]\s*{_INEXACT}i\s*\))
-  | (?P<factor>(?P<name>{_NAME})(?:\^(?P<exp>-?[0-9]+))?)
+  | (?P<inexact>{_INEXACT}i?|\(\s*[+-]?{_INEXACT}\s*[+-]\s*(?:{_INEXACT})?i\s*\))
+  | (?P<factor>(?P<name>{_NAME})
+               (?:\^(?:(?P<exp>-?[0-9]+)(?![0-9./])|(?P<badexp>-?[0-9]*[./][0-9./]*)))?)
   | (?P<op>[-+*])
   | (?P<other>[^\s*+-]+)
 """, re.ASCII | re.VERBOSE)
@@ -738,7 +744,7 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
             exps, c = [0] * dim, CRational(1)
             try:
                 if kind == "cplx":
-                    c = CRational(m["re"], m["sgn"] + m["im"])
+                    c = CRational(m["re"], m["sgn"] + (m["im"] or "1"))
                 elif lead:
                     c = CRational(0, tok[:-1] or 1) if tok.endswith("i") else CRational(tok)
             except ZeroDivisionError:
@@ -749,6 +755,8 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
             continue
         if m["name"] not in index:
             raise ValueError(f"unknown factor {tok!r} (variables: {', '.join(names)})")
+        if m["badexp"]:
+            raise ValueError(f"exponent {m['badexp']!r} in {tok!r} is not an integer")
         exps[index[m["name"]]] += int(m["exp"] or 1)
     if sign:
         raise ValueError(f"sign with no term after it in {text!r}")

@@ -49,8 +49,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .algebra import LaurentPoly, PoleError, VField
 from .ito import SdeSystem, require_candidate
 
@@ -109,7 +107,7 @@ class SimEnsemble:
 
     @property
     def n_used(self) -> int:
-        return int(np.sum(~self.excluded))
+        return int((~self.excluded).sum())
 
 
 def _source(fields: Sequence[VField], h: float | None = None,
@@ -228,6 +226,8 @@ def _source(fields: Sequence[VField], h: float | None = None,
 
 def _compile(fields: Sequence[VField], h: float | None = None, center: np.ndarray | None = None):
     """The function `_source` writes for these arguments, compiled with its constants bound."""
+    import numpy as np
+
     src, consts = _source(fields, h, center)
     namespace = {"np": np, **consts}
     exec(compile(src, "<sdefi.mc generated>", "exec"), namespace)
@@ -250,6 +250,8 @@ def _path_generators(seed: int, path_indices: np.ndarray,
     empty buffer) gives the same stream.  The pool grows to the number of
     paths; its first generators are returned.
     """
+    import numpy as np
+
     keys = np.empty((len(path_indices), 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = path_indices
@@ -295,6 +297,8 @@ def _exit_threshold(R: float) -> float:
 
 def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
     """Run the full ensemble; deterministic for a fixed config."""
+    import numpy as np
+
     n = sys.dim
     if len(cfg.x0) != n:
         raise ValueError(f"x0 has {len(cfg.x0)} coords for a dim-{n} system")
@@ -417,6 +421,8 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
                       c_bias: float | None = None,
                       c_path: float | None = None) -> ConservationReport:
     """Statistical conservation check of a candidate along a simulated ensemble."""
+    import numpy as np
+
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = ens.config

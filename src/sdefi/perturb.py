@@ -34,8 +34,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .algebra import CRational, LaurentPoly, VField, default_var_names
 from .exactla import Matrix
@@ -112,6 +110,8 @@ def _as_u_fraction(u) -> Fraction:
 def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
                        seed: int = 0) -> PerturbationPlan:
     """Construct P for the drift, retrying fresh u values until E(l) != 0 through L."""
+    import numpy as np
+
     n = drift.dim
     lin = linearization(SdeSystem(drift, (), default_var_names(n)))  # raises unless f(0) = 0
     a, chi, eig = lin.A_f, lin.char_polys["Df"], lin.mu0

@@ -52,8 +52,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .algebra import CRational, _ints, lattice_blocks
 from .ito import SdeSystem
@@ -131,6 +129,8 @@ class ResonanceScan:
 
     def _blocks(self):
         """(k, |k|_1, re, im) per block of nonzero k, in lexicographic order."""
+        import numpy as np
+
         n, K = len(self.forms[0]), self.K
         for k in lattice_blocks(n, K, 0 if self.lattice == "zplus" else K, K):
             l1 = np.abs(k).sum(axis=1)
@@ -165,6 +165,8 @@ class ResonanceScan:
         prefilter only; each survivor is decided by the scalar test, so no
         decision depends on how numpy rounds |q|.
         """
+        import numpy as np
+
         out = []
         for k, l1, re, im in self._blocks():
             if self.exact:
@@ -179,6 +181,8 @@ class ResonanceScan:
         """q(k), as `points` gives it, at every k whose |q(k)| is within a relative
         2^-30 of the window's minimum (exact spectra: |den q|^2 in Python ints).
         This holds every minimizer of a scalar |q| that rounds each component once."""
+        import numpy as np
+
         found = []
         for _, _, re, im in self._blocks():
             if self.exact:
@@ -204,6 +208,8 @@ def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus") -> Resona
     integer, so q(k) = 0 is an integer test.  Otherwise the tolerance scale is
     1 + |k|_1 max|lam_j| + (m/2) (|k|_1 max|mu^i_j|)^2.
     """
+    import numpy as np
+
     check_scan_options(K)
     if lattice not in ("zplus", "z"):
         raise ValueError(f"unknown lattice {lattice!r}")

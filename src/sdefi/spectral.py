@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .algebra import CRational, VField
 from .exactla import Matrix
@@ -178,6 +176,8 @@ def _distinct_roots(p: list[CRational]) -> list[tuple[complex, CRational | None]
     certifies only the first float root that rounds to it; a later one keeps
     its float value and no witness.
     """
+    import numpy as np
+
     coeffs = np.array([complex(c) for c in reversed(p)])
     if not coeffs.imag.any():
         coeffs = coeffs.real
@@ -315,6 +315,8 @@ def _numeric_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
     greedily to `spectra[0]`.  With two or more matrices the combination is
     redrawn until its eigenvalues separate and its eigenvectors diagonalize
     every member."""
+    import numpy as np
+
     fmats = [exactla.mat_to_complex(m) for m in mats]
     n = len(fmats[0])
     rng = random.Random(17)

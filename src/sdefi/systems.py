@@ -122,13 +122,6 @@ def lotka_volterra(b=(1, 2), a=((-2, 1), (3, -5)),
     return SdeSystem(drift, noises, names)
 
 
-def coupled_exchange_linear() -> SdeSystem:
-    """dX = A x dt + A x dB with A = [[0,1],[1,0]]: commuting, non-diagonal pair."""
-    names = ("x1", "x2")
-    a_field = _field(names, "x2", "x1")
-    return SdeSystem(a_field, (a_field,), names)
-
-
 REGISTRY = {
     "gbm": gbm,
     "gbm_twin_noise": gbm_twin_noise,

@@ -298,7 +298,8 @@ def test_parse_names_a_decimal_as_an_inexact_coefficient(text, token):
 @pytest.mark.parametrize("text, want", [
     ("x1+x2", "x1 + x2"), ("x1^-1-x1", "-x1 + x1^-1"), ("(1/2 + 1i) x1", "(1/2+1i) * x1"),
     ("( -1/3-2i )*x2", "(-1/3-2i) * x2"), ("2x1 x2^2", "2 * x1 x2^2"), ("- -i x1", "i * x1"),
-    ("0", "0")])
+    ("0", "0"), ("(1+i) x1", "(1+1i) * x1"), ("(1-i) x1", "(1-1i) * x1"),
+    ("( -1/2 + i )x2", "(-1/2+1i) * x2")])
 def test_parse_needs_no_spaces_around_signs(text, want):
     assert to_text(parse_poly_text(text, ["x1", "x2"])) == want
 
@@ -323,6 +324,15 @@ def test_respaced_text_round_trip_random():
     ("+", "sign with no term after it")])
 def test_parse_rejects_non_ascii_digits_and_dangling_signs(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        parse_poly_text(text, ["x1"])
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("x1^0.5", "0.5"), ("x1^1/2", "1/2"), ("x1^-0.5", "-0.5"), ("2 x1^.5 + 1", ".5"),
+    ("x1^2.", "2.")])
+def test_parse_names_a_non_integer_exponent(text, exponent):
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exponent!r} in 'x1^{exponent}' "
+                                                   f"is not an integer")):
         parse_poly_text(text, ["x1"])
 
 

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from sdefi.cli import (
 )
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
+SRC_DIR = SYSTEMS_DIR.parent / "src"
 
 
 def gbm_dict():
@@ -656,3 +660,30 @@ def test_text_output_renders_the_json_report(name, capsys):
             assert (out.out, out.err) == ("", text.err) and text.out == "", argv
             continue
         assert text.out == "\n".join(render(json.loads(out.out))) + "\n", argv
+
+
+# a fresh interpreter: sdefi's import, the system files, the builtins and the exact
+# checks never load numpy; the first numeric layer loads it
+_COLD_START = """
+import contextlib, io, json, sys
+import sdefi
+from sdefi import cli, systems
+loaded = [cli.load_system(p) for p in sys.argv[1:]]
+built = [build() for build in systems.REGISTRY.values()]
+with contextlib.redirect_stdout(io.StringIO()):
+    exact = [cli.main(["check-strong", "systems/two_body.json", "--candidate", "r^2 w"]),
+             cli.main(["check-weak", "systems/gbm.json", "--candidate=x1^-1"])]
+    cold = "numpy" in sys.modules
+    numeric = cli.main(["resonance", "lotka_volterra", "--output", "json"])
+print(json.dumps([len(loaded), len(built), exact, cold, numeric, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_work_never_loads_numpy():
+    files = sorted(str(p) for p in SYSTEMS_DIR.glob("*.json"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *files], cwd=SYSTEMS_DIR.parent,
+                          env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [8, len(systems.REGISTRY), [0, 0], False, 0, True]

@@ -198,7 +198,7 @@ def test_root_finder_failure_is_root_finding_error(monkeypatch):
     def no_convergence(_coeffs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(spectral.np, "roots", no_convergence)
+    monkeypatch.setattr(np, "roots", no_convergence)
     with pytest.raises(spectral.RootFindingError, match="did not converge"):
         eigenvalues(as_matrix([[0, 1], [2, 0]]))  # x^2 - 2: no rational root to strip
     assert main(["resonance", "harmonic_oscillator"]) == 3  # exit code of a numeric failure
@@ -259,11 +259,16 @@ def _linear_system(a_rows, g_rows_list):
     return SdeSystem(field(a_rows), tuple(field(g) for g in g_rows_list), names)
 
 
+def coupled_exchange_linear() -> SdeSystem:
+    """dX = A x dt + A x dB with A = [[0,1],[1,0]]: commuting, non-diagonal pair."""
+    return _linear_system([[0, 1], [1, 0]], [[[0, 1], [1, 0]]])
+
+
 def test_h1_holds_for_commuting_diagonalizable_pair():
     sys = _linear_system([[1, 0], [0, -2]], [[[3, 0], [0, 5]]])
     assert h1_check(linearization(sys)).verdict == "holds"
     # same non-diagonal matrix twice commutes with itself
-    sys2 = systems.coupled_exchange_linear()
+    sys2 = coupled_exchange_linear()
     assert h1_check(linearization(sys2)).verdict == "holds"
 
 
@@ -315,7 +320,7 @@ def test_aligned_spectra_diagonal_exact():
 def test_aligned_spectra_numeric_pairing():
     # A = [[0,1],[1,0]] drives both drift and noise; on a shared eigenvector,
     # corrected eigenvalue lam = mu0 - mu^2/2 must hold pairwise.
-    sys = systems.coupled_exchange_linear()
+    sys = coupled_exchange_linear()
     data = linearization(sys)
     out = aligned_spectra(data)
     assert out is not None
@@ -327,7 +332,7 @@ def test_aligned_spectra_numeric_pairing():
 
 def test_aligned_spectra_exact_for_commuting_non_diagonal_family():
     # Df = Dg = [[0, 1], [1, 0]]: eigenvalues exactly -1 and 1, eigenvectors (1, -1), (1, 1)
-    lam, mus, exact = aligned_spectra(linearization(systems.coupled_exchange_linear()))
+    lam, mus, exact = aligned_spectra(linearization(coupled_exchange_linear()))
     assert exact
     assert lam.exact == (CRational(Fraction(-3, 2)), CRational(Fraction(1, 2)))
     assert mus[0].exact == (CRational(-1), CRational(1))
@@ -409,7 +414,7 @@ def test_eigenbasis_none_for_defective_or_noncommuting_family():
 
 def test_report_does_not_repeat_callers_h1_check(monkeypatch):
     # aligned_spectra relies on the H1 check its caller made
-    sys = systems.coupled_exchange_linear()
+    sys = coupled_exchange_linear()
     data = linearization(sys)
     h1 = h1_check(data)
     calls = []
