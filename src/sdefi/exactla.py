@@ -136,33 +136,25 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def sparse_nullspace(rows, ncols: int) -> list[Vector]:
-    """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
+def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
+    """Sparse Gauss-Jordan in place, columns from last to first: {pivot column: row}.
 
-    `rows` are dicts {column: CRational}; no dense matrix is built.  Sparse
-    Gauss-Jordan brings the rows to reduced row echelon form: columns in
-    ascending order, the candidate row with the fewest nonzeros as pivot
-    (Markowitz).  Eliminating a column touches only the rows that hold it, so
-    independent blocks of the sparsity pattern never mix.  RREF is unique, so
-    the free columns and the kernel vectors (1 at the free column, 0 at every
-    other free column) are those of the dense path.  Columns are never
-    reordered: that would change which columns are free.
+    Each pivot row ends with 1 at its pivot and 0 at every other pivot column,
+    and holds no column above its pivot: the RREF with the columns reversed.
+    The pivot is the candidate row with the fewest nonzeros (Markowitz), and
+    eliminating a column touches only the rows that hold it.
     """
-    # Copies, since elimination works in place; stored zeros and empty rows dropped.
-    rows = [r for r in ({c: v for c, v in row.items() if not v.is_zero()} for row in rows) if r]
-    rows_with: list[set[int]] = [set() for _ in range(ncols)]
+    rows_with: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
-            rows_with[c].add(i)
-
+            rows_with.setdefault(c, set()).add(i)
     one = CRational(1)
-    kernel: dict[int, dict[int, CRational]] = {}  # free column -> {pivot column: entry}
-    pivot_of: dict[int, int] = {}  # pivot column -> row index
+    pivot_of: dict[int, int] = {}
     used: set[int] = set()
-    for c in range(ncols):
+    # fill-in only reaches columns some row holds, so the others are skipped
+    for c in sorted(rows_with, reverse=True):
         candidates = rows_with[c] - used
         if not candidates:
-            kernel[c] = {}
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
@@ -184,18 +176,40 @@ def sparse_nullspace(rows, ncols: int) -> list[Vector]:
                     rows_with[k].add(i)
         used.add(p)
         pivot_of[c] = p
-    for pc, p in pivot_of.items():
-        for fc, v in rows[p].items():
+    return {c: rows[p] for c, p in pivot_of.items()}
+
+
+def sparse_nullspace(rows, ncols: int) -> list[Vector]:
+    """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
+
+    `rows` are dicts {column: CRational}; no dense matrix is built.  The rows
+    are eliminated from the last column to the first, which for a search is
+    the highest graded-lex degree first; there the pivots stay sparse far
+    longer than in ascending order.  That RREF gives one kernel vector per
+    free column.  The canonical step runs the same elimination on those k
+    vectors: the RREF of the kernel with its columns reversed is unique, and
+    it is `nullspace`'s basis (1 at each free column of the ascending RREF,
+    0 at the other free columns, nonzeros only below it).  A zero operator
+    makes every column free: k = ncols unit vectors, one entry each, so the
+    canonical step stays linear where a dense RREF would be cubic.
+    """
+    # Copies, since elimination works in place; stored zeros dropped.
+    pivots = _eliminate_top_down(
+        [{c: v for c, v in row.items() if not v.is_zero()} for row in rows])
+    one = CRational(1)
+    kernel = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
+    for pc, row in pivots.items():
+        for fc, v in row.items():
             if fc != pc:
                 kernel[fc][pc] = -v
+    canonical = _eliminate_top_down(list(kernel.values()))
 
     zero = CRational(0)
     basis: list[Vector] = []
-    for fc in sorted(kernel):
+    for fc in sorted(canonical):
         v = [zero] * ncols
-        v[fc] = one
-        for pc, x in kernel[fc].items():
-            v[pc] = x
+        for c, x in canonical[fc].items():
+            v[c] = x
         basis.append(v)
     return basis
 

@@ -110,13 +110,18 @@ def weak_generator_apply(sys: SdeSystem, phi: LaurentPoly) -> LaurentPoly:
     return out
 
 
-def check_strong(sys: SdeSystem, phi: LaurentPoly) -> IntegralVerdict:
-    """Pathwise conservation: corrected-drift residual plus one residual per noise."""
+def check_strong(sys: SdeSystem, phi: LaurentPoly,
+                 corrected_drift: VField | None = None) -> IntegralVerdict:
+    """Pathwise conservation: corrected-drift residual plus one residual per noise.
+
+    `corrected_drift` is `stratonovich_drift(sys)`, computed here when not given;
+    a caller checking many candidates of one system computes it once.
+    """
     require_candidate(phi, sys.dim)
+    if corrected_drift is None:
+        corrected_drift = stratonovich_drift(sys)
     grad = gradient(phi)
-    residuals: list[tuple[str, LaurentPoly]] = [
-        ("corrected_drift", dot(grad, stratonovich_drift(sys)))
-    ]
+    residuals: list[tuple[str, LaurentPoly]] = [("corrected_drift", dot(grad, corrected_drift))]
     for i, g in enumerate(sys.diffusions):
         residuals.append((f"diffusion_{i + 1}", dot(grad, g)))
     holds = all(p.is_zero for _, p in residuals)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import LaurentPoly, _ints, grlex_key, lattice_blocks
+from .algebra import DimensionMismatch, LaurentPoly, VField, _ints, grlex_key, lattice_blocks
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 from .resonance import ResonanceReport
 
@@ -95,7 +95,8 @@ class OperatorMatrix:
         return rows
 
 
-def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tuple], int]:
+def _symbol(sys: SdeSystem, kind: str, noise_index: int | None,
+            corrected_drift: VField | None) -> tuple[list[tuple], int]:
     """The operator's coefficient fields as integer terms over one denominator.
 
     Returns ``(terms, den)``.  A term ``(j, l, shift, a, b)`` sends x^e to
@@ -115,7 +116,9 @@ def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tu
                 a_jl = sum((g[j] * g[l] for g in sys.diffusions), LaurentPoly.zero(n))
                 fields.append((j, l, a_jl, 2 if j == l else 1))
     elif kind == "strong_drift":
-        fields = [(j, None, f, 1) for j, f in enumerate(stratonovich_drift(sys))]
+        if corrected_drift is None:
+            corrected_drift = stratonovich_drift(sys)
+        fields = [(j, None, f, 1) for j, f in enumerate(corrected_drift)]
     elif kind == "strong_diff":
         if noise_index is None or not 0 <= noise_index < sys.noise_dim:
             raise ValueError("strong_diff requires a valid noise_index")
@@ -137,16 +140,18 @@ def _symbol(sys: SdeSystem, kind: str, noise_index: int | None) -> tuple[list[tu
 
 
 def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
-                    noise_index: int | None = None) -> OperatorMatrix:
+                    noise_index: int | None = None,
+                    corrected_drift: VField | None = None) -> OperatorMatrix:
     """Apply one conservation operator to every basis monomial, exactly.
 
     The rows are the distinct monomials of the images and the inputs, so
     there are at most as many as nonzeros plus columns, whatever degrees
-    the coefficients reach.
+    the coefficients reach.  "strong_drift" uses `corrected_drift`, which is
+    `stratonovich_drift(sys)` and is computed when not given.
     """
     if basis.dim != sys.dim:
         raise ValueError("basis dim != system dim")
-    terms, den = _symbol(sys, kind, noise_index)
+    terms, den = _symbol(sys, kind, noise_index, corrected_drift)
     add = operator.add
     columns = []
     for e in basis.monomials:
@@ -200,7 +205,9 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
     if mode == "weak":
         mats = [operator_matrix(sys, basis, "weak")]
     else:
-        mats = [operator_matrix(sys, basis, "strong_drift")]
+        # one Stratonovich drift for the operator and every re-verification
+        drift = stratonovich_drift(sys)
+        mats = [operator_matrix(sys, basis, "strong_drift", corrected_drift=drift)]
         for i in range(sys.noise_dim):
             mats.append(operator_matrix(sys, basis, "strong_diff", noise_index=i))
     kernel = exactla.sparse_nullspace([row for m in mats for row in m.sparse_rows()],
@@ -211,10 +218,9 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
     # ascending, every polynomial is monic and the list is sorted by leading monomial.
     polys = [LaurentPoly(sys.dim, zip(monos, vec)) for vec in kernel]
 
-    checker = check_weak if mode == "weak" else check_strong
     verdicts = []
     for p in polys:
-        v = checker(sys, p)
+        v = check_weak(sys, p) if mode == "weak" else check_strong(sys, p, drift)
         if not v.holds:
             raise AssertionError(
                 f"internal error: kernel element failed exact re-verification: {p}")
@@ -227,23 +233,45 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
 def independence_rank(polys) -> int:
     """Functional independence: max exact Jacobian rank at seeded rational points.
 
-    Each of the _RANK_TRIALS points has nonzero rational coordinates (hence is
-    pole-free for Laurent candidates); the gradients are evaluated there
-    exactly and the rank is `exactla.rank`, so no tolerance decides it.
+    Each of the _RANK_TRIALS points x has nonzero rational coordinates (hence is
+    pole-free for Laurent candidates).  Entry (i, j) of the matrix ranked there
+    is x_j d(phi_i)/dx_j = sum of e_j c x^e over the terms c x^e of phi_i, with
+    each row scaled to Gaussian integers: the Jacobian with its rows and columns
+    scaled by nonzero numbers, so of the same rank.  One pass over the terms
+    builds it, and the rank is `exactla.rank`, so no tolerance decides it.
     A rank at one point is a lower bound of the generic rank.
     """
     polys = list(polys)
     if not polys:
         return 0
     dim = polys[0].dim
-    grads = [[p.differentiate(j) for j in range(dim)] for p in polys]
+    if any(phi.dim != dim for phi in polys):
+        raise DimensionMismatch("independence_rank needs polynomials of one dimension")
+    # p^(k + lo) q^(hi - k) is x_j^k = (p/q)^k times p^lo q^hi, an integer for
+    # every exponent k of axis j, which lies in [-lo, hi]
+    exps = [e for phi in polys for e in phi._num]
+    lo = [-min([0] + [e[j] for e in exps]) for j in range(dim)]
+    hi = [max([0] + [e[j] for e in exps]) for j in range(dim)]
     rng = random.Random(_RANK_SEED)
     best = 0
     for _ in range(_RANK_TRIALS):
         point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(dim)]
-        powers: dict = {}
-        jac = [[g.evaluate_exact(point, powers) for g in row] for row in grads]
+        powers = [{k: x.numerator ** (k + lo[j]) * x.denominator ** (hi[j] - k)
+                   for k in range(-lo[j], hi[j] + 1)} for j, x in enumerate(point)]
+        jac = []
+        for phi in polys:
+            re, im = [0] * dim, [0] * dim
+            for e, (a, b) in phi._num.items():
+                xe = 1
+                for pw, k in zip(powers, e):
+                    xe *= pw[k]
+                for j, k in enumerate(e):
+                    if k:
+                        w = k * xe
+                        re[j] += w * a
+                        im[j] += w * b
+            jac.append([_ints(r, i, 1) for r, i in zip(re, im)])
         best = max(best, exactla.rank(jac))
         if best == min(len(polys), dim):
             break

@@ -90,6 +90,43 @@ def test_sparse_nullspace_no_rows_is_identity():
         assert sparse_nullspace([{}, {}], ncols) == ident
 
 
+def test_sparse_nullspace_wide_kernels_match_dense():
+    # at most ncols // 2 independent rows, plus combinations that cancel in elimination
+    rng = random.Random(5)
+    for _ in range(40):
+        ncols = rng.randint(2, 16)
+        rows = _random_sparse(rng, rng.randint(1, ncols // 2), ncols, rng.choice([0.2, 0.5, 0.9]))
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = _entry(rng, 0.3), _entry(rng, 0.3)
+            combo = {c: s * a.get(c, CRational(0)) + t * b.get(c, CRational(0))
+                     for c in set(a) | set(b)}
+            rows.insert(rng.randint(0, len(rows)), combo)
+        got = sparse_nullspace(rows, ncols)
+        assert 2 * len(got) >= ncols
+        assert got == nullspace(_dense(rows, ncols))
+
+
+def test_sparse_nullspace_zero_operator_canonical_step_stays_sparse(monkeypatch):
+    # every column is free: the canonical step eliminates ncols unit vectors,
+    # one nonzero each, instead of a dense ncols x ncols RREF
+    calls = []
+    eliminate = exactla._eliminate_top_down
+
+    def recorded(rows):
+        calls.append(sorted(len(r) for r in rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(exactla, "_eliminate_top_down", recorded)
+    ncols = 400
+    rows = [{c: CRational(0) for c in range(0, ncols, 7)}, {}, {3: CRational(0)}]
+    got = sparse_nullspace(rows, ncols)
+    assert len(got) == ncols
+    assert all(v[i] == CRational(1) and sum(not x.is_zero() for x in v) == 1
+               for i, v in enumerate(got))
+    assert calls == [[0, 0, 0], [1] * ncols]
+
+
 def test_sparse_nullspace_ignores_stored_zeros_and_keeps_input():
     rows = [{0: CRational(1), 1: CRational(0), 2: CRational(2)}, {1: CRational(0)}]
     before = [dict(r) for r in rows]

@@ -8,11 +8,14 @@ import pytest
 
 from sdefi import exactla, systems
 from sdefi.algebra import (
-    CRational, LaurentPoly, VField, dot, gradient, grlex_key, parse_poly_text, to_text,
+    CRational, DimensionMismatch, LaurentPoly, VField, dot, gradient, grlex_key, parse_poly_text,
+    to_text,
 )
 from sdefi.ito import SdeSystem, check_strong, check_weak, stratonovich_drift, weak_generator_apply
 from sdefi.resonance import nonintegrability_report
 from sdefi.search import (
+    _RANK_SEED,
+    _RANK_TRIALS,
     count_bound_check,
     find_first_integrals,
     independence_rank,
@@ -275,6 +278,33 @@ def test_two_body_weak_large_window():
     assert all(check_weak(sys, p).holds for p in res.basis)
 
 
+def test_cyclic_weak_wide_window():
+    # 12 kernel vectors over 454 columns
+    sys = systems.cyclic_exchange()
+    res = find_first_integrals(sys, "weak", 1, 12)
+    s = _poly("x1 + x2 + x3", sys.var_names)
+    assert list(res.basis) == [s ** d for d in range(1, 13)]
+    assert res.independence_rank == 1
+
+
+def test_strong_search_computes_the_stratonovich_drift_once_per_call(monkeypatch):
+    from sdefi import ito, search
+
+    calls = []
+    drift = ito.stratonovich_drift
+
+    def counted(sys):
+        calls.append(sys)
+        return drift(sys)
+
+    monkeypatch.setattr(ito, "stratonovich_drift", counted)
+    monkeypatch.setattr(search, "stratonovich_drift", counted)
+    sys = systems.cyclic_exchange()
+    for n in (1, 2):
+        res = find_first_integrals(sys, "strong", 1, 3)
+        assert len(res) == 3 and len(calls) == n
+
+
 def test_cyclic_strong_large_window():
     sys = systems.cyclic_exchange()
     res = find_first_integrals(sys, "strong", 1, 6)
@@ -317,6 +347,44 @@ def test_independence_rank_is_exact():
 def test_independence_rank_handles_laurent():
     names = ("x1", "x2")
     assert independence_rank([_poly("x1^-1", names), _poly("x2", names)]) == 2
+    with pytest.raises(DimensionMismatch):
+        independence_rank([_poly("x1", names), LaurentPoly.variable(3, 2)])
+
+
+def _rank_oracle(polys):
+    """independence_rank by evaluating the k * n gradient polynomials at the same points."""
+    polys = list(polys)
+    if not polys:
+        return 0
+    dim = polys[0].dim
+    grads = [[p.differentiate(j) for j in range(dim)] for p in polys]
+    rng = random.Random(_RANK_SEED)
+    best = 0
+    for _ in range(_RANK_TRIALS):
+        point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(dim)]
+        powers: dict = {}
+        jac = [[g.evaluate_exact(point, powers) for g in row] for row in grads]
+        best = max(best, exactla.rank(jac))
+        if best == min(len(polys), dim):
+            break
+    return best
+
+
+def test_independence_rank_matches_gradient_evaluation():
+    rng = random.Random(31)
+    ranks = set()
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        polys = [_random_poly(rng, dim) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # rank-deficient: powers and multiples of one integral
+            base = polys[0]
+            polys += [base ** rng.randint(2, 3), base.scale(CRational(Fraction(2, 3), 1))]
+            rng.shuffle(polys)
+        want = _rank_oracle(polys)
+        assert independence_rank(polys) == want
+        ranks.add(want)
+    assert ranks == {0, 1, 2, 3, 4}
 
 
 # -- count bound cross-check -----------------------------------------------------------
