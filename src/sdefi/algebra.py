@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -557,21 +556,92 @@ class LaurentPoly:
         return to_text(self)
 
 
+# -- records -------------------------------------------------------------------
+
+class Record:
+    """Base of sdefi's value records: the fields are the class's own annotations,
+    in order, and a class attribute of the same name is a field's default.
+
+    ``__init__`` takes the fields positionally or by name, then runs
+    ``__post_init__``; a record that normalises its fields (``VField``,
+    ``SdeSystem``) writes its own ``__init__``.  ``==`` holds between records
+    of one class with equal fields, ``hash`` agrees with it, and ``repr`` reads
+    ``Name(field=value, ...)``.  A record is frozen, like ``CRational``:
+    assigning or deleting an attribute raises ``AttributeError``, unless the
+    class says ``frozen=False``, which also makes it unhashable.  These are
+    plain methods over the field list, so defining a record compiles no code.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        cls._key = operator.attrgetter(*fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields, defaults = self._fields, self._defaults
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, "
+                            f"got {len(args)} positional")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                _set(self, field, kwargs.pop(field))
+            elif field in defaults:
+                _set(self, field, defaults[field])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got unexpected or repeated fields "
+                            f"{sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        """{field: value} in field order; the values are not copied."""
+        return {name: getattr(self, name) for name in self._fields}
+
+
 # -- vector fields ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VField:
+class VField(Record):
     """Vector field: one LaurentPoly per coordinate, all of the same dim."""
 
     components: tuple[LaurentPoly, ...]
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: Iterable[LaurentPoly]):
+        components = tuple(components)
+        if not components:
             raise ValueError("empty vector field")
-        object.__setattr__(self, "components", tuple(self.components))
-        d = self.components[0].dim
-        if any(p.dim != d for p in self.components):
+        d = components[0].dim
+        if any(p.dim != d for p in components):
             raise DimensionMismatch("vector field components disagree on dim")
+        _set(self, "components", components)
 
     @property
     def dim(self) -> int:

@@ -193,9 +193,10 @@ def sparse_nullspace(rows, ncols: int) -> list[Vector]:
     makes every column free: k = ncols unit vectors, one entry each, so the
     canonical step stays linear where a dense RREF would be cubic.
     """
-    # Copies, since elimination works in place; stored zeros dropped.
+    # Copies, since elimination works in place; stored zeros dropped, then the
+    # rows left empty (they hold no column, so they never pivot).
     pivots = _eliminate_top_down(
-        [{c: v for c, v in row.items() if not v.is_zero()} for row in rows])
+        [r for row in rows if (r := {c: v for c, v in row.items() if not v.is_zero()})])
     one = CRational(1)
     kernel = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
     for pc, row in pivots.items():

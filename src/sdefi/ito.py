@@ -17,13 +17,15 @@ All checks are exact: a residual either is or is not the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import (
     DimensionMismatch,
     LaurentPoly,
+    Record,
     VField,
+    _set,
     dot,
     gradient,
     hessian,
@@ -38,25 +40,26 @@ class ConstantCandidateError(ValueError):
     """Constant (or zero) candidates are rejected; they are trivially conserved."""
 
 
-@dataclass(frozen=True)
-class SdeSystem:
+class SdeSystem(Record):
     """Drift + tuple of diffusion fields + display names for the variables."""
 
     drift: VField
     diffusions: tuple[VField, ...]
     var_names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "diffusions", tuple(self.diffusions))
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        n = self.drift.dim
-        if len(self.drift) != n:
+    def __init__(self, drift: VField, diffusions: Iterable[VField], var_names: Iterable[str]):
+        diffusions, var_names = tuple(diffusions), tuple(var_names)
+        n = drift.dim
+        if len(drift) != n:
             raise DimensionMismatch("drift must have one component per variable")
-        for g in self.diffusions:
+        for g in diffusions:
             if g.dim != n or len(g) != n:
                 raise DimensionMismatch("diffusion fields must match the drift dimension")
-        if len(self.var_names) != n:
+        if len(var_names) != n:
             raise DimensionMismatch("var_names length must equal dimension")
+        _set(self, "drift", drift)
+        _set(self, "diffusions", diffusions)
+        _set(self, "var_names", var_names)
 
     @property
     def dim(self) -> int:
@@ -67,8 +70,7 @@ class SdeSystem:
         return len(self.diffusions)
 
 
-@dataclass(frozen=True)
-class IntegralVerdict:
+class IntegralVerdict(Record):
     """Outcome of an exact conservation check: named symbolic residuals."""
 
     mode: str  # "strong" | "weak"

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 
-from .algebra import LaurentPoly, PoleError, VField
+from .algebra import LaurentPoly, PoleError, Record, VField
 from .ito import SdeSystem, require_candidate
 
 _CHUNK = 4096
@@ -58,8 +57,7 @@ _TILE = 16  # steps per transposed tile: 16 * m * k doubles, small enough to sta
 _POOL: list[np.random.Generator] = []  # Philox generators, re-keyed by every run
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     x0: tuple[float, ...]
     h: float
     T: float
@@ -95,8 +93,7 @@ class SimConfig:
         return self.n_steps * self.h
 
 
-@dataclass
-class SimEnsemble:
+class SimEnsemble(Record, frozen=False):
     config: SimConfig
     final: np.ndarray          # (N, n) state at T or at exit
     exit_time: np.ndarray      # (N,)
@@ -395,8 +392,7 @@ def simulate_paths(sys: SdeSystem, cfg: SimConfig) -> SimEnsemble:
                        n_overflow=int(excluded.sum()) - n_pole)
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(Record):
     mode: str
     passed: bool
     phi0: float
@@ -414,7 +410,7 @@ class ConservationReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self.as_dict()
 
 
 def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,

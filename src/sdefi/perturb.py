@@ -31,11 +31,10 @@ found nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .algebra import CRational, LaurentPoly, VField, default_var_names
+from .algebra import CRational, LaurentPoly, Record, VField, default_var_names
 from .exactla import Matrix
 from .ito import SdeSystem
 from .resonance import resonance_values
@@ -56,8 +55,7 @@ def recurrence_exponents(n: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class PerturbationPlan:
+class PerturbationPlan(Record):
     u: Fraction
     exponents: tuple[int, ...]
     mu: tuple[Fraction, ...]
@@ -171,8 +169,7 @@ def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
                             L=L, det_Df=chi[0])
 
 
-@dataclass(frozen=True)
-class PerturbVerdict:
+class PerturbVerdict(Record):
     passed: bool
     dmin: int
     dmax: int

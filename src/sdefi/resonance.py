@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla
-from .algebra import CRational, _ints, lattice_blocks
+from .algebra import CRational, Record, _ints, lattice_blocks
 from .ito import SdeSystem
 from .spectral import Eigenvalues, H1Status, SpectralData, aligned_spectra, h1_check, linearization
 
@@ -109,8 +108,7 @@ def _form(v, cols):
     return re, im
 
 
-@dataclass(frozen=True)
-class ResonanceScan:
+class ResonanceScan(Record):
     """q(k) = <lam,k> + weight * sum_i <mu^i,k>^2 over the window 0 < |k|_1 <= K,
     a block of lattice points at a time; `resonance_values` builds it.
 
@@ -313,8 +311,7 @@ def halfplane_certificate(values) -> float | None:
 
 # -- weak resonance function -------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeakResonanceResult:
+class WeakResonanceResult(Record):
     violations: tuple[tuple, ...]
     certificate: str  # "positive-definite" | "bounded"
     exact: bool
@@ -341,8 +338,7 @@ def weak_resonance_test(lam, mus, K: int = 10, tol: float = 1e-9) -> WeakResonan
 
 # -- report -------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpistemicStatus:
+class EpistemicStatus(Record):
     certified: bool
     K: int | None = None
     tol: float | None = None
@@ -361,8 +357,7 @@ def _bounded(K: int, tol: float) -> EpistemicStatus:
     return EpistemicStatus(False, K, tol)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """One eigenvalue tuple scanned against one lattice."""
 
     label: str
@@ -391,8 +386,7 @@ class ScanResult:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     code: str
     theorem: str
     hypotheses_checked: tuple[str, ...]
@@ -413,18 +407,20 @@ class Verdict:
         return d
 
 
-@dataclass
-class ResonanceReport:
+class ResonanceReport(Record, frozen=False):
     dim: int
     noise_dim: int
     K: int
     tol: float
     hypotheses: dict
-    scans: list[ScanResult] = field(default_factory=list)
+    scans: list[ScanResult] = ()  # __post_init__ gives each report its own list
     s_min: int | None = None
     s_min_certified: bool = False
     weak: WeakResonanceResult | None = None
-    verdicts: list[Verdict] = field(default_factory=list)
+    verdicts: list[Verdict] = ()
+
+    def __post_init__(self):
+        self.scans, self.verdicts = list(self.scans), list(self.verdicts)
 
     def verdict_codes(self) -> list[str]:
         return [v.code for v in self.verdicts]

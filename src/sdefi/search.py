@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import DimensionMismatch, LaurentPoly, VField, _ints, grlex_key, lattice_blocks
+from .algebra import DimensionMismatch, LaurentPoly, Record, VField, _ints, grlex_key, lattice_blocks
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 from .resonance import ResonanceReport
 
@@ -38,8 +37,7 @@ _RANK_TRIALS = 5  # seeded rational points at which independence_rank evaluates 
 _RANK_SEED = 0
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+class MonomialBasis(Record):
     dim: int
     dmin: int
     dmax: int
@@ -68,8 +66,7 @@ def monomial_basis(dim: int, dmin: int, dmax: int) -> MonomialBasis:
     return MonomialBasis(dim, dmin, dmax, tuple(monos))
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Exact matrix of a conservation operator over monomial bases.
 
     Column j holds the coefficients of op(input_monomials[j]) over
@@ -176,8 +173,7 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     return OperatorMatrix(label, basis.monomials, output, entries)
 
 
-@dataclass(frozen=True)
-class IntegralBasis:
+class IntegralBasis(Record):
     mode: str
     dmin: int
     dmax: int
@@ -278,8 +274,7 @@ def independence_rank(polys) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CountBoundVerdict:
+class CountBoundVerdict(Record):
     rank: int
     s_min: int
     consistent: bool
@@ -287,7 +282,7 @@ class CountBoundVerdict:
     note: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self.as_dict()
 
 
 def count_bound_check(basis: IntegralBasis, report: ResonanceReport) -> CountBoundVerdict:

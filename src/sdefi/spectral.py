@@ -20,11 +20,10 @@ The weak resonance test and `perturb` both read their spectra in it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla
-from .algebra import CRational, VField
+from .algebra import CRational, Record, VField
 from .exactla import Matrix
 from .ito import SdeSystem
 
@@ -39,8 +38,7 @@ class RootFindingError(RuntimeError):
     """The float root finder failed to converge; never silently truncated."""
 
 
-@dataclass(frozen=True)
-class Eigenvalues:
+class Eigenvalues(Record):
     """Eigenvalue multiset (`roots` sorts it by (re, im)); exact[i] is a witness or None."""
 
     values: tuple[complex, ...]
@@ -58,14 +56,12 @@ class Eigenvalues:
                 "exact": [str(e) if e is not None else None for e in self.exact]}
 
 
-@dataclass(frozen=True)
-class H1Status:
+class H1Status(Record):
     verdict: str  # "holds" | "fails" | "unknown"
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(Record):
     """Exact Jacobians at the origin plus their spectra.
 
     A_g entries and mu entries are None when the corresponding diffusion is

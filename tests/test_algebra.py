@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdefi import algebra
+from sdefi import algebra, ito, mc, perturb, resonance, search, spectral
 from sdefi.algebra import (
     CRational,
     DimensionMismatch,
@@ -604,3 +604,84 @@ def test_lattice_blocks_matches_brute_force(monkeypatch):
             for b in blocks:
                 assert b.dtype == np.int64 and b.shape[1] == n
                 assert 0 < len(b) <= max(block, 2 * l1 + 1)  # one prefix's children stay together
+
+
+# -- records --------------------------------------------------------------------
+
+def _x():
+    return LaurentPoly.variable(1, 0)
+
+
+# every record type, its fields' values where construction validates them (others
+# get distinct tuples), and the defaults it must fill in
+_RECORDS = [
+    (VField, {"components": lambda: (_x(),)}, {}),
+    (ito.SdeSystem, {"drift": lambda: VField((_x(),)), "diffusions": tuple,
+                     "var_names": lambda: ("x1",)}, {}),
+    (ito.IntegralVerdict, {}, {}),
+    (mc.SimConfig, {"x0": lambda: (1.0,), "h": lambda: 0.01, "T": lambda: 1.0,
+                    "N": lambda: 4, "seed": lambda: 3},
+     {"R": 1e6, "center": "origin", "max_workers": 1}),
+    (mc.SimEnsemble, {}, {}),
+    (mc.ConservationReport, {}, {}),
+    (perturb.PerturbationPlan, {}, {}),
+    (perturb.PerturbVerdict, {}, {}),
+    (resonance.ResonanceScan, {}, {}),
+    (resonance.WeakResonanceResult, {}, {}),
+    (resonance.EpistemicStatus, {}, {"K": None, "tol": None}),
+    (resonance.ScanResult, {}, {}),
+    (resonance.Verdict, {}, {"count_bound": None}),
+    (resonance.ResonanceReport, {"hypotheses": dict},
+     {"scans": [], "s_min": None, "s_min_certified": False, "weak": None, "verdicts": []}),
+    (search.MonomialBasis, {}, {}),
+    (search.OperatorMatrix, {}, {}),
+    (search.IntegralBasis, {}, {}),
+    (search.CountBoundVerdict, {}, {}),
+    (spectral.Eigenvalues, {}, {}),
+    (spectral.H1Status, {}, {"witness": None}),
+    (spectral.SpectralData, {}, {}),
+]
+_MUTABLE = (mc.SimEnsemble, resonance.ResonanceReport)
+
+
+def _record_args(cls, given):
+    """Fresh values for the fields without a default, in field order."""
+    return {name: given[name]() if name in given else (name, 1)
+            for name in cls.__annotations__ if not hasattr(cls, name)}
+
+
+@pytest.mark.parametrize("cls, given, defaults", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_record_guarantees(cls, given, defaults):
+    args = _record_args(cls, given)
+    rec = cls(**args)
+    fields = list(cls.__annotations__)
+    values = {**args, **defaults}
+    # the defaults apply, and the positional form builds the same record
+    assert set(fields) - set(args) == set(defaults)
+    assert {name: getattr(rec, name) for name in fields} == values
+    assert rec == cls(*[values[name] for name in fields])
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{n}={values[n]!r}' for n in fields)})"
+    # equal fields, equal records; a record of another type with the same fields is not
+    twin = cls(**_record_args(cls, given))
+    assert rec == twin and not rec != twin
+    other = type(cls.__name__, (algebra.Record,), {"__annotations__": dict(cls.__annotations__),
+                                                   **defaults})(**args)
+    assert rec != other and other != rec
+    assert rec != tuple(values.values())
+    name = fields[0]
+    if cls in _MUTABLE:
+        with pytest.raises(TypeError):
+            hash(rec)
+        setattr(rec, name, "changed")
+        assert getattr(rec, name) == "changed" and rec != twin
+    else:
+        assert hash(rec) == hash(twin)
+        for attempt in (lambda: setattr(rec, name, "changed"), lambda: delattr(rec, name),
+                        lambda: setattr(rec, "extra", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert getattr(rec, name) == values[name]
+    # each record gets its own default lists
+    for name, value in defaults.items():
+        if isinstance(value, list):
+            assert getattr(rec, name) is not getattr(twin, name)

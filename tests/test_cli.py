@@ -663,7 +663,8 @@ def test_text_output_renders_the_json_report(name, capsys):
 
 
 # a fresh interpreter: sdefi's import, the system files, the builtins and the exact
-# checks never load numpy; the first numeric layer loads it
+# checks never load numpy, nor dataclasses and inspect (sdefi's records are plain
+# classes); the first numeric layer loads numpy
 _COLD_START = """
 import contextlib, io, json, sys
 import sdefi
@@ -673,7 +674,7 @@ built = [build() for build in systems.REGISTRY.values()]
 with contextlib.redirect_stdout(io.StringIO()):
     exact = [cli.main(["check-strong", "systems/two_body.json", "--candidate", "r^2 w"]),
              cli.main(["check-weak", "systems/gbm.json", "--candidate=x1^-1"])]
-    cold = "numpy" in sys.modules
+    cold = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
     numeric = cli.main(["resonance", "lotka_volterra", "--output", "json"])
 print(json.dumps([len(loaded), len(built), exact, cold, numeric, "numpy" in sys.modules]))
 """
@@ -686,4 +687,4 @@ def test_exact_work_never_loads_numpy():
     proc = subprocess.run([sys.executable, "-c", _COLD_START, *files], cwd=SYSTEMS_DIR.parent,
                           env=env, capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [8, len(systems.REGISTRY), [0, 0], False, 0, True]
+    assert json.loads(proc.stdout) == [8, len(systems.REGISTRY), [0, 0], [], 0, True]
