@@ -96,6 +96,10 @@ class CRational:
     def __setattr__(self, name, value):
         raise AttributeError("CRational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not through __setattr__
+        return CRational, (self.re, self.im)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._re, self._den)
@@ -343,6 +347,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.dim, self.terms())
 
     # -- constructors ----------------------------------------------------
     @classmethod

@@ -1,18 +1,21 @@
 """Exact linear algebra over the complex rationals.
 
-Matrices are lists of rows of :class:`CRational`.  Everything here is a
-field computation — no tolerances, no floats — so ranks, nullspaces,
-determinants and characteristic polynomials are certificates, not estimates.
-Univariate polynomials (for characteristic/minimal-polynomial work) are
-dense coefficient lists, ascending degree.
+Dense matrices are lists of rows of :class:`CRational`; the sparse kernel of
+a search runs fraction-free on rows of Gaussian integers.  Everything here
+is exact — no tolerances, no floats — so ranks, nullspaces, determinants
+and characteristic polynomials are certificates, not estimates.  Univariate
+polynomials are dense coefficient lists, ascending degree.
 """
 
 from __future__ import annotations
 
-from .algebra import CoeffLike, CRational, _as_crational
+from math import gcd, lcm
+
+from .algebra import CoeffLike, CRational, _as_crational, _ints
 
 Matrix = list  # list[list[CRational]]
 Vector = list  # list[CRational]
+_ZERO = CRational(0)
 
 
 def as_matrix(rows) -> Matrix:
@@ -136,19 +139,28 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
-    """Sparse Gauss-Jordan in place, columns from last to first: {pivot column: row}.
+def _remove_content(row: dict):
+    """Divide a Gaussian-integer row by the gcd of all its parts."""
+    g = gcd(*[x for pair in row.values() for x in pair])
+    if g > 1:
+        for k, (x, y) in row.items():
+            row[k] = (x // g, y // g)
 
-    Each pivot row ends with 1 at its pivot and 0 at every other pivot column,
-    and holds no column above its pivot: the RREF with the columns reversed.
-    The pivot is the candidate row with the fewest nonzeros (Markowitz), and
+
+def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
+    """Fraction-free sparse Gauss-Jordan in place on Gaussian-integer rows
+    {column: (re, im)}, columns from last to first: {pivot column: row}.
+
+    Each pivot row ends with a positive integer at its pivot and 0 at every
+    other pivot column, and holds no column above its pivot: the RREF with
+    the columns reversed, up to a scale per row, which keeps the kernel.  The
+    pivot is the candidate row with the fewest nonzeros (Markowitz), and
     eliminating a column touches only the rows that hold it.
     """
     rows_with: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
             rows_with.setdefault(c, set()).add(i)
-    one = CRational(1)
     pivot_of: dict[int, int] = {}
     used: set[int] = set()
     # fill-in only reaches columns some row holds, so the others are skipped
@@ -158,22 +170,36 @@ def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        inv = one / prow[c]
-        if inv != one:
-            for k in prow:
-                prow[k] = prow[k] * inv
+        a, b = prow[c]
+        if b or a < 0:
+            # times conj(a + bi) / gcd(a, b): the pivot becomes (a^2 + b^2) / gcd(a, b)
+            g = gcd(a, b)
+            a, b = a // g, -b // g
+            for k, (x, y) in prow.items():
+                prow[k] = (a * x - b * y, a * y + b * x)
+        _remove_content(prow)
+        n = prow[c][0]
         for i in rows_with[c] - {p}:
+            # row <- (n/g) row - (f/g) prow with f = row[c], g = gcd(n, f): 0 at c
             row = rows[i]
-            factor = row[c]
-            for k, v in prow.items():
-                x = row.get(k)
-                x = -(factor * v) if x is None else x - factor * v
-                if x.is_zero():
+            fr, fi = row[c]
+            g = gcd(n, fr, fi)
+            s, fr, fi = n // g, fr // g, fi // g
+            if s != 1:
+                for k, (x, y) in row.items():
+                    row[k] = (s * x, s * y)
+            for k, (x, y) in prow.items():
+                u, v = row.get(k, (0, 0))
+                u -= fr * x - fi * y
+                v -= fr * y + fi * x
+                if u or v:
+                    row[k] = (u, v)
+                    rows_with[k].add(i)
+                else:
                     del row[k]
                     rows_with[k].discard(i)
-                else:
-                    row[k] = x
-                    rows_with[k].add(i)
+            if s != 1 and i in used:
+                _remove_content(row)
         used.add(p)
         pivot_of[c] = p
     return {c: rows[p] for c, p in pivot_of.items()}
@@ -182,35 +208,42 @@ def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
 def sparse_nullspace(rows, ncols: int) -> list[Vector]:
     """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
 
-    `rows` are dicts {column: CRational}; no dense matrix is built.  The rows
-    are eliminated from the last column to the first, which for a search is
-    the highest graded-lex degree first; there the pivots stay sparse far
-    longer than in ascending order.  That RREF gives one kernel vector per
-    free column.  The canonical step runs the same elimination on those k
-    vectors: the RREF of the kernel with its columns reversed is unique, and
-    it is `nullspace`'s basis (1 at each free column of the ascending RREF,
-    0 at the other free columns, nonzeros only below it).  A zero operator
-    makes every column free: k = ncols unit vectors, one entry each, so the
-    canonical step stays linear where a dense RREF would be cubic.
+    `rows` are dicts {column: (re, im)} of Gaussian integers; no dense matrix
+    is built.  The rows are eliminated from the last column to the first,
+    which for a search is the highest graded-lex degree first; there the
+    pivots stay sparse far longer than in ascending order.  That RREF gives
+    one kernel vector per free column, integers over the lcm of its pivots.
+    The canonical step runs the same elimination on those k vectors: the RREF
+    of the kernel with its columns reversed is unique, and it is `nullspace`'s
+    basis (1 at each free column of the ascending RREF, 0 at the other free
+    columns, nonzeros only below it), one CRational per nonzero.  A zero
+    operator makes every column free: k = ncols unit vectors, one entry each,
+    so the canonical step stays linear where a dense RREF would be cubic.
     """
     # Copies, since elimination works in place; stored zeros dropped, then the
     # rows left empty (they hold no column, so they never pivot).
     pivots = _eliminate_top_down(
-        [r for row in rows if (r := {c: v for c, v in row.items() if not v.is_zero()})])
-    one = CRational(1)
-    kernel = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
+        [r for row in rows if (r := {c: v for c, v in row.items() if v != (0, 0)})])
+    # (pivot column, pivot, entry) of each pivot row that holds a free column
+    held: dict[int, list] = {fc: [] for fc in range(ncols) if fc not in pivots}
     for pc, row in pivots.items():
         for fc, v in row.items():
             if fc != pc:
-                kernel[fc][pc] = -v
-    canonical = _eliminate_top_down(list(kernel.values()))
+                held[fc].append((pc, row[pc][0], v))
+    kernel = []
+    for fc, entries in held.items():
+        m = lcm(*[n for _, n, _ in entries])
+        kernel.append({fc: (m, 0), **{pc: (-x * (m // n), -y * (m // n))
+                                      for pc, n, (x, y) in entries}})
+    canonical = _eliminate_top_down(kernel)
 
-    zero = CRational(0)
     basis: list[Vector] = []
     for fc in sorted(canonical):
-        v = [zero] * ncols
-        for c, x in canonical[fc].items():
-            v[c] = x
+        row = canonical[fc]
+        n = row[fc][0]
+        v = [_ZERO] * ncols
+        for c, (x, y) in row.items():
+            v[c] = _ints(x, y, n)
         basis.append(v)
     return basis
 

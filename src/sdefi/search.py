@@ -2,10 +2,11 @@
 
 The generator (or the pathwise-conservation operators) is linear in the
 candidate, so restricting candidates to a finite monomial window turns
-"L Phi == 0" into an exact linear system over the complex rationals: one
-column per candidate monomial, one row per monomial appearing in any image.
-Kernel vectors are candidate integrals; every one is re-verified through
-the symbolic checks before being returned, and constants are quotiented out.
+"L Phi == 0" into an exact linear system in Gaussian integers: one column
+per candidate monomial, one row per monomial appearing in any image, each
+over the operator's one denominator.  Kernel vectors are candidate
+integrals; every one is re-verified through the symbolic checks before being
+returned, and constants are quotiented out.
 
 Columns are built from the operator's coefficient fields (``_symbol``), not
 by applying the operator to each monomial as a polynomial: a term c x^s of a
@@ -72,24 +73,26 @@ class OperatorMatrix(Record):
     Column j holds the coefficients of op(input_monomials[j]) over
     output_monomials (a graded-lex-sorted superset of everything appearing,
     including the inputs themselves, so degree-preserving operators come out
-    literally diagonal).
+    literally diagonal).  Row r is {column: (re, im)}, Gaussian-integer
+    numerators over the matrix's one denominator `den`.
     """
 
     kind: str
     input_monomials: tuple[tuple, ...]
     output_monomials: tuple[tuple, ...]
-    entries: dict  # (row, col) -> CRational
+    rows: tuple[dict, ...]  # one per output monomial: {col: (re, im)}, nonzero
+    den: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.output_monomials), len(self.input_monomials)
 
-    def sparse_rows(self) -> list[dict]:
-        """One {column: coefficient} dict per output monomial (empty if no entries)."""
-        rows: list[dict] = [{} for _ in self.output_monomials]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    @property
+    def entries(self) -> dict:
+        """{(row, col): CRational}, column by column, each column by row."""
+        den = self.den
+        return {(r, c): _ints(a, b, den) for c, r, (a, b) in
+                sorted((c, r, v) for r, row in enumerate(self.rows) for c, v in row.items())}
 
 
 def _symbol(sys: SdeSystem, kind: str, noise_index: int | None,
@@ -164,13 +167,12 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     for col in columns:
         out_set.update(col)
     output = tuple(sorted(out_set, key=grlex_key))
-    row_of = {e: i for i, e in enumerate(output)}
-    entries: dict = {}
+    row_at: dict = {e: {} for e in output}
     for c, col in enumerate(columns):
-        for r, (a, b) in sorted((row_of[k], v) for k, v in col.items()):
-            entries[(r, c)] = _ints(a, b, den)
+        for k, v in col.items():
+            row_at[k][c] = v
     label = kind if noise_index is None else f"{kind}_{noise_index + 1}"
-    return OperatorMatrix(label, basis.monomials, output, entries)
+    return OperatorMatrix(label, basis.monomials, output, tuple(row_at.values()), den)
 
 
 class IntegralBasis(Record):
@@ -206,8 +208,7 @@ def find_first_integrals(sys: SdeSystem, mode: str, dmin: int, dmax: int) -> Int
         mats = [operator_matrix(sys, basis, "strong_drift", corrected_drift=drift)]
         for i in range(sys.noise_dim):
             mats.append(operator_matrix(sys, basis, "strong_diff", noise_index=i))
-    kernel = exactla.sparse_nullspace([row for m in mats for row in m.sparse_rows()],
-                                      len(monos))
+    kernel = exactla.sparse_nullspace([row for m in mats for row in m.rows], len(monos))
 
     # Each kernel vector has a 1 at its free column and nonzeros only at earlier
     # (pivot) columns, and the free columns ascend; with `monos` graded-lex

@@ -1,7 +1,9 @@
 """Exact polynomial substrate: ring laws, calculus, evaluation, text format, lattices."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdefi import algebra, ito, mc, perturb, resonance, search, spectral
+from sdefi import algebra, ito, mc, perturb, resonance, search, spectral, systems
 from sdefi.algebra import (
     CRational,
     DimensionMismatch,
@@ -685,3 +687,32 @@ def test_record_guarantees(cls, given, defaults):
     for name, value in defaults.items():
         if isinstance(value, list):
             assert getattr(rec, name) is not getattr(twin, name)
+
+
+# -- pickle and copy --------------------------------------------------------------
+
+def _round_trips(x):
+    return [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+
+
+@pytest.mark.parametrize("value", [
+    CRational(0), CRational(-7), CRational(Fraction(-3, 4)), CRational(Fraction(5, 6), -2),
+    CRational(0, Fraction(-1, 9)), LaurentPoly.zero(2),
+    parse_poly_text("(1/2 - 3i) x1^-2 x2 - 5 + x2^3", ("x1", "x2"))], ids=str)
+def test_scalars_and_polynomials_survive_pickle_and_copy(value):
+    for back in _round_trips(value):
+        assert back == value and type(back) is type(value)
+
+
+@pytest.mark.parametrize("name", sorted(systems.REGISTRY))
+def test_builtin_survives_pickle_and_copy(name):
+    sysm = systems.REGISTRY[name]()
+    for back in _round_trips(sysm):
+        assert back == sysm and hash(back) == hash(sysm)
+
+
+def test_integral_basis_survives_pickle_and_copy():
+    found = search.find_first_integrals(systems.cyclic_exchange(), "strong", -1, 3)
+    assert len(found) > 0
+    for back in _round_trips(found):
+        assert back == found and back.basis == found.basis

@@ -3,8 +3,9 @@ and shaped as the search reads it; the characteristic polynomial's product count
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from sdefi import exactla, systems
+from sdefi import algebra, exactla, systems
 from sdefi.algebra import CRational
 from sdefi.exactla import as_matrix, char_poly, det, identity, mat_sub, nullspace, poly_eval, \
     sparse_nullspace
@@ -33,6 +34,16 @@ def _dense(rows, ncols):
     return [[row.get(c, zero) for c in range(ncols)] for row in rows]
 
 
+def _gaussian(rows):
+    """Each CRational row times the lcm of its denominators: {col: (re, im)} integers,
+    stored zeros kept as (0, 0).  Scaling a row keeps the kernel."""
+    out = []
+    for row in rows:
+        m = lcm(*[v._den for v in row.values()])
+        out.append({c: (v._re * (m // v._den), v._im * (m // v._den)) for c, v in row.items()})
+    return out
+
+
 def _is_kernel(rows, v):
     return all(sum((x * v[c] for c, x in row.items()), CRational(0)).is_zero() for row in rows)
 
@@ -42,7 +53,7 @@ def test_sparse_nullspace_matches_dense_on_random_matrices():
     for _ in range(60):
         ncols = rng.randint(1, 14)
         rows = _random_sparse(rng, rng.randint(1, 16), ncols, rng.choice([0.1, 0.25, 0.5]))
-        got = sparse_nullspace(rows, ncols)
+        got = sparse_nullspace(_gaussian(rows), ncols)
         assert got == nullspace(_dense(rows, ncols))
         assert all(_is_kernel(rows, v) for v in got)
         # the shape find_first_integrals relies on: each vector ends in a 1 at its
@@ -60,7 +71,7 @@ def test_sparse_nullspace_empty_columns_are_free():
     used = [c for c in range(ncols) if c % 3]  # columns 0, 3, 6, 9 hold no entry
     for _ in range(20):
         rows = _random_sparse(rng, rng.randint(1, 10), ncols, 0.4, cols=used)
-        got = sparse_nullspace(rows, ncols)
+        got = sparse_nullspace(_gaussian(rows), ncols)
         assert got == nullspace(_dense(rows, ncols))
         free = [next(c for c, x in enumerate(v) if x == CRational(1)) for v in got]
         assert {0, 3, 6, 9} <= set(free)
@@ -76,7 +87,7 @@ def test_sparse_nullspace_block_diagonal():
         for cols in blocks:
             rows.extend(_random_sparse(rng, rng.randint(1, 5), ncols, 0.6, cols=cols))
         rng.shuffle(rows)
-        got = sparse_nullspace(rows, ncols)
+        got = sparse_nullspace(_gaussian(rows), ncols)
         assert got == nullspace(_dense(rows, ncols))
         for v in got:
             support = {c for c, x in enumerate(v) if not x.is_zero()}
@@ -88,6 +99,7 @@ def test_sparse_nullspace_no_rows_is_identity():
         ident = [[CRational(1 if i == j else 0) for j in range(ncols)] for i in range(ncols)]
         assert sparse_nullspace([], ncols) == ident
         assert sparse_nullspace([{}, {}], ncols) == ident
+        assert sparse_nullspace([{c: (0, 0) for c in range(ncols)}], ncols) == ident
 
 
 def test_sparse_nullspace_wide_kernels_match_dense():
@@ -102,7 +114,7 @@ def test_sparse_nullspace_wide_kernels_match_dense():
             combo = {c: s * a.get(c, CRational(0)) + t * b.get(c, CRational(0))
                      for c in set(a) | set(b)}
             rows.insert(rng.randint(0, len(rows)), combo)
-        got = sparse_nullspace(rows, ncols)
+        got = sparse_nullspace(_gaussian(rows), ncols)
         assert 2 * len(got) >= ncols
         assert got == nullspace(_dense(rows, ncols))
 
@@ -121,7 +133,7 @@ def test_sparse_nullspace_zero_operator_canonical_step_stays_sparse(monkeypatch)
     monkeypatch.setattr(exactla, "_eliminate_top_down", recorded)
     ncols = 400
     rows = [{c: CRational(0) for c in range(0, ncols, 7)}, {}, {3: CRational(0)}]
-    got = sparse_nullspace(rows, ncols)
+    got = sparse_nullspace(_gaussian(rows), ncols)
     assert len(got) == ncols
     assert all(v[i] == CRational(1) and sum(not x.is_zero() for x in v) == 1
                for i, v in enumerate(got))
@@ -129,10 +141,10 @@ def test_sparse_nullspace_zero_operator_canonical_step_stays_sparse(monkeypatch)
 
 
 def test_sparse_nullspace_ignores_stored_zeros_and_keeps_input():
-    rows = [{0: CRational(1), 1: CRational(0), 2: CRational(2)}, {1: CRational(0)}]
+    rows = [{0: (1, 0), 1: (0, 0), 2: (2, 0)}, {1: (0, 0)}]
     before = [dict(r) for r in rows]
     got = sparse_nullspace(rows, 3)
-    assert got == nullspace(_dense(rows, 3))
+    assert got == nullspace(as_matrix([[1, 0, 2], [0, 0, 0]]))
     assert rows == before
 
 
@@ -141,9 +153,82 @@ def test_sparse_nullspace_matches_dense_on_operator_matrices():
                                (systems.cyclic_exchange(), "weak", 1, 3),
                                (systems.harmonic_oscillator(), "strong_drift", 1, 6)]:
         mat = operator_matrix(sysm, monomial_basis(sysm.dim, lo, hi), kind)
-        ncols = mat.shape[1]
-        rows = mat.sparse_rows()
-        assert sparse_nullspace(rows, ncols) == nullspace(_dense(rows, ncols))
+        nrows, ncols = mat.shape
+        dense = [[CRational(0)] * ncols for _ in range(nrows)]
+        for (r, c), v in mat.entries.items():
+            dense[r][c] = v
+        assert sparse_nullspace(mat.rows, ncols) == nullspace(dense)
+
+
+def _gauss_entry(rng):
+    """A nonzero Gaussian integer: purely imaginary, negative real part, both, or
+    positive; small, or up to about 2^60."""
+    top = rng.choice([3, 3, 2 ** 60])
+    re, im = rng.choice([(0, 1), (-1, 0), (-1, 1), (1, 1), (1, 0)])
+    re *= rng.randint(1, top)
+    im *= rng.choice([-1, 1]) * rng.randint(1, top)
+    return re, im
+
+
+def _gauss_matrix(rng, nrows, ncols, density):
+    """Random Gaussian-integer rows, plus a proportional row, a duplicate, an empty
+    row and a row of stored zeros."""
+    rows = [{c: _gauss_entry(rng) for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)]
+    if rows:
+        (a, b), src = _gauss_entry(rng), rng.choice(rows)
+        rows.append({c: (a * x - b * y, a * y + b * x) for c, (x, y) in src.items()})
+        rows.append(dict(rng.choice(rows)))
+    rows.insert(rng.randint(0, len(rows)), {})
+    rows.insert(rng.randint(0, len(rows)), {c: (0, 0) for c in range(0, ncols, 2)})
+    return rows
+
+
+def _as_crational_rows(rows):
+    return [{c: CRational(a, b) for c, (a, b) in row.items()} for row in rows]
+
+
+def test_sparse_nullspace_matches_dense_on_gaussian_integer_matrices():
+    # first single rows whose last entry pivots: purely imaginary, negative real,
+    # negative real with an imaginary part, and one with a common factor
+    cases = [([{0: (2, -1), 1: (-3, 0), 2: pivot}], 3)
+             for pivot in [(0, 3), (0, -2 ** 60), (-5, 0), (-4, 7), (6, -6)]]
+    rng = random.Random(29)
+    for _ in range(80):
+        ncols = rng.randint(1, 12)
+        cases.append((_gauss_matrix(rng, rng.randint(0, 12), ncols,
+                                    rng.choice([0.15, 0.3, 0.6])), ncols))
+    for rows, ncols in cases:
+        before = [dict(r) for r in rows]
+        got = sparse_nullspace(rows, ncols)
+        assert got == nullspace(_dense(_as_crational_rows(rows), ncols))
+        assert rows == before
+        assert all(_is_kernel(_as_crational_rows(rows), v) for v in got)
+
+
+def test_sparse_nullspace_builds_one_crational_per_output_coefficient(monkeypatch):
+    # the kernel runs on integer pairs: no CRational arithmetic, and a CRational
+    # is made only for each nonzero coefficient of the basis
+    made = []
+
+    def counted(ints):
+        def make(re, im, den):
+            made.append(1)
+            return ints(re, im, den)
+        return make
+
+    rng = random.Random(3)
+    cases = [(_gauss_matrix(rng, rng.randint(1, 10), n, 0.4), n) for n in (1, 5, 9, 12)]
+    mat = operator_matrix(systems.cyclic_exchange(), monomial_basis(3, 1, 3), "weak")
+    cases.append((mat.rows, mat.shape[1]))
+    cases.append(([{}], 6))
+    for rows, ncols in cases:
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_ints", counted(algebra._ints))
+            patch.setattr(exactla, "_ints", counted(exactla._ints))
+            got = sparse_nullspace(rows, ncols)
+        assert len(made) == sum(not x.is_zero() for v in got for x in v)
 
 
 def test_char_poly_makes_one_product_per_degree(monkeypatch):

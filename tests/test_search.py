@@ -130,9 +130,9 @@ def test_operator_matrix_dense_roundtrip():
     assert (len(dense), len(dense[0])) == mat.shape
     for (r, c), v in mat.entries.items():
         assert dense[r][c] == v
-    rows = mat.sparse_rows()
-    assert len(rows) == mat.shape[0]
-    assert {(r, c): v for r, row in enumerate(rows) for c, v in row.items()} == mat.entries
+    assert len(mat.rows) == mat.shape[0]
+    assert {(r, c): CRational(a, b) / mat.den
+            for r, row in enumerate(mat.rows) for c, (a, b) in row.items()} == mat.entries
 
 
 def test_operator_matrix_strong_diff_labels_channel():
@@ -170,6 +170,14 @@ def _assert_matches_oracle(sys, basis, label):
         mat = operator_matrix(sys, basis, kind, noise_index=i)
         assert mat.output_monomials == output, (label, kind, i)
         assert list(mat.entries.items()) == entries, (label, kind, i)
+        # the rows the kernel reads: nonzero Gaussian-integer numerators over den
+        assert type(mat.den) is int and mat.den > 0, (label, kind, i)
+        assert len(mat.rows) == len(output), (label, kind, i)
+        pairs = [(r, c, a, b) for r, row in enumerate(mat.rows) for c, (a, b) in row.items()]
+        assert all(type(a) is int and type(b) is int and (a, b) != (0, 0)
+                   for _, _, a, b in pairs), (label, kind, i)
+        assert {(r, c): CRational(a, b) / mat.den for r, c, a, b in pairs} == dict(entries), \
+            (label, kind, i)
 
 
 @pytest.mark.parametrize("name", sorted(systems.REGISTRY))
