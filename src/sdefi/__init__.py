@@ -3,7 +3,14 @@
 Exact-arithmetic conservation checking, linearization and resonance scans,
 degree-bounded integral search, integrability-destroying noise construction,
 and Monte Carlo cross-validation.
+
+Importing sdefi loads only the exact core, `algebra` and `ito`.  Every other
+name in `__all__`, and each other submodule (`sdefi.mc`, `sdefi.search`, ...),
+loads its module on first access (a PEP 562 module `__getattr__`), so a
+program that never touches a layer never compiles or runs it.
 """
+
+import sys as _sys
 
 from .algebra import (
     CRational,
@@ -29,46 +36,25 @@ from .ito import (
     stratonovich_drift,
     weak_generator_apply,
 )
-from .mc import ConservationReport, SimConfig, SimEnsemble, conservation_test, simulate_paths
-from .perturb import (
-    PerturbationError,
-    PerturbationPlan,
-    PerturbVerdict,
-    build_perturbation,
-    recurrence_exponents,
-    verify_perturbation,
-)
-from .resonance import (
-    EpistemicStatus,
-    ResonanceReport,
-    Verdict,
-    WeakResonanceResult,
-    enumerate_resonances,
-    halfplane_certificate,
-    lattice_rank,
-    nonintegrability_report,
-    weak_resonance_test,
-)
-from .search import (
-    CountBoundVerdict,
-    IntegralBasis,
-    count_bound_check,
-    find_first_integrals,
-    independence_rank,
-    monomial_basis,
-    operator_matrix,
-)
-from .spectral import (
-    Eigenvalues,
-    H1Status,
-    NotApplicableError,
-    RootFindingError,
-    SpectralData,
-    aligned_spectra,
-    eigenvalues,
-    h1_check,
-    linearization,
-)
+
+# submodule -> the names it serves from here; the submodule's own name serves the module
+_LAYERS = {
+    "mc": ("ConservationReport", "SimConfig", "SimEnsemble", "conservation_test",
+           "simulate_paths"),
+    "perturb": ("PerturbationError", "PerturbationPlan", "PerturbVerdict", "build_perturbation",
+                "recurrence_exponents", "verify_perturbation"),
+    "resonance": ("EpistemicStatus", "ResonanceReport", "Verdict", "WeakResonanceResult",
+                  "enumerate_resonances", "halfplane_certificate", "lattice_rank",
+                  "nonintegrability_report", "weak_resonance_test"),
+    "search": ("CountBoundVerdict", "IntegralBasis", "count_bound_check", "find_first_integrals",
+               "independence_rank", "monomial_basis", "operator_matrix"),
+    "spectral": ("Eigenvalues", "H1Status", "NotApplicableError", "RootFindingError",
+                 "SpectralData", "aligned_spectra", "eigenvalues", "h1_check", "linearization"),
+    "cli": (),
+    "exactla": (),
+    "systems": (),
+}
+_LAZY = {name: module for module, names in _LAYERS.items() for name in (module, *names)}
 
 __version__ = "0.1.0"
 
@@ -93,3 +79,20 @@ __all__ = [
     "simulate_paths", "conservation_test",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load the module serving `name` and bind `name` here, so later reads are plain."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")
+    value = _sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

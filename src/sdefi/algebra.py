@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class DimensionMismatch(ValueError):
@@ -48,7 +48,7 @@ class PoleError(ArithmeticError):
     """Evaluation hit a zero coordinate raised to a negative power."""
 
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 _new = object.__new__
 _set = object.__setattr__
@@ -237,7 +237,7 @@ class CRational:
 # the slot setters write past CRational.__setattr__, which refuses every write
 _set_re, _set_im, _set_den = (CRational.__dict__[name].__set__ for name in CRational.__slots__)
 
-CoeffLike = Union[int, Fraction, CRational]
+CoeffLike = int | Fraction | CRational
 
 
 def _as_crational(c: CoeffLike) -> CRational:

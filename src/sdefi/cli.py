@@ -17,6 +17,15 @@ decimal is rejected, so every downstream identity test stays exact.  A
 builtin name from `sdefi.systems` (e.g. "gbm") is accepted wherever a system
 file is expected.
 
+Each command loads only the layers it runs: reading a system file, building
+a builtin, `check-strong` and `check-weak` need `algebra` and `ito` alone,
+`search` adds `search` and `exactla`, `simulate` adds `mc`.  The names taken
+from the other layers (`find_first_integrals`, `simulate_paths`, ...) are
+module globals of this module, listed with their layer in `_LAZY`; each is
+bound on its first use, by the handler that calls it or by a read of
+`cli.<name>` from outside, and never rebound, so replacing `cli.<name>`
+before or after the first command changes what the commands call.
+
 Exit codes: 0 = analysis completed (verdicts live inside the report),
 2 = input error (also an input too large for memory), 3 = internal numeric
 failure.
@@ -33,13 +42,36 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import LaurentPoly, VField, check_var_names, parse_poly_text, to_text
-from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak
-from .mc import SimConfig, conservation_test, simulate_paths
-from .perturb import build_perturbation, verify_perturbation
-from .resonance import check_scan_options, nonintegrability_report
-from .search import count_bound_check, find_first_integrals
-from .spectral import NotApplicableError, h1_check, linearization
+from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, require_candidate
 from . import systems as _builtin
+
+# name -> its layer, for the names bound on first use (see the module docstring): a
+# handler binds them through `_need`, a read of `cli.<name>` through `__getattr__`
+_LAZY = {
+    "SimConfig": "mc", "check_candidate": "mc", "conservation_test": "mc",
+    "simulate_paths": "mc",
+    "build_perturbation": "perturb", "verify_perturbation": "perturb",
+    "check_scan_options": "resonance", "nonintegrability_report": "resonance",
+    "count_bound_check": "search", "find_first_integrals": "search",
+    "NotApplicableError": "spectral", "h1_check": "spectral", "linearization": "spectral",
+}
+
+
+def __getattr__(name: str):
+    layer = _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__package__}.{layer}")
+    value = globals()[name] = getattr(_sys.modules[f"{__package__}.{layer}"], name)
+    return value
+
+
+def _need(*names: str):
+    """Bind each of `names` that is not bound yet."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
 
 _SYSTEM_KEYS = ("var_names", "drift", "diffusion")
 _SYSTEM_FORMAT = ('a system file is {"var_names": [names], "drift": [one component per '
@@ -363,10 +395,12 @@ def _check_window(args):
 
 def _search(sys: SdeSystem, args) -> dict:
     _check_window(args)
+    _need("find_first_integrals")
     return _basis_dict(find_first_integrals(sys, args.mode, args.dmin, args.dmax), sys.var_names)
 
 
 def _resonance(sys: SdeSystem, args) -> dict:
+    _need("nonintegrability_report")
     return nonintegrability_report(sys, K=args.kbound, tol=args.tol).to_dict()
 
 
@@ -375,9 +409,17 @@ def _analyze(sys: SdeSystem, args) -> dict:
         raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
     if args.seed is not None and not args.simulate:
         raise InputFormatError("--seed needs --simulate (without it analyze simulates nothing)")
+    _need("check_scan_options", "linearization", "h1_check", "NotApplicableError",
+          "nonintegrability_report", "find_first_integrals", "count_bound_check")
     check_scan_options(args.kbound, args.tol)  # also where the linearization does not apply
     _check_window(args)
     names = sys.var_names
+    candidates = _candidates(args.candidate, sys)
+    if args.simulate:
+        cfg = _sim_config(sys, args)
+        _need("check_candidate")
+        for _, phi in candidates:
+            check_candidate(phi, cfg.x0)
     report: dict = {"system": serialize_system(sys)}
 
     try:
@@ -402,15 +444,13 @@ def _analyze(sys: SdeSystem, args) -> dict:
         if mode == "strong" and rep is not None and rep.s_min is not None:
             report["count_bound"] = count_bound_check(basis, rep).to_dict()
 
-    if args.candidate:
-        report["candidates"] = []
-        for spec in args.candidate:
-            name, phi = parse_candidate(spec, names)
-            for checker in (check_strong, check_weak):
-                report["candidates"].append(_verdict_dict(name, checker(sys, phi), names))
+    if candidates:
+        report["candidates"] = [_verdict_dict(name, checker(sys, phi), names)
+                                for name, phi in candidates
+                                for checker in (check_strong, check_weak)]
 
     if args.simulate:
-        report["simulation"] = _simulate(sys, args)
+        report["simulation"] = _ensemble_report(sys, cfg, candidates, "weak")
     return report
 
 
@@ -425,6 +465,7 @@ def _perturb(sys: SdeSystem, args) -> dict:
     if args.degree < 1:
         raise InputFormatError(f"--degree {args.degree} is below 1: the verification "
                                f"window [1, degree] is empty")
+    _need("build_perturbation", "verify_perturbation")
     plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
     verdict = verify_perturbation(sys.drift, plan, D=args.degree)
     return {"plan": plan.to_dict(),
@@ -444,21 +485,42 @@ def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
     return vals
 
 
-def _simulate(sys: SdeSystem, args) -> dict:
-    """Simulate the ensemble `args` describes and test each --candidate along it, in
-    `simulate`'s --mode or, under `analyze --simulate`, weakly."""
-    cfg = SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
-                    N=args.paths, seed=args.seed, R=args.radius)
+def _candidates(specs, sys: SdeSystem, x0=None) -> list[tuple[str, LaurentPoly]]:
+    """Each --candidate parsed and checked, before any work: refused if constant or, to be
+    tested along paths from `x0`, if `check_candidate` refuses it."""
+    if x0 is not None:
+        _need("check_candidate")
+    parsed = []
+    for spec in specs:
+        name, phi = parse_candidate(spec, sys.var_names)
+        if x0 is None:
+            require_candidate(phi, sys.dim)
+        else:
+            check_candidate(phi, x0)
+        parsed.append((name, phi))
+    return parsed
+
+
+def _sim_config(sys: SdeSystem, args) -> SimConfig:
+    _need("SimConfig")
+    return SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
+                     N=args.paths, seed=args.seed, R=args.radius)
+
+
+def _ensemble_report(sys: SdeSystem, cfg: SimConfig, candidates, mode: str) -> dict:
+    """The ensemble `cfg` describes, and each checked candidate's conservation test along it."""
+    _need("simulate_paths", "conservation_test")
     ens = simulate_paths(sys, cfg)
     report = _ensemble_dict(ens)
-    if args.candidate:
-        mode = getattr(args, "mode", "weak")
-        report["candidates"] = []
-        for spec in args.candidate:
-            name, phi = parse_candidate(spec, sys.var_names)
-            report["candidates"].append(
-                {"candidate": name, **conservation_test(ens, phi, mode).to_dict()})
+    if candidates:
+        report["candidates"] = [{"candidate": name, **conservation_test(ens, phi, mode).to_dict()}
+                                for name, phi in candidates]
     return report
+
+
+def _simulate(sys: SdeSystem, args) -> dict:
+    cfg = _sim_config(sys, args)
+    return _ensemble_report(sys, cfg, _candidates(args.candidate, sys, cfg.x0), args.mode)
 
 
 # -- argument parsing and the one pipeline -------------------------------------------

@@ -413,6 +413,17 @@ class ConservationReport(Record):
         return self.as_dict()
 
 
+def check_candidate(phi: LaurentPoly, x0: Sequence[float]):
+    """Refuse a candidate that `conservation_test` would refuse along paths from `x0`:
+    one `require_candidate` refuses, one with a non-real coefficient, or one with a pole
+    at x0.  No ensemble is needed, so a command can refuse it before simulating."""
+    require_candidate(phi, len(x0))
+    if not all(c.is_real() for _, c in phi.terms()):
+        raise ValueError("simulation requires real coefficients")
+    if any(x0[j] == 0.0 for j in _negative_axes((VField((phi,)),))):
+        raise ValueError(f"candidate {phi} has a pole at x0={x0}")
+
+
 def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
                       c_bias: float | None = None,
                       c_path: float | None = None) -> ConservationReport:
@@ -422,12 +433,8 @@ def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = ens.config
-    require_candidate(phi, len(cfg.x0))
-    fields = (VField((phi,)),)
-    phi_fn = _compile(fields)
-    neg_axes = _negative_axes(fields)
-    if any(cfg.x0[j] == 0.0 for j in neg_axes):
-        raise ValueError(f"candidate {phi} has a pole at x0={cfg.x0}")
+    check_candidate(phi, cfg.x0)
+    phi_fn = _compile((VField((phi,)),))
     phi0 = float(phi.evaluate([complex(c) for c in cfg.x0]).real)
 
     states = ens.final[~ens.excluded]

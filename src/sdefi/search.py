@@ -31,7 +31,6 @@ from math import lcm
 from . import exactla
 from .algebra import DimensionMismatch, LaurentPoly, Record, VField, _ints, grlex_key, lattice_blocks
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
-from .resonance import ResonanceReport
 
 
 _RANK_TRIALS = 5  # seeded rational points at which independence_rank evaluates the Jacobian

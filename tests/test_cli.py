@@ -455,6 +455,34 @@ def test_empty_window_is_refused_before_any_work(argv, message, capsys, monkeypa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_NOT_TEXT = "candidate 'x1 +': sign with no term after it in 'x1 +'"
+_CONSTANT = "candidate is constant; conservation would be vacuous"
+_POLE = "candidate x1^-1 has a pole at x0=(0.0,)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "gbm", "--seed", "1", "--candidate", "x1 +"], _NOT_TEXT),
+    (["simulate", "gbm", "--seed", "1", "--candidate", "x1", "--candidate", "3"], _CONSTANT),
+    (["simulate", "gbm", "--seed", "1", "--x0", "0", "--candidate", "x1^-1"], _POLE),
+    (["simulate", "gbm", "--seed", "1", "--candidate", "1/2i x1"],
+     "simulation requires real coefficients"),
+    (["analyze", "gbm", "--candidate", "x1 +"], _NOT_TEXT),
+    (["analyze", "harmonic_oscillator", "--candidate", "3"], _CONSTANT),
+    (["analyze", "gbm", "--simulate", "--seed", "1", "--x0", "0", "--candidate", "x1^-1"], _POLE),
+])
+def test_bad_candidate_is_refused_before_any_work(argv, message, capsys, monkeypatch):
+    # the ensemble, the linearization, the scans and the searches each take seconds on a
+    # large input; a candidate they could never be used for is refused before them
+    def work(*args, **kwargs):
+        raise AssertionError("ran before the candidate check")
+
+    for name in ("simulate_paths", "linearization", "nonintegrability_report",
+                 "find_first_integrals"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_resonance_text_output(capsys):
     assert main(["resonance", "lotka_volterra"]) == 0
     out = capsys.readouterr().out
@@ -662,29 +690,127 @@ def test_text_output_renders_the_json_report(name, capsys):
         assert text.out == "\n".join(render(json.loads(out.out))) + "\n", argv
 
 
-# a fresh interpreter: sdefi's import, the system files, the builtins and the exact
-# checks never load numpy, nor dataclasses and inspect (sdefi's records are plain
-# classes); the first numeric layer loads numpy
-_COLD_START = """
-import contextlib, io, json, sys
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter importing sdefi from the source tree, at the repo root."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], input=code, cwd=SYSTEMS_DIR.parent, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+_LAYERS = ("exactla", "mc", "perturb", "resonance", "search", "spectral")
+
+# sdefi's import, the system files, the builtins and the exact checks, in a fresh interpreter
+_EXACT_WORK = """
+import contextlib, glob, io, json, sys
 import sdefi
 from sdefi import cli, systems
-loaded = [cli.load_system(p) for p in sys.argv[1:]]
+loaded = [cli.load_system(p) for p in sorted(glob.glob("systems/*.json"))]
 built = [build() for build in systems.REGISTRY.values()]
 with contextlib.redirect_stdout(io.StringIO()):
     exact = [cli.main(["check-strong", "systems/two_body.json", "--candidate", "r^2 w"]),
              cli.main(["check-weak", "systems/gbm.json", "--candidate=x1^-1"])]
-    cold = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+"""
+
+# the exact work never loads numpy, nor dataclasses and inspect (sdefi's records are
+# plain classes), nor any layer beyond algebra and ito; the first numeric layer loads numpy
+_COLD_START = _EXACT_WORK + f"""
+cold = [m for m in ("numpy", "dataclasses", "inspect", *("sdefi." + m for m in {_LAYERS!r}))
+        if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
     numeric = cli.main(["resonance", "lotka_volterra", "--output", "json"])
 print(json.dumps([len(loaded), len(built), exact, cold, numeric, "numpy" in sys.modules]))
 """
 
 
 def test_exact_work_never_loads_numpy():
-    files = sorted(str(p) for p in SYSTEMS_DIR.glob("*.json"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, *files], cwd=SYSTEMS_DIR.parent,
-                          env=env, capture_output=True, text=True, timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
+    proc = _fresh(_COLD_START)
     assert json.loads(proc.stdout) == [8, len(systems.REGISTRY), [0, 0], [], 0, True]
+
+
+def test_reading_systems_never_imports_typing():
+    # run without site, whose .pth files may import typing themselves
+    code = _EXACT_WORK + "print(json.dumps([len(loaded), exact, 'typing' in sys.modules]))\n"
+    assert json.loads(_fresh(code, "-S").stdout) == [8, [0, 0], False]
+
+
+# each command loads only the layers it runs (beyond algebra, ito and systems)
+@pytest.mark.parametrize("argv, layers", [
+    (["check-strong", "gbm", "--candidate", "x1^-1"], []),
+    (["search", "gbm", "--mode", "weak", "--dmin", "-1", "--dmax", "2"], ["exactla", "search"]),
+    (["simulate", "gbm", "--seed", "1", "--paths", "8", "--candidate", "x1^-1"], ["mc"]),
+    (["resonance", "lotka_volterra"], ["exactla", "resonance", "spectral"]),
+    (["analyze", "gbm", "--dmax", "2"], ["exactla", "resonance", "search", "spectral"]),
+    (["perturb", "harmonic_oscillator", "--degree", "2"],
+     ["exactla", "perturb", "resonance", "search", "spectral"]),
+])
+def test_each_command_loads_only_its_layers(argv, layers):
+    code = f"""
+import contextlib, io, sys
+from sdefi import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main({argv!r})
+print(rc, *sorted(m[6:] for m in sys.modules if m.startswith("sdefi.") and m[6:] in {_LAYERS!r}))
+"""
+    assert _fresh(code).stdout.split() == ["0", *layers]
+
+
+def test_a_name_patched_before_its_layer_loads_is_the_one_called():
+    # cli.<name> is readable and replaceable before its layer is loaded, and a command
+    # binding its layer's names keeps the replacement
+    code = """
+import contextlib, io, json
+from sdefi import cli
+real = cli.find_first_integrals
+calls = []
+cli.find_first_integrals = lambda *args: calls.append(args[1:]) or real(*args)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["search", "gbm", "--mode", "weak", "--dmin", "1", "--dmax", "2"])
+print(json.dumps([rc, calls, real.__module__]))
+"""
+    assert json.loads(_fresh(code).stdout) == [0, [["weak", 1, 2]], "sdefi.search"]
+
+
+# the sdefi namespace: `import sdefi` loads algebra and ito, and every other name in
+# `__all__` and each other submodule loads its module on first access
+def test_import_sdefi_loads_only_the_exact_core():
+    code = "import sys, sdefi\nprint(*sorted(m for m in sys.modules if m.startswith('sdefi.')))\n"
+    assert _fresh(code).stdout.split() == ["sdefi.algebra", "sdefi.ito"]
+
+
+def test_star_import_binds_all_of_all():
+    code = """
+import json, sys
+from sdefi import *
+import sdefi
+print(json.dumps([[n for n in sdefi.__all__ if globals().get(n) is not getattr(sdefi, n)],
+                  sorted(m for m in sys.modules if m.startswith("sdefi."))]))
+"""
+    assert json.loads(_fresh(code).stdout) == [[], [f"sdefi.{m}" for m in sorted(
+        ("algebra", "ito", *_LAYERS))]]
+
+
+def test_submodules_load_on_attribute_access():
+    code = ("import sdefi\nprint(sdefi.mc.simulate_paths.__module__, sdefi.search.__name__, "
+            "sdefi.cli.main.__module__)\n")
+    assert _fresh(code).stdout.split() == ["sdefi.mc", "sdefi.search", "sdefi.cli"]
+
+
+def test_sdefi_exports_are_their_modules_objects_and_dir_lists_them():
+    import sdefi
+
+    assert set(sdefi.__all__) | {"cli", "systems", *_LAYERS} <= set(dir(sdefi))
+    for name in sdefi.__all__:
+        value = getattr(sdefi, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_unknown_names_raise_attribute_error():
+    import sdefi
+
+    for module in (sdefi, cli):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name  # noqa: B018
