@@ -257,7 +257,7 @@ def grlex_key(e: Sequence[int]) -> tuple:
 _BLOCK = 1 << 13  # lattice points per block of lattice_blocks
 
 
-def lattice_blocks(n: int, pos: int, neg: int, l1: int) -> Iterator[np.ndarray]:
+def lattice_blocks(n: int, pos: int, neg: int, l1: int) -> Iterator:
     """Every k in Z^n with sum max(k_i, 0) <= pos, sum max(-k_i, 0) <= neg and
     |k|_1 <= l1 (bounds nonnegative), in ascending lexicographic order, as int64
     arrays of shape (b, n) with 0 < b <= _BLOCK (n == 0: the one empty vector).

@@ -19,12 +19,12 @@ file is expected.
 
 Each command loads only the layers it runs: reading a system file, building
 a builtin, `check-strong` and `check-weak` need `algebra` and `ito` alone,
-`search` adds `search` and `exactla`, `simulate` adds `mc`.  The names taken
-from the other layers (`find_first_integrals`, `simulate_paths`, ...) are
-module globals of this module, listed with their layer in `_LAZY`; each is
-bound on its first use, by the handler that calls it or by a read of
-`cli.<name>` from outside, and never rebound, so replacing `cli.<name>`
-before or after the first command changes what the commands call.
+`search` adds `search` and `exactla`, `simulate` adds `mc`.  The handlers
+call the other layers' names as attributes of this module
+(`_cli.find_first_integrals`); the first read of one loads its layer through
+the package table `sdefi._LAYERS` and binds the name here, never to be
+rebound, so replacing `cli.<name>` before or after the first command changes
+what the commands call.
 
 Exit codes: 0 = analysis completed (verdicts live inside the report),
 2 = input error (also an input too large for memory), 3 = internal numeric
@@ -43,35 +43,14 @@ from pathlib import Path
 
 from .algebra import LaurentPoly, VField, check_var_names, parse_poly_text, to_text
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, require_candidate
-from . import systems as _builtin
+from . import _bind, systems as _builtin
 
-# name -> its layer, for the names bound on first use (see the module docstring): a
-# handler binds them through `_need`, a read of `cli.<name>` through `__getattr__`
-_LAZY = {
-    "SimConfig": "mc", "check_candidate": "mc", "conservation_test": "mc",
-    "simulate_paths": "mc",
-    "build_perturbation": "perturb", "verify_perturbation": "perturb",
-    "check_scan_options": "resonance", "nonintegrability_report": "resonance",
-    "count_bound_check": "search", "find_first_integrals": "search",
-    "NotApplicableError": "spectral", "h1_check": "spectral", "linearization": "spectral",
-}
+_cli = _sys.modules[__name__]  # the handlers read the other layers' names off it
 
 
 def __getattr__(name: str):
-    layer = _LAZY.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(f"{__package__}.{layer}")
-    value = globals()[name] = getattr(_sys.modules[f"{__package__}.{layer}"], name)
-    return value
+    return _bind(globals(), name, __name__)
 
-
-def _need(*names: str):
-    """Bind each of `names` that is not bound yet."""
-    bound = globals()
-    for name in names:
-        if name not in bound:
-            __getattr__(name)
 
 _SYSTEM_KEYS = ("var_names", "drift", "diffusion")
 _SYSTEM_FORMAT = ('a system file is {"var_names": [names], "drift": [one component per '
@@ -395,13 +374,12 @@ def _check_window(args):
 
 def _search(sys: SdeSystem, args) -> dict:
     _check_window(args)
-    _need("find_first_integrals")
-    return _basis_dict(find_first_integrals(sys, args.mode, args.dmin, args.dmax), sys.var_names)
+    return _basis_dict(_cli.find_first_integrals(sys, args.mode, args.dmin, args.dmax),
+                       sys.var_names)
 
 
 def _resonance(sys: SdeSystem, args) -> dict:
-    _need("nonintegrability_report")
-    return nonintegrability_report(sys, K=args.kbound, tol=args.tol).to_dict()
+    return _cli.nonintegrability_report(sys, K=args.kbound, tol=args.tol).to_dict()
 
 
 def _analyze(sys: SdeSystem, args) -> dict:
@@ -409,28 +387,26 @@ def _analyze(sys: SdeSystem, args) -> dict:
         raise InputFormatError("--simulate needs --seed (runs must be reproducible)")
     if args.seed is not None and not args.simulate:
         raise InputFormatError("--seed needs --simulate (without it analyze simulates nothing)")
-    _need("check_scan_options", "linearization", "h1_check", "NotApplicableError",
-          "nonintegrability_report", "find_first_integrals", "count_bound_check")
-    check_scan_options(args.kbound, args.tol)  # also where the linearization does not apply
+    _cli.check_scan_options(args.kbound, args.tol)  # also where the linearization does not apply
     _check_window(args)
     names = sys.var_names
     candidates = _candidates(args.candidate, sys)
     if args.simulate:
         cfg = _sim_config(sys, args)
-        _need("check_candidate")
         for _, phi in candidates:
-            check_candidate(phi, cfg.x0)
+            _cli.check_candidate(phi, cfg.x0)
     report: dict = {"system": serialize_system(sys)}
 
     try:
-        data = linearization(sys)
-        h1 = h1_check(data)
+        data = _cli.linearization(sys)
+        h1 = _cli.h1_check(data)
         report["linearization"] = _linearization_dict(data, h1)
-    except NotApplicableError as e:
+    except _cli.NotApplicableError as e:
         report["linearization"] = {"applicable": False, "reason": str(e)}
 
     if report["linearization"]["applicable"]:
-        rep = nonintegrability_report(sys, K=args.kbound, tol=args.tol, linearized=(data, h1))
+        rep = _cli.nonintegrability_report(sys, K=args.kbound, tol=args.tol,
+                                           linearized=(data, h1))
         report["resonance"] = rep.to_dict()
     else:
         rep = None
@@ -439,10 +415,10 @@ def _analyze(sys: SdeSystem, args) -> dict:
 
     report["search"] = {}
     for mode in ("strong", "weak"):
-        basis = find_first_integrals(sys, mode, args.dmin, args.dmax)
+        basis = _cli.find_first_integrals(sys, mode, args.dmin, args.dmax)
         report["search"][mode] = _basis_dict(basis, names)
         if mode == "strong" and rep is not None and rep.s_min is not None:
-            report["count_bound"] = count_bound_check(basis, rep).to_dict()
+            report["count_bound"] = _cli.count_bound_check(basis, rep).to_dict()
 
     if candidates:
         report["candidates"] = [_verdict_dict(name, checker(sys, phi), names)
@@ -465,9 +441,8 @@ def _perturb(sys: SdeSystem, args) -> dict:
     if args.degree < 1:
         raise InputFormatError(f"--degree {args.degree} is below 1: the verification "
                                f"window [1, degree] is empty")
-    _need("build_perturbation", "verify_perturbation")
-    plan = build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
-    verdict = verify_perturbation(sys.drift, plan, D=args.degree)
+    plan = _cli.build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
+    verdict = _cli.verify_perturbation(sys.drift, plan, D=args.degree)
     return {"plan": plan.to_dict(),
             "verification": {"passed": verdict.passed, "window": [verdict.dmin, verdict.dmax],
                              "found": [to_text(p, sys.var_names) for p in verdict.found]}}
@@ -488,33 +463,33 @@ def _parse_x0(arg: str | None, dim: int) -> tuple[float, ...]:
 def _candidates(specs, sys: SdeSystem, x0=None) -> list[tuple[str, LaurentPoly]]:
     """Each --candidate parsed and checked, before any work: refused if constant or, to be
     tested along paths from `x0`, if `check_candidate` refuses it."""
-    if x0 is not None:
-        _need("check_candidate")
     parsed = []
     for spec in specs:
         name, phi = parse_candidate(spec, sys.var_names)
         if x0 is None:
             require_candidate(phi, sys.dim)
         else:
-            check_candidate(phi, x0)
+            _cli.check_candidate(phi, x0)
         parsed.append((name, phi))
     return parsed
 
 
-def _sim_config(sys: SdeSystem, args) -> SimConfig:
-    _need("SimConfig")
-    return SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
-                     N=args.paths, seed=args.seed, R=args.radius)
+def _sim_config(sys: SdeSystem, args):
+    """The flags' `SimConfig`, refused if its start is on a pole of the system's fields."""
+    cfg = _cli.SimConfig(x0=_parse_x0(args.x0, sys.dim), h=args.step, T=args.horizon,
+                         N=args.paths, seed=args.seed, R=args.radius)
+    _cli.check_start(sys, cfg.x0)
+    return cfg
 
 
-def _ensemble_report(sys: SdeSystem, cfg: SimConfig, candidates, mode: str) -> dict:
+def _ensemble_report(sys: SdeSystem, cfg, candidates, mode: str) -> dict:
     """The ensemble `cfg` describes, and each checked candidate's conservation test along it."""
-    _need("simulate_paths", "conservation_test")
-    ens = simulate_paths(sys, cfg)
+    ens = _cli.simulate_paths(sys, cfg)
     report = _ensemble_dict(ens)
     if candidates:
-        report["candidates"] = [{"candidate": name, **conservation_test(ens, phi, mode).to_dict()}
-                                for name, phi in candidates]
+        report["candidates"] = [
+            {"candidate": name, **_cli.conservation_test(ens, phi, mode).to_dict()}
+            for name, phi in candidates]
     return report
 
 

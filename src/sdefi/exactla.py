@@ -65,10 +65,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def mat_to_complex(a: Matrix):
     import numpy as np
 

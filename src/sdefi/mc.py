@@ -54,7 +54,7 @@ from .ito import SdeSystem, require_candidate
 _CHUNK = 4096
 _NOISE_BYTES = 8 << 20  # draw buffer plus tile buffer per chunk, whatever n_steps is
 _TILE = 16  # steps per transposed tile: 16 * m * k doubles, small enough to stay in cache
-_POOL: list[np.random.Generator] = []  # Philox generators, re-keyed by every run
+_POOL: list = []  # numpy Philox Generators, re-keyed by every run
 
 
 class SimConfig(Record):
@@ -95,10 +95,10 @@ class SimConfig(Record):
 
 class SimEnsemble(Record, frozen=False):
     config: SimConfig
-    final: np.ndarray          # (N, n) state at T or at exit
-    exit_time: np.ndarray      # (N,)
-    exited: np.ndarray         # (N,) bool
-    excluded: np.ndarray       # (N,) bool: overflow/pole, dropped from statistics
+    final: object              # ndarray (N, n): state at T or at exit
+    exit_time: object          # ndarray (N,)
+    exited: object             # ndarray (N,) bool
+    excluded: object           # ndarray (N,) bool: overflow/pole, dropped from statistics
     n_pole: int
     n_overflow: int
 
@@ -108,7 +108,7 @@ class SimEnsemble(Record, frozen=False):
 
 
 def _source(fields: Sequence[VField], h: float | None = None,
-            center: np.ndarray | None = None) -> tuple[str, dict[str, object]]:
+            center=None) -> tuple[str, dict[str, object]]:
     """Source of one straight-line function of the real `fields`, and its bound constants.
 
     The function takes x of shape (n, k), one row per coordinate.  It forms
@@ -221,7 +221,7 @@ def _source(fields: Sequence[VField], h: float | None = None,
     return "def step(x, z):\n" + "".join(f"    {line}\n" for line in body), consts
 
 
-def _compile(fields: Sequence[VField], h: float | None = None, center: np.ndarray | None = None):
+def _compile(fields: Sequence[VField], h: float | None = None, center=None):
     """The function `_source` writes for these arguments, compiled with its constants bound."""
     import numpy as np
 
@@ -237,8 +237,7 @@ def _negative_axes(fields: Sequence[VField]) -> list[int]:
                    for j, ej in enumerate(e) if ej < 0})
 
 
-def _path_generators(seed: int, path_indices: np.ndarray,
-                     pool: list[np.random.Generator] = _POOL) -> list[np.random.Generator]:
+def _path_generators(seed: int, path_indices, pool: list = _POOL) -> list:
     """One Philox stream per path, keyed by (seed, path index).
 
     Building a Philox also builds and discards an OS-entropy SeedSequence,
@@ -413,6 +412,18 @@ class ConservationReport(Record):
         return self.as_dict()
 
 
+def _refuse_pole(fields: Sequence[VField], x0: Sequence[float], what: str):
+    """The one pole-at-x0 test: refuse `x0` on a pole of `fields`."""
+    if any(x0[j] == 0.0 for j in _negative_axes(fields)):
+        raise ValueError(f"{what} has a pole at x0={x0}")
+
+
+def check_start(sys: SdeSystem, x0: Sequence[float]):
+    """Refuse a start `x0` on a pole of the system's fields, where every path would be
+    excluded at once, before any ensemble is simulated."""
+    _refuse_pole((sys.drift, *sys.diffusions), x0, "the system")
+
+
 def check_candidate(phi: LaurentPoly, x0: Sequence[float]):
     """Refuse a candidate that `conservation_test` would refuse along paths from `x0`:
     one `require_candidate` refuses, one with a non-real coefficient, or one with a pole
@@ -420,8 +431,7 @@ def check_candidate(phi: LaurentPoly, x0: Sequence[float]):
     require_candidate(phi, len(x0))
     if not all(c.is_real() for _, c in phi.terms()):
         raise ValueError("simulation requires real coefficients")
-    if any(x0[j] == 0.0 for j in _negative_axes((VField((phi,)),))):
-        raise ValueError(f"candidate {phi} has a pole at x0={x0}")
+    _refuse_pole((VField((phi,)),), x0, f"candidate {phi}")
 
 
 def conservation_test(ens: SimEnsemble, phi: LaurentPoly, mode: str,

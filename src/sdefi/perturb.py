@@ -60,8 +60,8 @@ class PerturbationPlan(Record):
     exponents: tuple[int, ...]
     mu: tuple[Fraction, ...]
     eigenvalues: Eigenvalues          # drift spectrum, order matches Q columns
-    Q: np.ndarray
-    P: np.ndarray
+    Q: object                         # complex ndarray: eigenvectors of Df(0), columns
+    P: object                         # complex ndarray: Q diag(mu) Q^-1
     P_exact: Matrix                   # CRational lift actually used for verification
     exact_route: bool                 # True: P_exact is Q diag(mu) Q^-1 computed exactly
     residual_min: float               # min |E(l)| over the accepted scan

@@ -123,7 +123,7 @@ class ResonanceScan(Record):
     weight: object        # 0.5, or the integer weight of the squares
     den: int              # exact: q = (re + im i) / den
     dtype: type           # of the lattice columns: int64, or object for Python ints
-    scale: np.ndarray | None  # float: tolerance scale for |k|_1 = 0..K
+    scale: object         # float: ndarray tolerance scale for |k|_1 = 0..K; exact: None
 
     def _blocks(self):
         """(k, |k|_1, re, im) per block of nonzero k, in lexicographic order."""

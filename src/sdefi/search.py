@@ -285,13 +285,13 @@ class CountBoundVerdict(Record):
         return self.as_dict()
 
 
-def count_bound_check(basis: IntegralBasis, report: ResonanceReport) -> CountBoundVerdict:
+def count_bound_check(basis: IntegralBasis, report) -> CountBoundVerdict:
     """Cross-check: found independent strong polynomial integrals must number <= s_min.
 
-    s_min comes from the nonnegative lattice and bounds analytic integrals
-    only, so `rank` is the independence rank of the basis's polynomial
-    elements.  Laurent elements are rational integrals; the note says they
-    are not covered.
+    s_min, of the `resonance.ResonanceReport` `report`, comes from the
+    nonnegative lattice and bounds analytic integrals only, so `rank` is the
+    independence rank of the basis's polynomial elements.  Laurent elements
+    are rational integrals; the note says they are not covered.
     """
     if report.s_min is None:
         raise ValueError("resonance report carries no strong-side lattice ranks")

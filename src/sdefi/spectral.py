@@ -266,7 +266,7 @@ def h1_check(data: SpectralData) -> H1Status:
 # -- one common eigenbasis -----------------------------------------------------------
 
 def eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]
-               ) -> tuple[Matrix | np.ndarray, list[Eigenvalues], bool] | None:
+               ) -> tuple[object, list[Eigenvalues], bool] | None:
     """A common eigenbasis (Q, values, exact) of a commuting, diagonalizable family.
 
     `spectra[i]` is the spectrum of `mats[i]`.  Column j of Q is an

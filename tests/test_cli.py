@@ -1,11 +1,14 @@
 """System JSON parsing/serialization, candidate parsing, CLI dispatch and exit codes."""
 
 import argparse
+import importlib
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -458,6 +461,9 @@ def test_empty_window_is_refused_before_any_work(argv, message, capsys, monkeypa
 _NOT_TEXT = "candidate 'x1 +': sign with no term after it in 'x1 +'"
 _CONSTANT = "candidate is constant; conservation would be vacuous"
 _POLE = "candidate x1^-1 has a pole at x0=(0.0,)"
+# every path from a pole of the system's fields is excluded at its first step
+_SYSTEM_POLE = "the system has a pole at x0=(0.0, 0.0, 0.0, 0.0)"
+_ON_POLE = ["two_body", "--seed", "1", "--x0", "0,0,0,0"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -469,12 +475,15 @@ _POLE = "candidate x1^-1 has a pole at x0=(0.0,)"
     (["analyze", "gbm", "--candidate", "x1 +"], _NOT_TEXT),
     (["analyze", "harmonic_oscillator", "--candidate", "3"], _CONSTANT),
     (["analyze", "gbm", "--simulate", "--seed", "1", "--x0", "0", "--candidate", "x1^-1"], _POLE),
+    (["simulate", *_ON_POLE], _SYSTEM_POLE),
+    (["simulate", *_ON_POLE, "--candidate", "v"], _SYSTEM_POLE),
+    (["analyze", "--simulate", *_ON_POLE], _SYSTEM_POLE),
 ])
 def test_bad_candidate_is_refused_before_any_work(argv, message, capsys, monkeypatch):
     # the ensemble, the linearization, the scans and the searches each take seconds on a
-    # large input; a candidate they could never be used for is refused before them
+    # large input; a candidate or a start they could never be used for is refused before them
     def work(*args, **kwargs):
-        raise AssertionError("ran before the candidate check")
+        raise AssertionError("ran before the candidate and start checks")
 
     for name in ("simulate_paths", "linearization", "nonintegrability_report",
                  "find_first_integrals"):
@@ -806,6 +815,58 @@ def test_sdefi_exports_are_their_modules_objects_and_dir_lists_them():
         value = getattr(sdefi, name)
         if name != "__version__":
             assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_all_lists_each_table_name_once():
+    # `_LAYERS` is the one name -> layer table: `__all__` is its names and __version__
+    import sdefi
+
+    names = [n for names in sdefi._LAYERS.values() for n in names]
+    assert len(set(sdefi.__all__)) == len(sdefi.__all__)
+    assert sorted(sdefi.__all__) == sorted([*names, "__version__"])
+    assert not set(names) & set(sdefi._LAYERS)
+
+
+def test_cli_binds_table_names_to_their_layers_objects():
+    # the names the commands bind in cli are served by the package table and are the layer
+    # modules' own objects, read from the layer, not through the package namespace
+    code = """
+import contextlib, io, json, sys
+import sdefi
+from sdefi import cli
+before = set(vars(cli))
+sim = ["--simulate", "--seed", "1", "--paths", "8"]
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(argv) for argv in (
+        ["analyze", "lotka_volterra", "--dmax", "2", "--candidate", "x1^2", *sim],
+        ["analyze", "two_body", "--dmax", "1"],
+        ["perturb", "harmonic_oscillator", "--degree", "2"])]
+bound = sorted(set(vars(cli)) - before)
+layer = {n: sys.modules.get("sdefi." + sdefi._LAYER_OF.get(n, "?")) for n in bound}
+print(json.dumps([rcs, bound, [n for n in bound if getattr(layer[n], n, None) is not vars(cli)[n]],
+                  [n for n in bound if n in vars(sdefi)]]))
+"""
+    assert json.loads(_fresh(code).stdout) == [[0, 0, 0], sorted([
+        "NotApplicableError", "SimConfig", "build_perturbation", "check_candidate",
+        "check_scan_options", "check_start", "conservation_test", "count_bound_check",
+        "find_first_integrals", "h1_check", "linearization", "nonintegrability_report",
+        "simulate_paths", "verify_perturbation"]), [], []]
+
+
+@pytest.mark.parametrize("module", ["algebra", "cli", "exactla", "ito", "mc", "perturb",
+                                    "resonance", "search", "spectral", "systems"])
+def test_type_hints_resolve(module):
+    # typing.get_type_hints evaluates each annotation in its module's namespace, where
+    # numpy and the lazily loaded layers are not bound, so no annotation may name them
+    mod = importlib.import_module(f"sdefi.{module}")
+    typing.get_type_hints(mod)
+    for obj in vars(mod).values():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == mod.__name__:
+            typing.get_type_hints(obj)
+            for member in vars(obj).values() if inspect.isclass(obj) else ():
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
 
 
 def test_unknown_names_raise_attribute_error():

@@ -102,7 +102,7 @@ def test_inverse_round_trip():
         if det(m).is_zero():
             continue
         inv = exactla.inverse(m)
-        assert exactla.mat_eq(exactla.mat_mul(m, inv), exactla.identity(len(m)))
+        assert exactla.mat_mul(m, inv) == exactla.identity(len(m))
         hits += 1
 
 
@@ -153,7 +153,7 @@ def test_corrected_matrix_matches_drift_correction_jacobian():
     for sys in (systems.cyclic_exchange(), systems.gbm(), systems.lotka_volterra()):
         data = linearization(sys)
         jac = jacobian_at_origin(stratonovich_drift(sys))
-        assert exactla.mat_eq(data.A0, jac)
+        assert data.A0 == jac
 
 
 def test_eigenvalue_sum_and_product_invariants():
@@ -364,7 +364,7 @@ def _commuting_family():
 
 def test_eigenbasis_exact_oracle_on_commuting_family():
     a, b = _commuting_family()
-    assert exactla.mat_eq(exactla.mat_mul(a, b), exactla.mat_mul(b, a))
+    assert exactla.mat_mul(a, b) == exactla.mat_mul(b, a)
     assert all(any(not m[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
                for m in (a, b))  # neither is diagonal
     for mats in ([a, b], [b, a]):
@@ -376,7 +376,7 @@ def test_eigenbasis_exact_oracle_on_commuting_family():
             assert vals.all_exact()
             diag = [[vals.exact[i] if i == j else CRational(0) for j in range(3)]
                     for i in range(3)]
-            assert exactla.mat_eq(exactla.mat_mul(m, q), exactla.mat_mul(q, diag))
+            assert exactla.mat_mul(m, q) == exactla.mat_mul(q, diag)
         pairs = {(str(x), str(y)) for x, y in zip(values[0].exact, values[1].exact)}
         want = {("1", "3"), ("1", "5"), ("2", "5")}  # (eigenvalue of A, eigenvalue of B)
         assert pairs == (want if mats[0] is a else {(y, x) for x, y in want})
