@@ -12,8 +12,10 @@ of Python ints and one common denominator ``_den``, so the coefficient of
 ``(0, 0)``; gcd(``_den``, every ``re`` and ``im``) = 1; the zero polynomial
 has no terms and ``_den == 1``.  The form is canonical, so equality is
 structural.  Sums, products, scalings and derivatives are integer
-arithmetic with one gcd pass per result.  ``terms()``, ``coeff()`` and the
-other accessors return :class:`CRational` views.
+arithmetic with one gcd pass per result, and so is a whole sum of products
+(``dot``, ``mat_vec_apply``, the Ito operators): every product accumulates
+over one denominator first.  ``terms()``, ``coeff()`` and the other
+accessors return :class:`CRational` views.
 
 A :class:`CRational` is stored the same way: integer numerators ``_re`` and
 ``_im`` over one denominator ``_den > 0`` with gcd(``_re``, ``_im``,
@@ -320,6 +322,33 @@ def _reduced(dim: int, num: dict, den: int) -> "LaurentPoly":
     return p
 
 
+def _sum_of_products(dim: int, pairs: Sequence[tuple]) -> "LaurentPoly":
+    """The sum of a * b over the (a, b) pairs of polynomials of dimension ``dim``:
+    every product accumulates into one dict of int pairs over lcm(a._den * b._den),
+    and one ``_reduced`` ends the sum (no pairs: zero)."""
+    den = 1
+    for p, q in pairs:
+        if not p.dim == q.dim == dim:
+            raise DimensionMismatch(f"dim {p.dim} vs {q.dim}" if p.dim != q.dim
+                                    else f"dim {p.dim} vs {dim}")
+        den = lcm(den, p._den * q._den)
+    add = operator.add
+    out: dict[tuple, tuple[int, int]] = {}
+    get = out.get
+    for p, q in pairs:
+        lhs = p._num.items()
+        f = den // (p._den * q._den)
+        if f != 1:
+            lhs = [(e, (a * f, b * f)) for e, (a, b) in lhs]
+        rhs = list(q._num.items())
+        for e1, (a, b) in lhs:
+            for e2, (c, d) in rhs:
+                e = tuple(map(add, e1, e2))
+                re, im = get(e, (0, 0))
+                out[e] = (re + a * c - b * d, im + a * d + b * c)
+    return _reduced(dim, out, den)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial; immutable after construction."""
 
@@ -383,9 +412,6 @@ class LaurentPoly:
     def coeff(self, exps: Sequence[int]) -> CRational:
         return self._view(*self._num.get(tuple(exps), (0, 0)))
 
-    def support(self) -> frozenset:
-        return frozenset(self._num)
-
     @property
     def is_zero(self) -> bool:
         return not self._num
@@ -402,13 +428,6 @@ class LaurentPoly:
 
     def min_total_degree(self) -> int | None:
         return min((sum(e) for e in self._num), default=None)
-
-    def leading_term(self) -> tuple[tuple, CRational]:
-        """Graded-lex greatest term; raises on the zero polynomial."""
-        if not self._num:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._num, key=grlex_key)
-        return e, self._view(*self._num[e])
 
     def __len__(self) -> int:
         return len(self._num)
@@ -455,16 +474,7 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_dim(other)
-        add = operator.add
-        rhs = list(other._num.items())
-        out: dict[tuple, tuple[int, int]] = {}
-        for e1, (a, b) in self._num.items():
-            for e2, (c, d) in rhs:
-                e = tuple(map(add, e1, e2))
-                re, im = out.get(e, (0, 0))
-                out[e] = (re + a * c - b * d, im + a * d + b * c)
-        return _reduced(self.dim, out, self._den * other._den)
+        return _sum_of_products(self.dim, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CRational)):
@@ -525,34 +535,6 @@ class LaurentPoly:
                 if x == 0 and k < 0:
                     raise PoleError(f"0**{k} while evaluating Laurent term {e}")
                 v *= x ** k
-            total += v
-        return total
-
-    def evaluate_exact(self, point: Sequence[CoeffLike],
-                       powers: dict | None = None) -> CRational:
-        """Exact evaluation at a complex-rational point.
-
-        Evaluations at the same point may share one `powers` table, so that
-        each coordinate power x_j ** k is computed once for all of them.
-        """
-        if len(point) != self.dim:
-            raise DimensionMismatch(f"point has {len(point)} coords, poly dim {self.dim}")
-        z = [_as_crational(p) for p in point]
-        if powers is None:
-            powers = {}
-        total = CRational(0)
-        for e, (a, b) in self._num.items():
-            v = self._view(a, b)
-            for j, k in enumerate(e):
-                if k == 0:
-                    continue
-                xk = powers.get((j, k))
-                if xk is None:
-                    x = z[j]
-                    if x.is_zero() and k < 0:
-                        raise PoleError(f"0**{k} while evaluating Laurent term {e}")
-                    xk = powers[j, k] = x ** k
-                v = v * xk
             total += v
         return total
 
@@ -689,24 +671,20 @@ def jacobian(v: VField) -> list[list[LaurentPoly]]:
 
 
 def dot(u: VField, v: VField) -> LaurentPoly:
-    """Pointwise inner product of two vector fields (no conjugation)."""
+    """Pointwise inner product sum_i u_i v_i of two vector fields (no conjugation),
+    one sum of products: one gcd pass, however many components."""
     if len(u) != len(v):
         raise DimensionMismatch("vector fields of different length")
-    out = LaurentPoly.zero(u.dim)
-    for a, b in zip(u, v):
-        out = out + a * b
-    return out
+    return _sum_of_products(u.dim, list(zip(u, v)))
 
 
 def mat_vec_apply(mat: Sequence[Sequence[LaurentPoly]], v: VField) -> VField:
-    """Apply a polynomial matrix to a vector field: (mat . v)_i = sum_j mat[i][j] v_j."""
-    comps = []
+    """Apply a polynomial matrix to a vector field: (mat . v)_i = sum_j mat[i][j] v_j,
+    one sum of products (one gcd pass) per row; every row must have len(v) entries."""
     for row in mat:
-        acc = LaurentPoly.zero(v.dim)
-        for m, c in zip(row, v):
-            acc = acc + m * c
-        comps.append(acc)
-    return VField(tuple(comps))
+        if len(row) != len(v):
+            raise DimensionMismatch(f"matrix row of length {len(row)}, field of length {len(v)}")
+    return VField(tuple(_sum_of_products(v.dim, list(zip(row, v))) for row in mat))
 
 
 # -- canonical text form -------------------------------------------------------

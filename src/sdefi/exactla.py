@@ -43,22 +43,35 @@ def mat_scale(a: Matrix, c: CoeffLike) -> Matrix:
     return [[x * c for x in row] for row in a]
 
 
+def _over_one_den(xs) -> tuple[list[tuple[int, int]], int]:
+    """([(re, im) numerators], den): the entries of xs over their one lcm denominator."""
+    den = lcm(*[x._den for x in xs])
+    return [(x._re * (den // x._den), x._im * (den // x._den)) for x in xs], den
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if any(len(r) != k for r in a):
+    """A B.  Each row of a and each column of b is put over one denominator once,
+    so an entry is an integer sum of products over their product: one gcd pass."""
+    if any(len(r) != len(b) for r in a):
         raise ValueError("incompatible shapes")
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            s = CRational(0)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
+    cols = [_over_one_den(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        ra, da = _over_one_den(row)
+        out_row = []
+        for cb, db in cols:
+            re = im = 0
+            for (x, y), (u, v) in zip(ra, cb):
+                re += x * u - y * v
+                im += x * v + y * u
+            out_row.append(_ints(re, im, da * db))
+        out.append(out_row)
     return out
 
 
 def trace(a: Matrix) -> CRational:
-    return sum((a[i][i] for i in range(len(a))), CRational(0))
+    nums, den = _over_one_den([a[i][i] for i in range(len(a))])
+    return _ints(sum(x for x, _ in nums), sum(y for _, y in nums), den)
 
 
 def is_zero_matrix(a: Matrix) -> bool:

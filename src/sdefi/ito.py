@@ -26,6 +26,7 @@ from .algebra import (
     Record,
     VField,
     _set,
+    _sum_of_products,
     dot,
     gradient,
     hessian,
@@ -93,23 +94,27 @@ def require_candidate(phi: LaurentPoly, dim: int):
 
 
 def stratonovich_drift(sys: SdeSystem) -> VField:
-    """Ito drift minus (1/2) sum_i (Dg_i) g_i, exactly."""
-    corrected = sys.drift
-    for g in sys.diffusions:
-        corrected = corrected - mat_vec_apply(jacobian(g), g).scale(HALF)
-    return corrected
+    """Ito drift minus (1/2) sum_i (Dg_i) g_i, exactly: component j is one sum of
+    products, f_j * 1 plus the pairs (d_l g_ij, -g_il / 2) over every noise i and axis l."""
+    n = sys.dim
+    one = LaurentPoly.const(n, 1)
+    noise = [(jacobian(g), g.scale(-HALF)) for g in sys.diffusions]
+    return VField(tuple(
+        _sum_of_products(n, [(f, one)] + [(jac[j][l], h[l]) for jac, h in noise for l in range(n)])
+        for j, f in enumerate(sys.drift)))
 
 
 def weak_generator_apply(sys: SdeSystem, phi: LaurentPoly) -> LaurentPoly:
-    """L phi = <grad phi, f> + (1/2) sum_i g_i^T (Hess phi) g_i."""
+    """L phi = <grad phi, f> + (1/2) sum_i g_i^T (Hess phi) g_i, as one sum of
+    products: the pairs (d_j phi, f_j) and (g_ij / 2, (Hess phi . g_i)_j)."""
     if phi.dim != sys.dim:
         raise DimensionMismatch(f"candidate dim {phi.dim} != system dim {sys.dim}")
-    out = dot(gradient(phi), sys.drift)
+    pairs = list(zip(gradient(phi), sys.drift))
     if sys.diffusions:
         hess = hessian(phi)
         for g in sys.diffusions:
-            out = out + dot(g, mat_vec_apply(hess, g)).scale(HALF)
-    return out
+            pairs += zip(g.scale(HALF), mat_vec_apply(hess, g))
+    return _sum_of_products(sys.dim, pairs)
 
 
 def check_strong(sys: SdeSystem, phi: LaurentPoly,

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import DimensionMismatch, LaurentPoly, Record, VField, _ints, grlex_key, lattice_blocks
+from .algebra import (DimensionMismatch, LaurentPoly, Record, VField, _ints, _sum_of_products,
+                      grlex_key, lattice_blocks)
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 
 
@@ -112,7 +113,7 @@ def _symbol(sys: SdeSystem, kind: str, noise_index: int | None,
         fields = [(j, None, f, 1) for j, f in enumerate(sys.drift)]
         for j in range(n):
             for l in range(j, n):
-                a_jl = sum((g[j] * g[l] for g in sys.diffusions), LaurentPoly.zero(n))
+                a_jl = _sum_of_products(n, [(g[j], g[l]) for g in sys.diffusions])
                 fields.append((j, l, a_jl, 2 if j == l else 1))
     elif kind == "strong_drift":
         if corrected_drift is None:

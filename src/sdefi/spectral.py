@@ -295,8 +295,7 @@ def _exact_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
                 ker = exactla.nullspace([[x - lam * y for x, y in zip(rm, rb)]
                                          for rm, rb in zip(mb, b)])
                 if ker:
-                    split.append(([[sum((c * col[i] for c, col in zip(k, cols)), CRational(0))
-                                    for i in range(n)] for k in ker], vals + (lam,)))
+                    split.append((exactla.mat_mul(ker, cols), vals + (lam,)))
         blocks = split
         if sum(len(cols) for cols, _ in blocks) != n:
             return None  # M is not diagonalizable on some block

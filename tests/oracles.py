@@ -1,0 +1,98 @@
+"""Reference implementations that the tests compare sdefi against.
+
+The accumulation loops are the plain way to form a sum of products, one
+``out = out + a * b`` per term, so that every partial sum is reduced; sdefi
+forms each such sum once over one denominator and must agree exactly.
+``evaluate_exact`` evaluates a polynomial term by term in CRational
+arithmetic, independently of the integer forms sdefi works in.
+"""
+
+from fractions import Fraction
+
+from sdefi import exactla
+from sdefi.algebra import (
+    CRational,
+    DimensionMismatch,
+    LaurentPoly,
+    PoleError,
+    VField,
+    _as_crational,
+    gradient,
+    hessian,
+    jacobian,
+)
+
+HALF = Fraction(1, 2)
+
+
+def dot(u: VField, v: VField) -> LaurentPoly:
+    if len(u) != len(v):
+        raise DimensionMismatch("vector fields of different length")
+    out = LaurentPoly.zero(u.dim)
+    for a, b in zip(u, v):
+        out = out + a * b
+    return out
+
+
+def mat_vec_apply(mat, v: VField) -> VField:
+    comps = []
+    for row in mat:
+        acc = LaurentPoly.zero(v.dim)
+        for m, c in zip(row, v):
+            acc = acc + m * c
+        comps.append(acc)
+    return VField(tuple(comps))
+
+
+def stratonovich_drift(sys) -> VField:
+    corrected = sys.drift
+    for g in sys.diffusions:
+        corrected = corrected - mat_vec_apply(jacobian(g), g).scale(HALF)
+    return corrected
+
+
+def weak_generator_apply(sys, phi: LaurentPoly) -> LaurentPoly:
+    out = dot(gradient(phi), sys.drift)
+    if sys.diffusions:
+        hess = hessian(phi)
+        for g in sys.diffusions:
+            out = out + dot(g, mat_vec_apply(hess, g)).scale(HALF)
+    return out
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    if any(len(r) != k for r in a):
+        raise ValueError("incompatible shapes")
+    out = exactla.zeros(n, m)
+    for i in range(n):
+        for j in range(m):
+            s = CRational(0)
+            for t in range(k):
+                s = s + a[i][t] * b[t][j]
+            out[i][j] = s
+    return out
+
+
+def evaluate_exact(p: LaurentPoly, point, powers: dict | None = None) -> CRational:
+    """Exact value of p at a complex-rational point.
+
+    Evaluations at the same point may share one `powers` table {(axis, k): x ** k},
+    so that each coordinate power is computed once for all of them.
+    """
+    if len(point) != p.dim:
+        raise DimensionMismatch(f"point has {len(point)} coords, poly dim {p.dim}")
+    z = [_as_crational(x) for x in point]
+    if powers is None:
+        powers = {}
+    total = CRational(0)
+    for e, c in p.terms():
+        for j, k in enumerate(e):
+            if k:
+                if (j, k) not in powers:
+                    if z[j].is_zero() and k < 0:
+                        raise PoleError(f"0**{k} while evaluating Laurent term {e}")
+                    powers[j, k] = z[j] ** k
+                c = c * powers[j, k]
+        total += c
+    return total

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import evaluate_exact
 from sdefi import algebra, ito, mc, perturb, resonance, search, spectral, systems
 from sdefi.algebra import (
     CRational,
@@ -207,7 +208,7 @@ def test_evaluate_against_direct_computation():
 
 def test_evaluate_exact_matches_float():
     p = parse_poly_text("3/2 * x1^2 - x1^-1 + 2", ["x1"])
-    exact = p.evaluate_exact([Fraction(2, 3)])
+    exact = evaluate_exact(p, [Fraction(2, 3)])
     assert exact == CRational(Fraction(3, 2) * Fraction(4, 9) - Fraction(3, 2) + 2)
     assert abs(p.evaluate([2 / 3]) - complex(exact)) < 1e-12
 
@@ -218,8 +219,8 @@ def test_evaluate_exact_shares_powers_at_one_point():
              ("x1^2 x2^-1 - 3 x1", "x1^2 + x2^-1 + 1/2", "x2^3 x1^-2", "7")]
     point = [Fraction(-2, 3), CRational(Fraction(1, 5), Fraction(2))]
     powers = {}
-    assert [p.evaluate_exact(point, powers) for p in polys] == \
-        [p.evaluate_exact(point) for p in polys]
+    assert [evaluate_exact(p, point, powers) for p in polys] == \
+        [evaluate_exact(p, point) for p in polys]
     assert set(powers) == {(0, 1), (0, 2), (0, -2), (1, -1), (1, 3)}
     assert powers[0, -2] == CRational(Fraction(9, 4))
 
@@ -229,7 +230,7 @@ def test_pole_raises():
     with pytest.raises(PoleError):
         p.evaluate([0.0])
     with pytest.raises(PoleError):
-        p.evaluate_exact([0])
+        evaluate_exact(p, [0])
 
 
 # -- canonical text ---------------------------------------------------------------
@@ -460,7 +461,7 @@ def test_integer_core_matches_fraction_oracle():
             assert _ref(a.differentiate(axis)) == _ref_diff(ra, axis)
         point = [(_big_fraction(rng) or Fraction(1), Fraction(rng.randint(-3, 3), 7))
                  for _ in range(dim)]
-        value = a.evaluate_exact([CRational(x, y) for x, y in point])
+        value = evaluate_exact(a, [CRational(x, y) for x, y in point])
         assert (value.re, value.im) == _ref_eval(ra, point)
 
 
