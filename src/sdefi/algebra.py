@@ -467,7 +467,10 @@ class LaurentPoly:
         return (-self) + other
 
     def scale(self, c: CoeffLike) -> "LaurentPoly":
-        return self * LaurentPoly.const(self.dim, c)
+        c = _as_crational(c)
+        u, v = c._re, c._im
+        return _reduced(self.dim, {e: (a * u - b * v, a * v + b * u)
+                                   for e, (a, b) in self._num.items()}, self._den * c._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CRational)):

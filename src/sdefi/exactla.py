@@ -1,10 +1,11 @@
 """Exact linear algebra over the complex rationals.
 
-Dense matrices are lists of rows of :class:`CRational`; the sparse kernel of
-a search runs fraction-free on rows of Gaussian integers.  Everything here
-is exact — no tolerances, no floats — so ranks, nullspaces, determinants
-and characteristic polynomials are certificates, not estimates.  Univariate
-polynomials are dense coefficient lists, ascending degree.
+Dense matrices are lists of rows of :class:`CRational`.  One fraction-free
+elimination over Gaussian integers gives every rank and kernel; determinants
+and inverses come from the Faddeev-LeVerrier pass.  Everything is exact — no
+tolerances, no floats — so ranks, nullspaces, determinants and characteristic
+polynomials are certificates.  Univariate polynomials are dense coefficient
+lists, ascending degree.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ def zeros(n: int, m: int | None = None) -> Matrix:
     return [[CRational(0) for _ in range(m)] for _ in range(n)]
 
 
+def _shape(a: Matrix) -> str:
+    return f"{len(a)} x {len(a[0]) if a else 0}"
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    if [len(r) for r in a] != [len(r) for r in b]:
+        raise ValueError(f"cannot subtract a {_shape(b)} matrix from a {_shape(a)} one")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
@@ -85,68 +92,6 @@ def mat_to_complex(a: Matrix):
 
 
 # -- elimination ---------------------------------------------------------------
-
-def _gauss_jordan(a: Matrix) -> tuple[Matrix, list[int], CRational]:
-    """Exact Gauss-Jordan: (R, pivot_columns, d), R the reduced row echelon form.
-
-    d is the product of the pivots, negated once per row swap, so a square
-    matrix of full rank has determinant d.
-    """
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    d = CRational(1)
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            d = -d
-        d = d * m[r][c]
-        inv = CRational(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots, d
-
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (exact Gauss-Jordan); returns (R, pivot_columns)."""
-    return _gauss_jordan(a)[:2]
-
-
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Exact kernel basis; each vector has coefficient 1 at its free column."""
-    if not a:
-        return []
-    cols = len(a[0])
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [CRational(0)] * cols
-        v[fc] = CRational(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -red[r_idx][fc]
-        basis.append(v)
-    return basis
-
 
 def _remove_content(row: dict):
     """Divide a Gaussian-integer row by the gcd of all its parts."""
@@ -215,7 +160,7 @@ def _eliminate_top_down(rows: list[dict]) -> dict[int, dict]:
 
 
 def sparse_nullspace(rows, ncols: int) -> list[Vector]:
-    """Exact kernel basis of a sparse matrix, vector for vector equal to `nullspace`.
+    """Exact kernel basis of a sparse matrix.
 
     `rows` are dicts {column: (re, im)} of Gaussian integers; no dense matrix
     is built.  The rows are eliminated from the last column to the first,
@@ -223,9 +168,9 @@ def sparse_nullspace(rows, ncols: int) -> list[Vector]:
     pivots stay sparse far longer than in ascending order.  That RREF gives
     one kernel vector per free column, integers over the lcm of its pivots.
     The canonical step runs the same elimination on those k vectors: the RREF
-    of the kernel with its columns reversed is unique, and it is `nullspace`'s
-    basis (1 at each free column of the ascending RREF, 0 at the other free
-    columns, nonzeros only below it), one CRational per nonzero.  A zero
+    of the kernel with its columns reversed is unique, and it is the basis
+    with 1 at each free column of the ascending RREF, 0 at the other free
+    columns and nonzeros only below it, one CRational per nonzero.  A zero
     operator makes every column free: k = ncols unit vectors, one entry each,
     so the canonical step stays linear where a dense RREF would be cubic.
     """
@@ -257,30 +202,34 @@ def sparse_nullspace(rows, ncols: int) -> list[Vector]:
     return basis
 
 
-def det(a: Matrix) -> CRational:
-    """Exact determinant: the signed pivot product of the Gauss-Jordan pass."""
-    _, pivots, d = _gauss_jordan(a)
-    return d if len(pivots) == len(a) else CRational(0)
+def _gaussian_rows(a: Matrix) -> list[dict]:
+    """The nonzero rows of a as Gaussian-integer rows {column: (re, im)}, each
+    over its one denominator: scaling a row keeps the rank and the kernel."""
+    rows = (_over_one_den(row)[0] for row in a)
+    return [r for row in rows if (r := {c: v for c, v in enumerate(row) if v != (0, 0)})]
 
 
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red]
+def rank(a: Matrix) -> int:
+    """The number of pivots of the fraction-free elimination."""
+    return len(_eliminate_top_down(_gaussian_rows(a)))
 
 
-def char_poly(a: Matrix) -> list[CRational]:
-    """Monic characteristic polynomial det(xI - A), coefficients ascending.
+def nullspace(a: Matrix) -> list[Vector]:
+    """Exact kernel basis, the canonical one of `sparse_nullspace`."""
+    return sparse_nullspace(_gaussian_rows(a), len(a[0])) if a else []
 
-    Faddeev-LeVerrier recurrence: M_1 = I, c_{n-1} = -tr(A M_1);
-    M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k)/k.  Each product
-    A M_k serves twice, for c_{n-k} and then for M_{k+1}, so an n x n matrix
-    costs n products.
+
+def _faddeev(a: Matrix) -> tuple[list[CRational], Matrix]:
+    """(coefficients of det(xI - A) ascending, M_n) by Faddeev-LeVerrier.
+
+    M_1 = I, c_{n-1} = -tr(A M_1); M_k = A M_{k-1} + c_{n-k+1} I,
+    c_{n-k} = -tr(A M_k)/k.  Each product A M_k serves twice, for c_{n-k} and
+    then for M_{k+1}, so an n x n matrix costs n products.  By Cayley-Hamilton
+    A M_n + c_0 I = 0.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"{_shape(a)} matrix is not square")
     coeffs = [CRational(0)] * (n + 1)
     coeffs[n] = CRational(1)
     m = identity(n)
@@ -291,7 +240,26 @@ def char_poly(a: Matrix) -> list[CRational]:
             m = am
             for i in range(n):
                 m[i][i] = m[i][i] + c
-    return coeffs
+    return coeffs, m
+
+
+def char_poly(a: Matrix) -> list[CRational]:
+    """Monic characteristic polynomial det(xI - A), coefficients ascending."""
+    return _faddeev(a)[0]
+
+
+def det(a: Matrix) -> CRational:
+    """det(A) = (-1)^n c_0, c_0 the constant term of det(xI - A)."""
+    c0 = _faddeev(a)[0][0]
+    return -c0 if len(a) % 2 else c0
+
+
+def inverse(a: Matrix) -> Matrix:
+    """A^-1 = -M_n / c_0, since A M_n = -c_0 I."""
+    coeffs, m = _faddeev(a)
+    if coeffs[0].is_zero():
+        raise ZeroDivisionError("matrix is singular")
+    return mat_scale(m, -1 / coeffs[0])
 
 
 # -- dense univariate polynomials (ascending coefficients) ----------------------

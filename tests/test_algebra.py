@@ -123,6 +123,23 @@ def test_scale_and_neg():
     assert p.scale(0).is_zero
 
 
+def test_scale_equals_product_with_constant():
+    # the same terms, in the same order, over the same denominator as the product
+    # with a one-term constant
+    rng = random.Random(32)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        p = rand_poly(rng, dim)
+        for c in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                  CRational(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                            Fraction(rng.choice([-3, -1, 2, 7]), rng.randint(1, 6))), 0):
+            want = p * LaurentPoly.const(dim, c)
+            got = p.scale(c)
+            assert (got.dim, list(got._num.items()), got._den) == \
+                (want.dim, list(want._num.items()), want._den)
+            assert to_text(got) == to_text(want)
+
+
 # -- calculus ------------------------------------------------------------------
 
 

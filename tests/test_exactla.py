@@ -1,14 +1,17 @@
-"""Sparse kernel: equal to the dense Gauss-Jordan kernel, vector for vector,
-and shaped as the search reads it; the characteristic polynomial's product count."""
+"""Sparse kernel: equal to the dense Gauss-Jordan kernel of the oracle, vector
+for vector, and shaped as the search reads it; rank, nullspace, det and inverse
+against the oracle; the characteristic polynomial's product count."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
+import oracles
 from sdefi import algebra, exactla, systems
 from sdefi.algebra import CRational
-from sdefi.exactla import as_matrix, char_poly, det, identity, mat_sub, nullspace, poly_eval, \
-    sparse_nullspace
+from sdefi.exactla import as_matrix, char_poly, identity, mat_sub, poly_eval, sparse_nullspace
 from sdefi.search import monomial_basis, operator_matrix
 
 
@@ -54,7 +57,7 @@ def test_sparse_nullspace_matches_dense_on_random_matrices():
         ncols = rng.randint(1, 14)
         rows = _random_sparse(rng, rng.randint(1, 16), ncols, rng.choice([0.1, 0.25, 0.5]))
         got = sparse_nullspace(_gaussian(rows), ncols)
-        assert got == nullspace(_dense(rows, ncols))
+        assert got == oracles.nullspace(_dense(rows, ncols))
         assert all(_is_kernel(rows, v) for v in got)
         # the shape find_first_integrals relies on: each vector ends in a 1 at its
         # free column, zero at the other free columns, and the free columns ascend
@@ -72,7 +75,7 @@ def test_sparse_nullspace_empty_columns_are_free():
     for _ in range(20):
         rows = _random_sparse(rng, rng.randint(1, 10), ncols, 0.4, cols=used)
         got = sparse_nullspace(_gaussian(rows), ncols)
-        assert got == nullspace(_dense(rows, ncols))
+        assert got == oracles.nullspace(_dense(rows, ncols))
         free = [next(c for c, x in enumerate(v) if x == CRational(1)) for v in got]
         assert {0, 3, 6, 9} <= set(free)
 
@@ -88,7 +91,7 @@ def test_sparse_nullspace_block_diagonal():
             rows.extend(_random_sparse(rng, rng.randint(1, 5), ncols, 0.6, cols=cols))
         rng.shuffle(rows)
         got = sparse_nullspace(_gaussian(rows), ncols)
-        assert got == nullspace(_dense(rows, ncols))
+        assert got == oracles.nullspace(_dense(rows, ncols))
         for v in got:
             support = {c for c, x in enumerate(v) if not x.is_zero()}
             assert sum(1 for cols in blocks if support & set(cols)) == 1
@@ -116,7 +119,7 @@ def test_sparse_nullspace_wide_kernels_match_dense():
             rows.insert(rng.randint(0, len(rows)), combo)
         got = sparse_nullspace(_gaussian(rows), ncols)
         assert 2 * len(got) >= ncols
-        assert got == nullspace(_dense(rows, ncols))
+        assert got == oracles.nullspace(_dense(rows, ncols))
 
 
 def test_sparse_nullspace_zero_operator_canonical_step_stays_sparse(monkeypatch):
@@ -144,7 +147,7 @@ def test_sparse_nullspace_ignores_stored_zeros_and_keeps_input():
     rows = [{0: (1, 0), 1: (0, 0), 2: (2, 0)}, {1: (0, 0)}]
     before = [dict(r) for r in rows]
     got = sparse_nullspace(rows, 3)
-    assert got == nullspace(as_matrix([[1, 0, 2], [0, 0, 0]]))
+    assert got == oracles.nullspace(as_matrix([[1, 0, 2], [0, 0, 0]]))
     assert rows == before
 
 
@@ -157,7 +160,7 @@ def test_sparse_nullspace_matches_dense_on_operator_matrices():
         dense = [[CRational(0)] * ncols for _ in range(nrows)]
         for (r, c), v in mat.entries.items():
             dense[r][c] = v
-        assert sparse_nullspace(mat.rows, ncols) == nullspace(dense)
+        assert sparse_nullspace(mat.rows, ncols) == oracles.nullspace(dense)
 
 
 def _gauss_entry(rng):
@@ -201,7 +204,7 @@ def test_sparse_nullspace_matches_dense_on_gaussian_integer_matrices():
     for rows, ncols in cases:
         before = [dict(r) for r in rows]
         got = sparse_nullspace(rows, ncols)
-        assert got == nullspace(_dense(_as_crational_rows(rows), ncols))
+        assert got == oracles.nullspace(_dense(_as_crational_rows(rows), ncols))
         assert rows == before
         assert all(_is_kernel(_as_crational_rows(rows), v) for v in got)
 
@@ -247,5 +250,86 @@ def test_char_poly_makes_one_product_per_degree(monkeypatch):
     assert len(calls) == 3
     for x in (CRational(0), CRational(Fraction(3, 2)), CRational(-2, Fraction(1, 3)), CRational(7)):
         xi = [[x if i == j else CRational(0) for j in range(3)] for i in range(3)]
-        assert poly_eval(p, x) == det(mat_sub(xi, a))
+        assert poly_eval(p, x) == oracles.det(mat_sub(xi, a))
     assert char_poly(identity(2)) == [CRational(1), CRational(-2), CRational(1)]
+
+
+# -- rank, nullspace, det and inverse against the dense Gauss-Jordan oracle ----------
+
+
+def _dependent_matrix(rng, nrows, ncols):
+    """Gaussian-rational rows, then some rows replaced by a zero row or by a scaled
+    copy of another row."""
+    m = [[_entry(rng, 0.3) if rng.random() < 0.7 else CRational(0) for _ in range(ncols)]
+         for _ in range(nrows)]
+    for i in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            m[i] = [CRational(0)] * ncols
+        elif kind < 0.3 and nrows > 1:
+            s, src = _entry(rng, 0.3), m[rng.randrange(nrows)]
+            m[i] = [s * x for x in src]
+    return m
+
+
+def test_dense_operations_match_gauss_jordan_oracle():
+    rng = random.Random(34)
+    cases = [as_matrix([[0] * c for _ in range(r)]) for r in (1, 3) for c in (1, 4)]
+    for _ in range(400):
+        cases.append(_dependent_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    singular = 0
+    for m in cases:
+        assert exactla.rank(m) == oracles.rank(m)
+        assert exactla.nullspace(m) == oracles.nullspace(m)
+        if len(m) != len(m[0]):
+            continue
+        d = oracles.det(m)
+        assert exactla.det(m) == d
+        if d.is_zero():
+            singular += 1
+            with pytest.raises(ZeroDivisionError, match="singular"):
+                exactla.inverse(m)
+        else:
+            assert exactla.inverse(m) == oracles.inverse(m)
+    assert singular >= 20
+    assert exactla.det([]) == oracles.det([]) == CRational(1)
+    assert exactla.inverse([]) == oracles.inverse([]) == []
+    assert exactla.rank([]) == 0 and exactla.nullspace([]) == []
+
+
+def test_rank_and_nullspace_run_the_one_elimination(monkeypatch):
+    calls = []
+    eliminate = exactla._eliminate_top_down
+
+    def counted(rows):
+        calls.append(1)
+        return eliminate(rows)
+
+    monkeypatch.setattr(exactla, "_eliminate_top_down", counted)
+    a = as_matrix([[1, 2, 3], [2, 4, 6], [0, CRational(1, 1), Fraction(1, 2)]])
+    assert exactla.rank(a) == 2 and calls
+    calls.clear()
+    assert len(exactla.nullspace(a)) == 1 and calls
+    calls.clear()
+    sq = as_matrix([[2, 1], [Fraction(1, 3), CRational(0, 1)]])
+    exactla.det(sq)
+    exactla.inverse(sq)
+    exactla.char_poly(sq)
+    assert not calls
+    assert not hasattr(exactla, "rref") and not hasattr(exactla, "_gauss_jordan")
+
+
+@pytest.mark.parametrize("name", ["det", "inverse", "char_poly"])
+def test_square_only_operations_refuse_other_shapes(name):
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2]]):
+        a = as_matrix(rows)
+        with pytest.raises(ValueError, match=f"{len(a)} x {len(a[0])} matrix is not square"):
+            getattr(exactla, name)(a)
+
+
+def test_mat_sub_refuses_different_shapes():
+    with pytest.raises(ValueError, match="1 x 1 matrix from a 2 x 2"):
+        mat_sub(as_matrix([[1, 2], [3, 4]]), as_matrix([[1]]))
+    with pytest.raises(ValueError, match="2 x 1 matrix from a 1 x 2"):
+        mat_sub(as_matrix([[1, 2]]), as_matrix([[1], [2]]))
+    assert mat_sub(as_matrix([[1, 2]]), as_matrix([[3, 5]])) == as_matrix([[-2, -3]])

