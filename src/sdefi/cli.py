@@ -441,6 +441,9 @@ def _perturb(sys: SdeSystem, args) -> dict:
     if args.degree < 1:
         raise InputFormatError(f"--degree {args.degree} is below 1: the verification "
                                f"window [1, degree] is empty")
+    if args.lbound < 0:
+        raise InputFormatError(f"--lbound {args.lbound} is negative: the obstruction scan "
+                               f"bound on |l|_1 must be at least 0")
     plan = _cli.build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
     verdict = _cli.verify_perturbation(sys.drift, plan, D=args.degree)
     return {"plan": plan.to_dict(),

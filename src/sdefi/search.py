@@ -23,14 +23,13 @@ part at least min(dmin, 0), and the total degree must lie in the window.
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from math import lcm
 
 from . import exactla
-from .algebra import (DimensionMismatch, LaurentPoly, Record, VField, _ints, _sum_of_products,
-                      grlex_key, lattice_blocks)
+from .algebra import (DimensionMismatch, LaurentPoly, Record, VField, _exponent_adder, _ints,
+                      _sum_of_products, grlex_key, lattice_blocks)
 from .ito import IntegralVerdict, SdeSystem, check_strong, check_weak, stratonovich_drift
 
 
@@ -152,14 +151,14 @@ def operator_matrix(sys: SdeSystem, basis: MonomialBasis, kind: str,
     if basis.dim != sys.dim:
         raise ValueError("basis dim != system dim")
     terms, den = _symbol(sys, kind, noise_index, corrected_drift)
-    add = operator.add
+    add = _exponent_adder(sys.dim)
     columns = []
     for e in basis.monomials:
         col: dict = {}
         for j, l, shift, a, b in terms:
             w = e[j] if l is None else e[j] * (e[l] - (j == l))
             if w:
-                k = tuple(map(add, e, shift))
+                k = add(e, shift)
                 re, im = col.get(k, (0, 0))
                 col[k] = (re + w * a, im + w * b)
         columns.append({k: v for k, v in col.items() if v != (0, 0)})
@@ -235,7 +234,8 @@ def independence_rank(polys) -> int:
     is x_j d(phi_i)/dx_j = sum of e_j c x^e over the terms c x^e of phi_i, with
     each row scaled to Gaussian integers: the Jacobian with its rows and columns
     scaled by nonzero numbers, so of the same rank.  One pass over the terms
-    builds it, and the rank is `exactla.rank`, so no tolerance decides it.
+    builds its rows {column: (re, im)}, zero entries left out, and the rank is
+    the pivot count of the exact elimination, so no tolerance decides it.
     A rank at one point is a lower bound of the generic rank.
     """
     polys = list(polys)
@@ -268,8 +268,8 @@ def independence_rank(polys) -> int:
                         w = k * xe
                         re[j] += w * a
                         im[j] += w * b
-            jac.append([_ints(r, i, 1) for r, i in zip(re, im)])
-        best = max(best, exactla.rank(jac))
+            jac.append({j: v for j, v in enumerate(zip(re, im)) if v != (0, 0)})
+        best = max(best, len(exactla._eliminate_top_down(jac)))
         if best == min(len(polys), dim):
             break
     return best

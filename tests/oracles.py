@@ -7,20 +7,29 @@ forms each such sum once over one denominator and must agree exactly.
 arithmetic, independently of the integer forms sdefi works in.
 ``gauss_jordan`` is a dense CRational Gauss-Jordan pass: rank, kernel,
 determinant and inverse read off it check sdefi's fraction-free elimination
-and its Faddeev-LeVerrier determinant and inverse.
+and its Faddeev-LeVerrier determinant and inverse.  ``parse_poly_text`` and
+``to_text`` read and print the text form through one CRational (and its
+Fractions) per coefficient and build the polynomial through ``LaurentPoly``;
+sdefi works on the integer pairs directly and must give the same polynomial,
+the same text and the same errors.  ``poly_mul`` multiplies term by term in
+CRational arithmetic, one monomial at a time.
 """
 
 from fractions import Fraction
 
 from sdefi import exactla
 from sdefi.algebra import (
+    _TOKEN_RE,
     CRational,
     DimensionMismatch,
     LaurentPoly,
     PoleError,
     VField,
     _as_crational,
+    check_var_names,
+    default_var_names,
     gradient,
+    grlex_key,
     hessian,
     jacobian,
 )
@@ -60,6 +69,16 @@ def weak_generator_apply(sys, phi: LaurentPoly) -> LaurentPoly:
         hess = hessian(phi)
         for g in sys.diffusions:
             out = out + dot(g, mat_vec_apply(hess, g)).scale(HALF)
+    return out
+
+
+def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    if p.dim != q.dim:
+        raise DimensionMismatch(f"dim {p.dim} vs {q.dim}")
+    out = LaurentPoly.zero(p.dim)
+    for e1, c1 in p.terms():
+        for e2, c2 in q.terms():
+            out = out + LaurentPoly.monomial(p.dim, [x + y for x, y in zip(e1, e2)], c1 * c2)
     return out
 
 
@@ -176,3 +195,83 @@ def inverse(a):
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
+
+
+# -- the text form through CRational ------------------------------------------------
+
+def to_text(p: LaurentPoly, var_names=None) -> str:
+    """Canonical text form, graded-lex descending, each coefficient through str(CRational)."""
+    names = tuple(var_names) if var_names is not None else default_var_names(p.dim)
+    if len(names) != p.dim:
+        raise DimensionMismatch("var_names length != dim")
+    check_var_names(names)
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for e, c in sorted(p.terms(), key=lambda t: grlex_key(t[0]), reverse=True):
+        factors = []
+        for name, k in zip(names, e):
+            if k == 0:
+                continue
+            factors.append(name if k == 1 else f"{name}^{k}")
+        coeff_txt = str(c)
+        if coeff_txt in ("1i", "-1i"):  # the unit imaginary prints as i, -i
+            coeff_txt = coeff_txt.replace("1", "")
+        neg = coeff_txt.startswith("-")
+        if neg:
+            coeff_txt = coeff_txt[1:]
+        if not factors:
+            body = coeff_txt
+        elif coeff_txt == "1":
+            body = " ".join(factors)
+        else:
+            body = f"{coeff_txt} * {' '.join(factors)}"
+        if not chunks:
+            chunks.append(f"-{body}" if neg else body)
+        else:
+            chunks.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(chunks)
+
+
+def parse_poly_text(text: str, var_names) -> LaurentPoly:
+    """The text form read with the same token regex, each coefficient made by
+    CRational(str) and the terms summed by the LaurentPoly constructor."""
+    names = list(var_names)
+    check_var_names(names)
+    dim = len(names)
+    index = {n: i for i, n in enumerate(names)}
+    terms = []
+    sign, exps = 0, None  # the product of the signs read since the last term (0: none)
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "op":
+            if tok != "*":  # a sign closes the open term
+                exps, sign = None, (sign or 1) * (-1 if tok == "-" else 1)
+            continue
+        if kind == "inexact":
+            raise ValueError(f"coefficient {tok!r} is not an exact rational "
+                             f"(write 1/2, not 0.5)")
+        lead = exps is None and kind in ("cplx", "coeff")
+        if exps is None:  # this token opens a term
+            exps, c = [0] * dim, CRational(1)
+            try:
+                if kind == "cplx":
+                    c = CRational(m["re"], m["sgn"] + (m["im"] or "1"))
+                elif lead:
+                    c = CRational(0, tok[:-1] or 1) if tok.endswith("i") else CRational(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            terms.append((exps, -c if sign < 0 else c))
+            sign = 0
+        if lead:
+            continue
+        if m["name"] not in index:
+            raise ValueError(f"unknown factor {tok!r} (variables: {', '.join(names)})")
+        if m["badexp"]:
+            raise ValueError(f"exponent {m['badexp']!r} in {tok!r} is not an integer")
+        exps[index[m["name"]]] += int(m["exp"] or 1)
+    if sign:
+        raise ValueError(f"sign with no term after it in {text!r}")
+    if not terms:
+        raise ValueError("empty polynomial text")
+    return LaurentPoly(dim, [(tuple(e), c) for e, c in terms])

@@ -447,6 +447,11 @@ def test_search_bad_window(capsys):
      "--dmin 3 exceeds --dmax 1"),
     (["perturb", "harmonic_oscillator", "--degree", "0"],
      "--degree 0 is below 1: the verification window [1, degree] is empty"),
+    (["perturb", "harmonic_oscillator", "--lbound", "-3"],
+     "--lbound -3 is negative: the obstruction scan bound on |l|_1 must be at least 0"),
+    # two_body is a system perturb refuses; the flag is refused first
+    (["perturb", "two_body", "--lbound", "-1"],
+     "--lbound -1 is negative: the obstruction scan bound on |l|_1 must be at least 0"),
 ])
 def test_empty_window_is_refused_before_any_work(argv, message, capsys, monkeypatch):
     def work(*args, **kwargs):

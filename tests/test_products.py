@@ -1,6 +1,7 @@
 """Sums of products: each is one exact sum over one denominator, equal to the
 term-by-term accumulation in `oracles`."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -161,3 +162,24 @@ def test_mat_mul_makes_one_crational_per_entry(monkeypatch):
     exactla.mat_mul(a, b)
     assert len(made) == 4 * 2
 
+
+
+def test_exponent_adder_sums_like_map_add():
+    rng = random.Random(35)
+    for dim in range(1, 7):
+        add = algebra._exponent_adder(dim)
+        assert algebra._exponent_adder(dim) is add  # built once per dimension
+        for _ in range(200):
+            a, b = (tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(2))
+            got = add(a, b)
+            assert type(got) is tuple and got == tuple(map(operator.add, a, b))
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_products_in_high_dimensions_match_accumulation(dim):
+    rng = random.Random(dim)
+    for _ in range(40):
+        p, q = _poly(rng, dim, max_terms=6), _poly(rng, dim, max_terms=6)
+        assert p * q == oracles.poly_mul(p, q)
+        u, v = _field(rng, dim), _field(rng, dim)
+        assert dot(u, v) == oracles.dot(u, v)

@@ -211,6 +211,17 @@ def test_operator_matrix_matches_generic_images_on_random_systems():
         _assert_matches_oracle(sys, monomial_basis(dim, dmin, dmax), case)
 
 
+@pytest.mark.parametrize("dim", [5, 6])
+def test_operator_matrix_matches_generic_images_in_high_dimensions(dim):
+    rng = random.Random(50 + dim)
+    names = tuple(f"x{i + 1}" for i in range(dim))
+    for case in range(3):
+        drift = VField(tuple(_random_poly(rng, dim) for _ in range(dim)))
+        noises = (VField(tuple(_random_poly(rng, dim) for _ in range(dim))),)
+        sys = SdeSystem(drift, noises, names)
+        _assert_matches_oracle(sys, monomial_basis(dim, -1, 2), (dim, case))
+
+
 def test_operator_matrix_cancelled_column_and_constant_monomial():
     # L x^-1 = -x^-1 + x^-1 = 0 for gbm, and every operator sends 1 to 0
     sys = systems.gbm()
