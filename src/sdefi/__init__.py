@@ -26,8 +26,8 @@ _LAYERS = {
             "weak_generator_apply"),
     "mc": ("ConservationReport", "SimConfig", "SimEnsemble", "check_candidate", "check_start",
            "conservation_test", "simulate_paths"),
-    "perturb": ("PerturbationError", "PerturbationPlan", "PerturbVerdict", "build_perturbation",
-                "recurrence_exponents", "verify_perturbation"),
+    "perturb": ("PerturbationPlan", "PerturbVerdict", "build_perturbation",
+                "verify_perturbation"),
     "resonance": ("EpistemicStatus", "ResonanceReport", "Verdict", "WeakResonanceResult",
                   "check_scan_options", "enumerate_resonances", "halfplane_certificate",
                   "lattice_rank", "nonintegrability_report", "weak_resonance_test"),

@@ -38,7 +38,6 @@ import functools
 import json
 import os
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import LaurentPoly, VField, check_var_names, parse_poly_text, to_text
@@ -284,17 +283,12 @@ def _analyze_text(report: dict) -> list[str]:
 
 def _perturb_text(report: dict) -> list[str]:
     plan, ver = report["plan"], report["verification"]
-    spectrum = ", ".join(e if e is not None else f"{v[0]:.6g}{v[1]:+.6g}i"
-                         for v, e in zip(plan["eigenvalues"], plan["eigenvalues_exact"]))
     dmin, dmax = ver["window"]
     lines = [
-        f"perturbation built for dim-{len(plan['exponents'])} drift "
-        f"(det Df(0) = {plan['det_Df']})",
-        f"  u = {plan['u']}, exponents = {plan['exponents']}",
-        f"  target noise spectrum mu = {plan['mu']}",
-        f"  drift spectrum: {spectrum}",
-        f"  route: {'exact eigenvectors' if plan['exact_route'] else 'numeric eigenvectors, exact lift'}",
-        f"  min |E(l)| over 0 < |l|_1 <= {plan['L']}: {_fmt(plan['residual_min'])}",
+        f"perturbation dX = f dt + a X dW (det Df(0) = {plan['det_Df']})",
+        f"  a = {plan['a']}: a^2 > 2 sigma certified by {plan['certificate']}",
+        f"  theorem: {plan['theorem']} ({'; '.join(plan['hypotheses'])})",
+        f"  claim: {plan['claim']}",
         f"verification: weak search on window [{dmin}, {dmax}] -> "
         + ("PASS (no weak integral survives)" if ver["passed"]
            else f"FAIL ({len(ver['found'])} weak integral(s) survive)"),
@@ -431,20 +425,10 @@ def _analyze(sys: SdeSystem, args) -> dict:
 
 
 def _perturb(sys: SdeSystem, args) -> dict:
-    try:
-        u = Fraction(args.u)
-        in_range = 0 < u < 1
-    except (ValueError, ZeroDivisionError):
-        in_range = False
-    if not in_range:
-        raise InputFormatError(f"--u {args.u!r} is not a rational in (0,1)")
     if args.degree < 1:
         raise InputFormatError(f"--degree {args.degree} is below 1: the verification "
                                f"window [1, degree] is empty")
-    if args.lbound < 0:
-        raise InputFormatError(f"--lbound {args.lbound} is negative: the obstruction scan "
-                               f"bound on |l|_1 must be at least 0")
-    plan = _cli.build_perturbation(sys.drift, u=u, L=args.lbound, seed=args.seed)
+    plan = _cli.build_perturbation(sys.drift)
     verdict = _cli.verify_perturbation(sys.drift, plan, D=args.degree)
     return {"plan": plan.to_dict(),
             "verification": {"passed": verdict.passed, "window": [verdict.dmin, verdict.dmax],
@@ -564,12 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ensemble(p, 2000, default=None)
 
     p = _add_common(sub, "perturb", "construct a linear noise destroying all weak integrals")
-    p.add_argument("--u", default="37/100", help="base ratio in (0,1), exact rational")
-    p.add_argument("--lbound", type=int, default=8,
-                   help="obstruction scan bound on |l|_1")
     p.add_argument("--degree", type=int, default=4,
                    help="verification window [1, degree] for the weak search")
-    p.add_argument("--seed", type=int, default=0)
 
     p = _add_common(sub, "simulate", "Euler-Maruyama ensemble with frozen exits")
     _add_ensemble(p, 10000, required=True,

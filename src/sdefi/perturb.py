@@ -1,172 +1,107 @@
-"""Construction of a linear noise that destroys all low-degree weak integrals.
+"""Scalar geometric noise that leaves an ODE with no analytic first integral.
 
-Given an ODE drift f with f(0) = 0 and invertible Jacobian A = Df(0) whose
-eigenvalues are distinct (exactly: gcd(chi, chi') is constant for the
-characteristic polynomial chi), pick 0 < u < 1 and set
+Given an ODE drift f with f(0) = 0 and A = Df(0) nonsingular, the SDE
 
-    P = Q diag(u^{a_1}, ..., u^{a_n}) Q^{-1},    a_1 = 1, a_k = 2 (a_1 + ... + a_{k-1}),
+    dX = f(X) dt + a X dW
 
-where Q is `spectral.eigenbasis` of A: its columns are eigenvectors in the
-order of the sorted eigenvalue tuple.  The exponents grow as (1, 2, 6, 18,
-...): a_{k+1} = 3 a_k from the second term on, which keeps all pairwise sums
-distinct.  The plan is
-accepted only if the degree-l obstruction
+has no formal weak first integral once a^2 > 2 sigma, where
+sigma = max_j (-Re lam_j)^+ over the eigenvalues lam of A (lowest-form
+injectivity).  Let phi be a formal weak integral without constant term and
+phi_m its lowest form.  The lowest part of L phi is L_lin phi_m, with
+L_lin = Ax . grad + (a^2 / 2) sum_ij x_i x_j d_i d_j, because the nonlinear
+terms of f only raise the degree.  On forms of degree m,
+L_lin = D_A + a^2 m (m - 1) / 2; in a Jordan basis it is triangular with
+eigenvalues <l, lam> + a^2 m (m - 1) / 2, |l|_1 = m.  For m = 1 these are the
+lam_j != 0; for m >= 2 their real part is at least m (a^2 (m - 1) / 2 - sigma)
+> 0.  So phi_m = 0: there is no formal weak integral, hence no analytic weak
+or strong one, at any degree.
 
-    E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
+a is the first rung of the ladder 1, 3/2, 2, 5/2, ... at which a^2 > 2 sigma
+is certified without finding a root.  For a real A the test is Routh-Hurwitz
+in Fractions: every root of chi_A(s - a^2 / 2) lies in Re s > 0, which is
+a^2 > 2 sigma exactly.  For any A, complex ones included, each rung then
+tries the row-sum norm bound sigma <= max_i sum_j (|re a_ij| + |im a_ij|);
+it passes once a^2 exceeds twice that norm, so the ladder always ends.
 
-is nonzero for every 0 < |l|_1 <= L (mu_i = u^{a_i}); then the perturbed
-system dX = f dt + (P X) dB has no polynomial weak integral through degree L.
-E(l) = 2 q(l), twice the weak resonance function of the corrected spectrum
-lam_j - mu_j^2 / 2 and the noise spectrum mu, and `resonance.resonance_values`
-computes it.  If some E(l) vanishes, fresh u values from a seeded sequence are
-tried.
-
-When every eigenvalue is exact, Q and hence P are computed exactly
-(`exact_route`); otherwise Q is numeric and P is lifted bit for bit to
-complex rationals.  Verification is independent: the weak-integral search is
-run on that exactly rational P, so PASS means an exact kernel computation
-found nothing.
+Verification is independent: the exact weak-integral search on the perturbed
+system, PASS iff it finds nothing.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from fractions import Fraction
 
 from . import exactla
 from .algebra import CRational, LaurentPoly, Record, VField, default_var_names
-from .exactla import Matrix
 from .ito import SdeSystem
-from .resonance import resonance_values
-from .spectral import Eigenvalues, NotApplicableError, eigenbasis, linearization
-
-_MAX_RETRIES = 20  # seeded fresh u values tried after the requested one
-
-
-class PerturbationError(RuntimeError):
-    """No admissible u: u outside (0, 1), or every tried u has a vanishing E(l)."""
-
-
-def recurrence_exponents(n: int) -> tuple[int, ...]:
-    """a_1 = 1, a_k = 2 * (a_1 + ... + a_{k-1}): 1, 2, 6, 18, 54, ..."""
-    exps: list[int] = []
-    for _ in range(n):
-        exps.append(1 if not exps else 2 * sum(exps))
-    return tuple(exps)
+from .spectral import NotApplicableError, drift_jacobian
 
 
 class PerturbationPlan(Record):
-    u: Fraction
-    exponents: tuple[int, ...]
-    mu: tuple[Fraction, ...]
-    eigenvalues: Eigenvalues          # drift spectrum, order matches Q columns
-    Q: object                         # complex ndarray: eigenvectors of Df(0), columns
-    P: object                         # complex ndarray: Q diag(mu) Q^-1
-    P_exact: Matrix                   # CRational lift actually used for verification
-    exact_route: bool                 # True: P_exact is Q diag(mu) Q^-1 computed exactly
-    residual_min: float               # min |E(l)| over the accepted scan
-    L: int
+    a: Fraction
+    dim: int
     det_Df: CRational
+    certificate: str                  # the test that decided a^2 > 2 sigma
 
     def noise_field(self) -> VField:
-        """The linear diffusion x -> P x as an exact vector field."""
-        n = len(self.P_exact)
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return VField(tuple(LaurentPoly(n, zip(units, row)) for row in self.P_exact))
+        """The linear diffusion x -> a x as an exact vector field."""
+        return VField(tuple(LaurentPoly.variable(self.dim, i).scale(self.a)
+                            for i in range(self.dim)))
 
     def to_dict(self) -> dict:
-        eig = self.eigenvalues.to_dict()
-        return {
-            "u": str(self.u),
-            "exponents": list(self.exponents),
-            "mu": [str(m) for m in self.mu],
-            "eigenvalues": eig["values"],
-            "eigenvalues_exact": eig["exact"],
-            "Q": [[[z.real, z.imag] for z in row] for row in self.Q.tolist()],
-            "P": [[[z.real, z.imag] for z in row] for row in self.P.tolist()],
-            "P_exact": [[str(x) for x in row] for row in self.P_exact],
-            "exact_route": self.exact_route,
-            "residual_min": self.residual_min,
-            "L": self.L,
-            "det_Df": str(self.det_Df),
-        }
+        return {"a": str(self.a), "det_Df": str(self.det_Df),
+                "theorem": "lowest-form injectivity",
+                "hypotheses": ["f(0) = 0", "det Df(0) != 0",
+                               "a^2 > 2 sigma, sigma = max_j (-Re lam_j)^+"],
+                "certificate": self.certificate,
+                "claim": "no formal weak integral, hence no analytic weak or strong "
+                         "integral, at every degree"}
 
 
-def _as_u_fraction(u) -> Fraction:
-    """Read u exactly; floats go through their decimal literal (0.37 -> 37/100)."""
-    if isinstance(u, Fraction):
-        f = u
-    elif isinstance(u, float):
-        f = Fraction(repr(u))
-    else:
-        f = Fraction(u)
-    if not 0 < f < 1:
-        raise PerturbationError(f"u must lie in (0, 1), got {f}")
-    return f
+def _reflected_shift(chi: list[Fraction], c: Fraction) -> list[Fraction]:
+    """(-1)^n chi(-s - c) for the monic chi of degree n, ascending: monic, and its
+    roots are -lam - c for the roots lam of chi."""
+    out: list[Fraction] = []
+    for coef in reversed(chi):  # Horner: out <- out * (-s - c) + coef
+        out = [-c * x - y for x, y in zip(out + [0], [0] + out)]
+        out[0] += coef
+    return out if len(chi) % 2 else [-x for x in out]
 
 
-def build_perturbation(drift: VField, u=Fraction(37, 100), L: int = 8,
-                       seed: int = 0) -> PerturbationPlan:
-    """Construct P for the drift, retrying fresh u values until E(l) != 0 through L."""
-    import numpy as np
+def _hurwitz(p: list[Fraction]) -> bool:
+    """Do all roots of the monic real p (ascending) lie in Re s < 0?  Routh's
+    criterion: every entry of the first column of its array is positive."""
+    desc = p[::-1]
+    prev, cur = desc[0::2], desc[1::2]
+    for _ in range(len(p) - 1):
+        if cur[0] <= 0:
+            return False
+        r = prev[0] / cur[0]
+        prev, cur = cur, [x - r * y for x, y in
+                          itertools.zip_longest(prev[1:], cur[1:], fillvalue=0)]
+    return True
 
-    n = drift.dim
-    lin = linearization(SdeSystem(drift, (), default_var_names(n)))  # raises unless f(0) = 0
-    a, chi, eig = lin.A_f, lin.char_polys["Df"], lin.mu0
-    if chi[0].is_zero():  # chi(0) = det(A - 0 I)
+
+def build_perturbation(drift: VField) -> PerturbationPlan:
+    """The noise x -> a x for the first rung a of 1, 3/2, 2, ... certified to
+    satisfy a^2 > 2 sigma."""
+    jac = drift_jacobian(drift)  # raises on a pole at the origin or f(0) != 0
+    chi = exactla.char_poly(jac)
+    det = -chi[0] if len(jac) % 2 else chi[0]
+    if det.is_zero():
         raise NotApplicableError("drift Jacobian at the origin is singular")
-    if len(exactla.poly_gcd(chi, exactla.poly_deriv(chi))) > 1:  # a repeated root, exactly
-        # the closest pair of the spectrum is the repeated eigenvalue, twice
-        near = min(((v, w) for i, v in enumerate(eig.values) for w in eig.values[i + 1:]),
-                   key=lambda vw: abs(vw[0] - vw[1]))[0]
-        raise NotApplicableError(
-            f"repeated eigenvalue near {near:.6g}: "
-            "defective/defect-prone Jacobians are not supported")
-
-    exponents = recurrence_exponents(n)
-    rng = random.Random(seed)
-    candidates = [_as_u_fraction(u)]
-    while len(candidates) < 1 + _MAX_RETRIES:
-        c = Fraction(rng.randint(11, 989), 1000)
-        if c not in candidates:
-            candidates.append(c)
-
-    chosen: Fraction | None = None
-    chosen_mu: list[Fraction] | None = None
-    last_bad = None
-    for cand in candidates:
-        mu = [cand ** k for k in exponents]
-        # P shifts the drift spectrum to the corrected lam_j - mu_j^2 / 2
-        scan = resonance_values(
-            [v - float(m * m) / 2 if e is None else e - m * m / 2
-             for v, e, m in zip(eig.values, eig.exact, mu)], [mu], L)
-        zeros = scan.zeros(1e-12)  # the l with E(l) = 2 q(l) = 0
-        if zeros:
-            last_bad = (cand, zeros[0])
-            continue
-        chosen, chosen_mu = cand, mu
-        residual_min = min((abs(complex(q + q)) for q in scan.near_min()), default=float("inf"))
-        break
-    if chosen is None:
-        raise PerturbationError(
-            f"no admissible u in {len(candidates)} tries; last failure u={last_bad[0]} "
-            f"at l={last_bad[1]}")
-
-    # distinct eigenvalues: the basis always exists, exact when the spectrum is
-    qmat, _, exact_route = eigenbasis([a], [eig])
-    if exact_route:  # P = Q diag(mu) Q^-1, exactly
-        p_exact = exactla.mat_mul([[x * m for x, m in zip(row, chosen_mu)] for row in qmat],
-                                  exactla.inverse(qmat))
-        qmat, p_float = exactla.mat_to_complex(qmat), exactla.mat_to_complex(p_exact)
-    else:
-        p_float = qmat @ np.diag([float(m) for m in chosen_mu]) @ np.linalg.inv(qmat)
-        p_exact = [[CRational(Fraction(z.real), Fraction(z.imag)) for z in row]
-                   for row in p_float.tolist()]
-
-    return PerturbationPlan(u=chosen, exponents=exponents, mu=tuple(chosen_mu),
-                            eigenvalues=eig, Q=qmat, P=p_float, P_exact=p_exact,
-                            exact_route=exact_route, residual_min=residual_min,
-                            L=L, det_Df=chi[0])
+    real_chi = [c.re for c in chi] if all(x.im == 0 for row in jac for x in row) else None
+    norm = max(sum(abs(x.re) + abs(x.im) for x in row) for row in jac)
+    for k in itertools.count(2):  # the norm test ends the ladder for every Df(0)
+        a = Fraction(k, 2)
+        if real_chi is not None and _hurwitz(_reflected_shift(real_chi, a * a / 2)):
+            certificate = "Routh-Hurwitz"
+            break
+        if a * a > 2 * norm:
+            certificate = "row-sum norm"
+            break
+    return PerturbationPlan(a=a, dim=len(jac), det_Df=det, certificate=certificate)
 
 
 class PerturbVerdict(Record):

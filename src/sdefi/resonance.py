@@ -9,8 +9,8 @@ mu^i, the generator acts on a monomial x^k by the eigenvalue
 so x^k is a weak integral exactly when q(k) = 0; with no noise spectra q(k)
 is the resonance form <lam, k>.  `resonance_values` is the one scan of q over
 the window 0 < |k|_1 <= K of the nonnegative lattice (analytic integrals) or
-the full integer lattice (rational/Laurent integrals); resonance enumeration,
-the weak resonance test and `perturb`'s obstruction all read it.
+the full integer lattice (rational/Laurent integrals); resonance enumeration
+and the weak resonance test both read it.
 
 The scan is vectorized: `algebra.lattice_blocks` yields the window as int64
 blocks of at most `algebra._BLOCK` points in lexicographic order, and q is
@@ -174,25 +174,6 @@ class ResonanceScan(Record):
             out += [tuple(k[j].tolist()) for j in np.flatnonzero(hit)
                     if self.exact or abs(complex(re[j], im[j])) <= tol * self.scale[l1[j]]]
         return out
-
-    def near_min(self) -> list:
-        """q(k), as `points` gives it, at every k whose |q(k)| is within a relative
-        2^-30 of the window's minimum (exact spectra: |den q|^2 in Python ints).
-        This holds every minimizer of a scalar |q| that rounds each component once."""
-        import numpy as np
-
-        found = []
-        for _, _, re, im in self._blocks():
-            if self.exact:
-                re, im = re.astype(object), im.astype(object)
-                mag = re * re + im * im
-            else:
-                mag = np.hypot(re, im)
-            low = mag.min()
-            found += [(mag[j], self._scalar(re[j], im[j]))
-                      for j in np.flatnonzero(mag * 2 ** 30 <= low * (2 ** 30 + 1))]
-        best = min((m for m, _ in found), default=None)
-        return [q for m, q in found if m * 2 ** 30 <= best * (2 ** 30 + 1)]
 
 
 def resonance_values(lam, mus=(), K: int = 10, lattice: str = "zplus") -> ResonanceScan:

@@ -14,7 +14,7 @@ honest floating point.  An A0 equal to A_f (no linear noise) reuses A_f's spectr
 Also here: the exact simultaneous-diagonalizability check (commutators plus
 a square-free-part test per matrix) and `eigenbasis`, the one place that
 diagonalizes: exactly when every spectrum is exact, numerically otherwise.
-The weak resonance test and `perturb` both read their spectra in it.
+The weak resonance test reads its spectra in it.
 """
 
 from __future__ import annotations
@@ -105,11 +105,17 @@ def _char_det_form(monic: list[CRational], n: int) -> list[CRational]:
     return [-c for c in monic]
 
 
+def drift_jacobian(drift: VField) -> Matrix:
+    """Df(0), exactly; requires f analytic at 0 with f(0) = 0."""
+    a = jacobian_at_origin(drift)  # raises on drift poles
+    if any(not p.constant_term().is_zero() for p in drift):
+        raise NotApplicableError("drift does not vanish at the origin (f(0) != 0)")
+    return a
+
+
 def linearization(sys: SdeSystem) -> SpectralData:
     """Exact local data at the origin; requires f analytic with f(0) = 0."""
-    A_f = jacobian_at_origin(sys.drift)  # raises on drift poles
-    if any(not p.constant_term().is_zero() for p in sys.drift):
-        raise NotApplicableError("drift does not vanish at the origin (f(0) != 0)")
+    A_f = drift_jacobian(sys.drift)
     n = sys.dim
 
     A_g: list[Matrix | None] = []

@@ -12,7 +12,10 @@ and its Faddeev-LeVerrier determinant and inverse.  ``parse_poly_text`` and
 Fractions) per coefficient and build the polynomial through ``LaurentPoly``;
 sdefi works on the integer pairs directly and must give the same polynomial,
 the same text and the same errors.  ``poly_mul`` multiplies term by term in
-CRational arithmetic, one monomial at a time.
+CRational arithmetic, one monomial at a time.  ``paper_perturbation`` is the
+paper's integrability-destroying noise P = Q diag(u^{a_1}, ..., u^{a_n}) Q^-1
+on an exact eigenbasis Q of Df(0); sdefi's scalar noise a X dW is checked
+against it.
 """
 
 from fractions import Fraction
@@ -33,6 +36,8 @@ from sdefi.algebra import (
     hessian,
     jacobian,
 )
+from sdefi.ito import SdeSystem
+from sdefi.spectral import eigenbasis, linearization
 
 HALF = Fraction(1, 2)
 
@@ -275,3 +280,37 @@ def parse_poly_text(text: str, var_names) -> LaurentPoly:
     if not terms:
         raise ValueError("empty polynomial text")
     return LaurentPoly(dim, [(tuple(e), c) for e, c in terms])
+
+
+# -- the paper's linear noise --------------------------------------------------------
+
+def paper_exponents(n: int) -> tuple[int, ...]:
+    """a_1 = 1, a_k = 2 (a_1 + ... + a_{k-1}): 1, 2, 6, 18, 54, ..."""
+    exps: list[int] = []
+    for _ in range(n):
+        exps.append(1 if not exps else 2 * sum(exps))
+    return tuple(exps)
+
+
+def paper_perturbation(drift: VField, u=Fraction(37, 100)):
+    """(exponents, P) with P = Q diag(u^{a_1}, ..., u^{a_n}) Q^-1, exactly.
+
+    Q is the exact eigenbasis of Df(0), its columns in the order of the sorted
+    spectrum, so Df(0) needs distinct eigenvalues with exact witnesses.  The
+    exponents keep every pairwise sum a_i + a_j distinct.
+    """
+    n = drift.dim
+    lin = linearization(SdeSystem(drift, (), default_var_names(n)))
+    q, _, exact = eigenbasis([lin.A_f], [lin.mu0])
+    if not exact:
+        raise ValueError("the paper's plan needs an exact eigenbasis of Df(0)")
+    exps = paper_exponents(n)
+    mu = [u ** k for k in exps]
+    return exps, mat_mul([[x * m for x, m in zip(row, mu)] for row in q], inverse(q))
+
+
+def linear_field(mat) -> VField:
+    """The vector field x -> M x."""
+    n = len(mat)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return VField(tuple(LaurentPoly(n, zip(units, row)) for row in mat))

