@@ -303,9 +303,14 @@ def _expand(rows, pos, neg, l1, n):
 
 
 def _reduced(dim: int, num: dict, den: int) -> "LaurentPoly":
-    """Unchecked constructor for int pairs over ``den`` > 0: drops the zero
-    pairs, then one gcd pass brings the rest to lowest terms (no terms: ``den`` 1)."""
-    num = {e: v for e, v in num.items() if v != (0, 0)}
+    """Unchecked constructor for int pairs over ``den`` > 0 that may hold
+    zero pairs: drops them, then ``_lowest``."""
+    return _lowest(dim, {e: v for e, v in num.items() if v != (0, 0)}, den)
+
+
+def _lowest(dim: int, num: dict, den: int) -> "LaurentPoly":
+    """Unchecked constructor for nonzero int pairs over ``den`` > 0: one gcd
+    pass brings them to lowest terms (no terms: ``den`` 1)."""
     if den != 1:
         g = den
         for a, b in num.values():
@@ -315,6 +320,11 @@ def _reduced(dim: int, num: dict, den: int) -> "LaurentPoly":
         if g != 1:
             num = {e: (a // g, b // g) for e, (a, b) in num.items()}
             den //= g
+    return _poly(dim, num, den)
+
+
+def _poly(dim: int, num: dict, den: int) -> "LaurentPoly":
+    """Unchecked constructor for nonzero int pairs over ``den`` > 0 in lowest terms."""
     p = _new(LaurentPoly)
     _set(p, "dim", dim)
     _set(p, "_num", num)
@@ -476,8 +486,8 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _reduced(self.dim, {e: (-a, -b) for e, (a, b) in self._num.items()}, self._den)
+    def __neg__(self):  # negation keeps every pair nonzero and the content
+        return _poly(self.dim, {e: (-a, -b) for e, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, LaurentPoly) else -_as_crational(other))
@@ -487,9 +497,11 @@ class LaurentPoly:
 
     def scale(self, c: CoeffLike) -> "LaurentPoly":
         c = _as_crational(c)
-        u, v = c._re, c._im
-        return _reduced(self.dim, {e: (a * u - b * v, a * v + b * u)
-                                   for e, (a, b) in self._num.items()}, self._den * c._den)
+        if c.is_zero():
+            return _poly(self.dim, {}, 1)
+        u, v = c._re, c._im  # a nonzero Gaussian integer: every product is nonzero
+        return _lowest(self.dim, {e: (a * u - b * v, a * v + b * u)
+                                  for e, (a, b) in self._num.items()}, self._den * c._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CRational)):
@@ -536,9 +548,9 @@ class LaurentPoly:
         out: dict[tuple, tuple[int, int]] = {}
         for e, (a, b) in self._num.items():
             k = e[axis]
-            if k:
+            if k:  # a nonzero pair times a nonzero k
                 out[e[:axis] + (k - 1,) + e[axis + 1:]] = (a * k, b * k)
-        return _reduced(self.dim, out, self._den)
+        return _lowest(self.dim, out, self._den)
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(self, point: Sequence[complex]) -> complex:
@@ -769,6 +781,22 @@ def check_var_names(names: Sequence[str]):
         raise ValueError(f"variable names must be distinct, got {list(names)}")
 
 
+_VALID_NAMES: set[tuple] = set()  # name tuples `check_var_names` has passed
+
+
+def _check_names_once(names: tuple) -> None:
+    """`check_var_names`, run once per name tuple that passes it; a refused
+    tuple is checked again each time, so it fails with the same message."""
+    try:
+        if names in _VALID_NAMES:
+            return
+    except TypeError:  # an unhashable name, which check_var_names refuses
+        pass
+    check_var_names(names)
+    if len(_VALID_NAMES) < 1024:
+        _VALID_NAMES.add(names)
+
+
 def _part(n: int, den: int) -> str:
     """n / den in lowest terms, as str(Fraction(n, den)) prints it (den > 0)."""
     g = gcd(n, den)
@@ -780,7 +808,7 @@ def to_text(p: LaurentPoly, var_names: Sequence[str] | None = None) -> str:
     names = tuple(var_names) if var_names is not None else default_var_names(p.dim)
     if len(names) != p.dim:
         raise DimensionMismatch("var_names length != dim")
-    check_var_names(names)
+    _check_names_once(names)
     if p.is_zero:
         return "0"
     num, den = p._num, p._den
@@ -830,8 +858,8 @@ def parse_poly_text(text: str, var_names: Sequence[str]) -> LaurentPoly:
     the order each exponent vector first appears, and one ``_reduced`` ends
     the parse.
     """
-    names = list(var_names)
-    check_var_names(names)
+    names = tuple(var_names)
+    _check_names_once(names)
     dim = len(names)
     index = {n: i for i, n in enumerate(names)}
     terms: list[tuple[list[int], int, int, int]] = []  # (exponents, re, im, den)

@@ -440,6 +440,9 @@ def _scan(label: str, eig: Eigenvalues, lattice: str, K: int, tol: float) -> Sca
             sample = tuple(tuple(s if j == i else 0 for j in range(n))
                            for i in range(n) for s in (-1, 1))
         return ScanResult(label, lattice, eig, sample, n, True, True, K, tol)
+    if n == 1 and eig.exact[0] is not None:
+        # k * lam = 0 with lam != 0 forces k = 0, any lattice: nothing to enumerate
+        return ScanResult(label, lattice, eig, (), 0, True, False, K, tol)
     vectors = tuple(enumerate_resonances(eig, K, tol, lattice))
     complete = False
     if n == 1:

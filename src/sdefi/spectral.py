@@ -6,15 +6,17 @@ For a system dX = f dt + sum_i g_i dB^i with f(0) = 0 this computes, exactly,
 
 their characteristic polynomials (Faddeev-LeVerrier over the complex
 rationals), and their eigenvalues.  Zero roots are stripped exactly and
-repeated roots split off by exact gcds; `numpy.roots` finds the rest, and a
-float root is certified exact when a nearby small complex rational is an
-exact root.  Hence an eigenvalue is either `exact` (a CRational witness) or
-honest floating point.  An A0 equal to A_f (no linear noise) reuses A_f's spectrum.
+repeated roots split off by exact gcds; a linear factor x + c gives the exact
+root -c.  `numpy.roots` finds the rest, and a float root is certified exact
+when a nearby small complex rational is an exact root.  Hence an eigenvalue
+is either `exact` (a CRational witness) or honest floating point.  An A0
+equal to A_f (no linear noise) reuses A_f's spectrum.
 
 Also here: the exact simultaneous-diagonalizability check (commutators plus
-a square-free-part test per matrix) and `eigenbasis`, the one place that
-diagonalizes: exactly when every spectrum is exact, numerically otherwise.
-The weak resonance test reads its spectra in it.
+a square-free-part test per matrix: a square-free characteristic polynomial
+passes at once, and only repeated roots evaluate a matrix polynomial) and
+`eigenbasis`, the one place that diagonalizes: exactly when every spectrum is
+exact, numerically otherwise.  The weak resonance test reads its spectra in it.
 """
 
 from __future__ import annotations
@@ -173,11 +175,15 @@ def _certify_root(p: list[CRational], w: complex) -> CRational | None:
 def _distinct_roots(p: list[CRational]) -> list[tuple[complex, CRational | None]]:
     """Roots of a square-free monic polynomial, each exactly certified when possible.
 
-    Float roots come from `numpy.roots`, on a real coefficient array when
-    every coefficient is real.  Every root is simple, so an exact root
-    certifies only the first float root that rounds to it; a later one keeps
-    its float value and no witness.
+    A linear x + c has the exact root -c.  Otherwise float roots come from
+    `numpy.roots`, on a real coefficient array when every coefficient is
+    real.  Every root is simple, so an exact root certifies only the first
+    float root that rounds to it; a later one keeps its float value and no
+    witness.
     """
+    if len(p) == 2:
+        root = -p[0]
+        return [(complex(root), root)]
     import numpy as np
 
     coeffs = np.array([complex(c) for c in reversed(p)])
@@ -207,6 +213,8 @@ def _roots_multiset(p: list[CRational]) -> list[tuple[complex, CRational | None]
         p = p[1:]
     if len(p) <= 1:
         return out
+    if len(p) == 2:  # linear: square-free, no gcd to take
+        return out + _distinct_roots(p)
     g = exactla.poly_gcd(p, exactla.poly_deriv(p))
     if len(g) > 1:  # repeated roots: radical + recurse into the gcd
         radical, _ = exactla.poly_divmod(p, g)
@@ -234,9 +242,14 @@ def eigenvalues(m: Matrix) -> Eigenvalues:
 def _diagonalizable(m: Matrix, chi: list[CRational]) -> bool:
     """Exact: m is diagonalizable iff r(m) = 0, where r = chi / gcd(chi, chi') is
     the square-free part of its characteristic polynomial chi (the minimal
-    polynomial divides r exactly when it has no repeated root).  Either sign
-    convention of chi will do: it only scales r by -1."""
-    r, _ = exactla.poly_divmod(chi, exactla.poly_gcd(chi, exactla.poly_deriv(chi)))
+    polynomial divides r exactly when it has no repeated root).  A constant
+    gcd means distinct eigenvalues, so m is diagonalizable with no matrix
+    polynomial formed.  Either sign convention of chi will do: it only
+    scales r by -1."""
+    g = exactla.poly_gcd(chi, exactla.poly_deriv(chi))
+    if len(g) <= 1:
+        return True
+    r, _ = exactla.poly_divmod(chi, g)
     acc = exactla.zeros(len(m))
     for c in reversed(r):  # Horner: acc <- acc m + c I
         acc = exactla.mat_mul(acc, m)
@@ -289,7 +302,9 @@ def eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]
 
 def _exact_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
     """Each matrix M in turn splits every block of columns B into the pieces
-    B ker((M - lam I) B), one per distinct lam; B starts as the identity."""
+    B ker((M - lam I) B), one per distinct lam; B starts as the identity.
+    A block of one column c needs no kernel: it stays whole with the lam
+    of Mc = lam c, or is lost when no lam of the spectrum fits."""
     n = len(mats[0])
     blocks = [(exactla.identity(n), ())]  # (columns, eigenvalue of each matrix so far)
     for m, spec in zip(mats, spectra):
@@ -297,6 +312,12 @@ def _exact_eigenbasis(mats: list[Matrix], spectra: list[Eigenvalues]):
         for cols, vals in blocks:
             b = [list(row) for row in zip(*cols)]
             mb = exactla.mat_mul(m, b)
+            if len(cols) == 1:
+                lam = next((lam for lam in dict.fromkeys(spec.exact)
+                            if all(rm[0] == lam * rb[0] for rm, rb in zip(mb, b))), None)
+                if lam is not None:
+                    split.append((cols, vals + (lam,)))
+                continue
             for lam in dict.fromkeys(spec.exact):
                 ker = exactla.nullspace([[x - lam * y for x, y in zip(rm, rb)]
                                          for rm, rb in zip(mb, b)])

@@ -15,7 +15,11 @@ the same text and the same errors.  ``poly_mul`` multiplies term by term in
 CRational arithmetic, one monomial at a time.  ``paper_perturbation`` is the
 paper's integrability-destroying noise P = Q diag(u^{a_1}, ..., u^{a_n}) Q^-1
 on an exact eigenbasis Q of Df(0); sdefi's scalar noise a X dW is checked
-against it.
+against it.  ``diagonalizable`` evaluates the square-free part of the
+characteristic polynomial at the matrix for every input, and
+``exact_eigenbasis`` takes a kernel per eigenvalue for every block of
+columns; sdefi answers square-free polynomials and one-column blocks at once
+and must return the same.
 """
 
 from fractions import Fraction
@@ -37,7 +41,7 @@ from sdefi.algebra import (
     jacobian,
 )
 from sdefi.ito import SdeSystem
-from sdefi.spectral import eigenbasis, linearization
+from sdefi.spectral import Eigenvalues, eigenbasis, linearization
 
 HALF = Fraction(1, 2)
 
@@ -314,3 +318,42 @@ def linear_field(mat) -> VField:
     n = len(mat)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return VField(tuple(LaurentPoly(n, zip(units, row)) for row in mat))
+
+
+# -- diagonalizability and the exact eigenbasis, with no early answers --------------
+
+def diagonalizable(m, chi) -> bool:
+    """m is diagonalizable iff r(m) = 0 for the square-free part r = chi / gcd(chi, chi'),
+    evaluated by Horner's rule for every chi."""
+    r, _ = exactla.poly_divmod(chi, exactla.poly_gcd(chi, exactla.poly_deriv(chi)))
+    acc = exactla.zeros(len(m))
+    for c in reversed(r):  # Horner: acc <- acc m + c I
+        acc = exactla.mat_mul(acc, m)
+        for i in range(len(m)):
+            acc[i][i] = acc[i][i] + c
+    return exactla.is_zero_matrix(acc)
+
+
+def exact_eigenbasis(mats, spectra):
+    """Each matrix M in turn splits every block of columns B into the pieces
+    B ker((M - lam I) B), one kernel per distinct lam and block; B starts as
+    the identity."""
+    n = len(mats[0])
+    blocks = [(exactla.identity(n), ())]
+    for m, spec in zip(mats, spectra):
+        split = []
+        for cols, vals in blocks:
+            b = [list(row) for row in zip(*cols)]
+            mb = exactla.mat_mul(m, b)
+            for lam in dict.fromkeys(spec.exact):
+                ker = exactla.nullspace([[x - lam * y for x, y in zip(rm, rb)]
+                                         for rm, rb in zip(mb, b)])
+                if ker:
+                    split.append((exactla.mat_mul(ker, cols), vals + (lam,)))
+        blocks = split
+        if sum(len(cols) for cols, _ in blocks) != n:
+            return None
+    q = [[col[i] for cols, _ in blocks for col in cols] for i in range(n)]
+    per_col = [vals for cols, vals in blocks for _ in cols]
+    return q, [Eigenvalues(tuple(complex(v[i]) for v in per_col), tuple(v[i] for v in per_col))
+               for i in range(len(mats))], True

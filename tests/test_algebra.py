@@ -734,3 +734,41 @@ def test_integral_basis_survives_pickle_and_copy():
     assert len(found) > 0
     for back in _round_trips(found):
         assert back == found and back.basis == found.basis
+
+
+def test_zero_free_results_skip_the_zero_filter(monkeypatch):
+    # -p, p.scale(c != 0) and p.differentiate(axis) cannot hold a zero pair, so none
+    # goes through _reduced; each still lands in the canonical form
+    rng = random.Random(3831)
+    filtered = []
+    reduced = algebra._reduced
+    monkeypatch.setattr(algebra, "_reduced", lambda *a: filtered.append(1) or reduced(*a))
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        p = _poly_of(dim, _rand_ref(rng, dim))
+        c = CRational(_big_fraction(rng), _big_fraction(rng) if rng.random() < 0.5 else 0)
+        results = [-p, p.scale(c), p.scale(0)] + [p.differentiate(i) for i in range(dim)]
+        for q in results:
+            assert q == LaurentPoly(dim, dict(q.terms()))  # canonical: equality is structural
+            assert (q._den == 1) if q.is_zero else math.gcd(q._den, *itertools.chain(
+                *q._num.values())) == 1
+        assert -(-p) == p and p.scale(0).is_zero
+    assert filtered == []
+
+
+def test_variable_names_are_checked_once_per_tuple(monkeypatch):
+    checked = []
+    check = algebra.check_var_names
+    monkeypatch.setattr(algebra, "check_var_names", lambda names: checked.append(names)
+                        or check(names))
+    monkeypatch.setattr(algebra, "_VALID_NAMES", set())
+    names = ("u", "v")
+    p = algebra.parse_poly_text("u^2 - 3/2 * v", list(names))
+    assert algebra.to_text(p, names) == "u^2 - 3/2 * v"
+    assert algebra.parse_poly_text("v", names) == LaurentPoly.variable(2, 1)
+    assert checked == [names]
+    for bad, message in ((("u", "i"), "'i' is the imaginary unit"),
+                         (("u", "u"), "must be distinct"), (("u", ["v"]), "not an ASCII")):
+        for _ in range(2):  # refused each time, with the same message
+            with pytest.raises(ValueError, match=re.escape(message)):
+                algebra.parse_poly_text("u", bad)

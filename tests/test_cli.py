@@ -873,3 +873,13 @@ def test_unknown_names_raise_attribute_error():
     for module in (sdefi, cli):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             module.no_such_name  # noqa: B018
+
+
+def test_scalar_resonance_scans_carry_exact_eigenvalues(tmp_path, capsys):
+    # A0 = 1/3000001 - 1/2 has a denominator limit_denominator(10**6) cannot reach;
+    # the root of a linear factor is exact anyway
+    path = _write(tmp_path, {"var_names": ["x1"], "drift": ["1/3000001 * x1"],
+                             "diffusion": [["x1"]]})
+    assert main(["resonance", path, "--output", "json"]) == 0
+    scans = json.loads(capsys.readouterr().out)["scans"]
+    assert [s["eigenvalues_exact"] for s in scans] == [["-2999999/6000002"], ["1"]]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdefi import algebra, systems
+from sdefi import algebra, resonance, systems
 from sdefi.algebra import CRational, LaurentPoly, VField
 from sdefi.ito import SdeSystem, check_weak, weak_generator_apply
 from sdefi.resonance import (
@@ -447,3 +447,46 @@ def test_scan_memory_is_bounded_by_its_blocks():
     assert (0, 0, 3, 0, 0, -2) in zeros and zeros == sorted(zeros)
     ref = [(k, sum((v * t for v, t in zip(lam, k)), 0)) for k in zeros]
     assert _reference_zeros(lam, (), ref, False, 1e-9) == zeros
+
+
+# -- one-dimensional exact scans answer without enumerating ---------------------------
+
+
+def test_scalar_exact_scan_equals_the_enumerated_scan():
+    rng = random.Random(3821)
+    for _ in range(12):
+        re = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 3000001))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.5 else 0
+        eig = Eigenvalues((complex(CRational(re, im)),), (CRational(re, im),))
+        for lattice in ("zplus", "z"):
+            for K in (0, 1, 10, 24):
+                vectors = tuple(enumerate_resonances(eig, K, 1e-9, lattice))
+                assert vectors == ()
+                want = resonance.ScanResult("A0", lattice, eig, vectors, lattice_rank(vectors),
+                                            True, False, K, 1e-9)
+                assert resonance._scan("A0", eig, lattice, K, 1e-9) == want
+
+
+def test_scalar_report_builds_without_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_resonances called on a scalar exact spectrum")
+
+    monkeypatch.setattr(resonance, "enumerate_resonances", refuse)
+    rep = nonintegrability_report(systems.gbm())
+    assert [s.complete for s in rep.scans] == [True, True]
+    assert rep.s_min == 0 and rep.s_min_certified
+
+
+def test_scalar_float_scan_still_enumerates(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_resonances(*args)
+
+    monkeypatch.setattr(resonance, "enumerate_resonances", counted)
+    tiny = _eig([1e-12])  # a float within tolerance of 0: every k resonates
+    scan = resonance._scan("A0", tiny, "zplus", 3, 1e-9)
+    assert len(calls) == 1 and scan.vectors == ((1,), (2,), (3,))
+    assert resonance._scan("A0", _eig([0.5]), "z", 3, 1e-9).vectors == ()
+    assert len(calls) == 2

@@ -450,3 +450,154 @@ def test_each_characteristic_polynomial_is_computed_once(monkeypatch):
     data = linearization(systems.harmonic_oscillator())
     assert len(calls) == 1 and data.lam is data.mu0
     assert list(data.char_polys) == ["Df", "A0"]
+
+
+# -- early answers: linear roots, square-free chi, one-column blocks ------------------
+
+
+@pytest.mark.parametrize("a", [CRational(Fraction(1, 3000001)),
+                               CRational(Fraction(-7, 3000001), Fraction(2, 9000011))])
+def test_linear_root_is_exact_for_large_denominators(a):
+    # limit_denominator(10**6) cannot find these roots; -c of x + c is the root itself
+    eig = roots([-a, CRational(1)])
+    assert eig.exact == (a,) and eig.values == (complex(a),)
+    eig = roots([CRational(0), -a, CRational(1)])  # x (x - a): a zero stripped first
+    assert set(eig.exact) == {CRational(0), a}
+
+
+def test_linear_factors_take_no_float_roots(monkeypatch):
+    # chi = (x - 1/3)^3: every radical of the square-free recursion is linear, and so
+    # is its last gcd
+    def refuse(_coeffs):
+        raise AssertionError("numpy.roots called on a linear factor")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    third = CRational(Fraction(1, 3))
+    eig = eigenvalues(as_matrix([[third, 1, 0], [0, third, 0], [0, 0, third]]))
+    assert eig.exact == (third,) * 3
+
+
+def _conjugate(rng, j, gaussian=False):
+    """S J S^-1 for a random invertible integer (or Gaussian-integer) S."""
+    n = len(j)
+    while True:
+        s = as_matrix([[CRational(rng.randint(-2, 2), rng.randint(-1, 1) if gaussian else 0)
+                        for _ in range(n)] for _ in range(n)])
+        if not det(s).is_zero():
+            return exactla.mat_mul(exactla.mat_mul(s, as_matrix(j)), exactla.inverse(s))
+
+
+def _jordan(blocks, n):
+    """Block-diagonal Jordan form from (eigenvalue, size) pairs, sizes summing to n."""
+    j = [[CRational(0)] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for i in range(size):
+            j[at + i][at + i] = lam + CRational(0)
+            if i + 1 < size:
+                j[at + i][at + i + 1] = CRational(1)
+        at += size
+    return j
+
+
+def _shaped_matrices(rng, gaussian):
+    """Jordan blocks, scalar, nilpotent, repeated-but-diagonalizable and
+    distinct-eigenvalue matrices of sizes 1 to 4, conjugated to dense form."""
+    def value():
+        return CRational(rng.randint(-3, 3), rng.randint(-2, 2) if gaussian else 0)
+
+    out = []
+    for n in range(1, 5):
+        c = value()
+        out.append(("scalar", as_matrix([[c if i == k else 0 for k in range(n)]
+                                         for i in range(n)])))
+        out.append(("distinct", _conjugate(rng, _jordan([(c + k, 1) for k in range(n)], n),
+                                           gaussian)))
+        if n >= 2:
+            out.append(("jordan", _conjugate(rng, _jordan([(c, 2)] + [(value(), 1)] * (n - 2), n),
+                                             gaussian)))
+            out.append(("nilpotent", _conjugate(rng, _jordan([(0, n)], n), gaussian)))
+            out.append(("repeated", _conjugate(rng, _jordan([(c, 1), (c, 1)]
+                                                            + [(value(), 1)] * (n - 2), n),
+                                               gaussian)))
+    return out
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_diagonalizable_matches_horner_oracle(gaussian):
+    rng = random.Random(3801 + gaussian)
+    cases = _shaped_matrices(rng, gaussian)
+    for n in range(1, 5):
+        for _ in range(6):  # dense random matrices: mostly square-free chi
+            cases.append(("random", as_matrix([[CRational(rng.randint(-3, 3),
+                                                          rng.randint(-2, 2) if gaussian else 0)
+                                                for _ in range(n)] for _ in range(n)])))
+    verdicts = set()
+    for kind, m in cases:
+        chi = char_poly(m)
+        got = spectral._diagonalizable(m, chi)
+        assert got == oracles.diagonalizable(m, chi), (kind, m)
+        verdicts.add((kind, got))
+    assert ("jordan", False) in verdicts and ("nilpotent", False) in verdicts
+    assert ("repeated", True) in verdicts and ("scalar", True) in verdicts
+
+
+def test_square_free_chi_forms_no_matrix_polynomial(monkeypatch):
+    m = as_matrix([[0, 1], [2, 0]])  # chi = x^2 - 2: distinct irrational roots
+    chi = char_poly(m)
+    calls = []
+    monkeypatch.setattr(exactla, "mat_mul", lambda a, b: calls.append(1))
+    assert spectral._diagonalizable(m, chi)
+    assert calls == []
+
+
+def _polynomial_of(m, coeffs):
+    """c_0 I + c_1 m + c_2 m^2 + ..., exactly."""
+    n = len(m)
+    acc = exactla.zeros(n)
+    for c in reversed(coeffs):
+        acc = exactla.mat_mul(acc, m)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + c
+    return acc
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_exact_eigenbasis_matches_kernel_oracle(gaussian):
+    rng = random.Random(3811 + gaussian)
+    families = []
+    for kind, a in _shaped_matrices(rng, gaussian):
+        families.append((kind, [a]))
+        # commuting families: polynomials of one matrix, in both orders
+        p = _polynomial_of(a, [CRational(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))])
+        families.append((kind + "+p(A)", [a, p]))
+        families.append(("p(A)+" + kind, [p, a]))
+    found = 0
+    for kind, mats in families:
+        spectra = [eigenvalues(m) for m in mats]
+        assert all(s.all_exact() for s in spectra), kind
+        got = spectral._exact_eigenbasis(mats, spectra)
+        assert got == oracles.exact_eigenbasis(mats, spectra), (kind, mats)
+        found += got is not None
+    assert 0 < found < len(families)  # defective families are lost, the others split
+
+
+def test_one_column_blocks_take_no_kernel(monkeypatch):
+    # A has distinct eigenvalues, so its split leaves one-column blocks that
+    # B = A^2 - A only has to test: three kernels in all, one per eigenvalue of A
+    a = _conjugate(random.Random(5), _jordan([(1, 1), (2, 1), (-1, 1)], 3))
+    b = _polynomial_of(a, [CRational(0), CRational(-1), CRational(1)])
+    spectra = [eigenvalues(a), eigenvalues(b)]
+    calls = []
+
+    def counted(m):
+        calls.append(len(m[0]))
+        return nullspace(m)
+
+    monkeypatch.setattr(exactla, "nullspace", counted)
+    q, values, exact = eigenbasis([a, b], spectra)
+    assert exact and calls == [3, 3, 3]
+    assert [str(v) for v in values[1].exact] == ["2", "0", "2"]  # A: -1, 1, 2
+    lost = spectral._exact_eigenbasis(  # a spectrum that misses A's eigenvalue 2
+        [a, a], [spectra[0], Eigenvalues((1, 1, -1), tuple(map(CRational, (1, 1, -1))))])
+    assert lost is None
